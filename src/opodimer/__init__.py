@@ -17,9 +17,8 @@ from .errors import (AboveThresholdError, ConfigError, ConvergenceFailureError,
                      DegenerateVarianceError, DetuningMismatchError,
                      DivergenceDetectedError, DomainError, InsufficientDataError,
                      NoCrossingError, OpodimerError, SingularAtFrequencyError)
-from .linearized import (CombinedModel, LinearModel, build_combined_model,
-                         build_linear_model, finite_difference_jacobian,
-                         numeric_eigenvalues)
+from .linearized import (LinearModel, build_combined_model, build_linear_model,
+                         finite_difference_jacobian, numeric_eigenvalues)
 from .model import (DerivedScales, Regime, SteadyState, SystemParams,
                     derived_scales, drift_rhs, stability_eigenvalues,
                     steady_state, threshold_bisection)
@@ -34,9 +33,9 @@ from .spectrum import (QuadratureSelector, SpectralMatrix, analytic_combined,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AboveThresholdError", "CombinedModel", "ConfigError",
-    "ConvergenceFailureError", "CorrelationRecord", "DegenerateVarianceError",
-    "DerivedScales", "DetuningMismatchError", "DivergenceDetectedError",
+    "AboveThresholdError", "ConfigError", "ConvergenceFailureError",
+    "CorrelationRecord", "DegenerateVarianceError", "DerivedScales",
+    "DetuningMismatchError", "DivergenceDetectedError",
     "DomainError", "InsufficientDataError", "LinearModel", "NoCrossingError",
     "OpodimerError", "QuadratureSelector", "Regime", "RunConfig", "SdeConfig",
     "SingularAtFrequencyError", "SpectralMatrix", "SpectrumEstimate",

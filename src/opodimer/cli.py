@@ -21,7 +21,7 @@ from . import criteria, sde, spectrum
 from .config import (PRESETS, RunConfig, apply_overrides, load_config_file,
                      load_preset)
 from .errors import AboveThresholdError, OpodimerError
-from .linearized import build_linear_model
+from .linearized import _frozen, build_linear_model
 from .model import derived_scales, steady_state, stability_eigenvalues, threshold_bisection
 
 CSV_SCHEMA = "opodimer-csv/1"
@@ -110,25 +110,21 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     lines = _header("stability", cfg)
     spec = cfg.stability
     if spec.mode == "coupling-grid":
-        lines.append("J_a,J_b,min_re_eig,eps_crit_analytic,eps_crit_bisect")
-        for ja, jb in product(spec.J_a, spec.J_b):
-            patch = {"J_a": ja, "J_b": jb}
-            if spec.track_detuning:
-                patch.update(Delta_a=ja, Delta_b=jb)
-            p = cfg.params.patched(patch, "stability grid").to_params()
-            min_re = float(np.min(stability_eigenvalues(p).real))
-            lines.append(",".join(_fmt(x) for x in (
-                ja, jb, min_re, derived_scales(p).eps_crit,
-                threshold_bisection(p))))
+        lead_cols = "J_a,J_b"
+        patches = [{"J_a": ja, "J_b": jb} | ({"Delta_a": ja, "Delta_b": jb}
+                                             if spec.track_detuning else {})
+                   for ja, jb in product(spec.J_a, spec.J_b)]
     else:
-        lines.append("pump_fraction,eps,min_re_eig,eps_crit_analytic,"
-                     "eps_crit_bisect")
-        for f in spec.pump_fractions:
-            p = cfg.params.patched({"pump_fraction": f}, "pump scan").to_params()
-            min_re = float(np.min(stability_eigenvalues(p).real))
-            lines.append(",".join(_fmt(x) for x in (
-                f, abs(p.eps1), min_re, derived_scales(p).eps_crit,
-                threshold_bisection(p))))
+        lead_cols = "pump_fraction,eps"
+        patches = [{"pump_fraction": f} for f in spec.pump_fractions]
+    lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
+    for patch in patches:
+        p = cfg.params.patched(patch, f"stability {spec.mode}").to_params()
+        lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
+                else (patch["pump_fraction"], abs(p.eps1)))
+        lines.append(",".join(_fmt(x) for x in (
+            *lead, float(np.min(stability_eigenvalues(p).real)),
+            derived_scales(p).eps_crit, threshold_bisection(p))))
     _emit(lines, args.out)
     return 0
 
@@ -159,8 +155,8 @@ def _combo_terms(name: str, theta: float) -> list:
     return {
         "X1": [(1, theta, 1.0)],
         "Y1": [(1, theta + half, 1.0)],
-        "Xminus": [(1, theta, 1.0), (2, theta, -1.0)],
-        "Yplus": [(1, theta + half, 1.0), (2, theta + half, 1.0)],
+        "Xminus": spectrum.two_mode_terms(theta, -1.0),
+        "Yplus": spectrum.two_mode_terms(theta + half, 1.0),
     }[name]
 
 
@@ -171,11 +167,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         A = np.array(model.A)
         for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
             A[i, j] = -A[i, j]
-        A.setflags(write=False)
-        model = dataclasses.replace(model, A=A)
+        model = dataclasses.replace(model, A=_frozen(A))
     theta = _resolve_theta(p, cfg.theta, cfg)
     seed = args.seed if args.seed is not None else cfg.seed
-    ens = sde.integrate(p, cfg.sde.to_sde_config(seed))
+    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=seed))
     report = []
     worst = 0.0
     for name in _VERIFY_COMBOS:
@@ -209,7 +204,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_sde_dump(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
     seed = args.seed if args.seed is not None else cfg.seed
-    ens = sde.integrate(p, cfg.sde.to_sde_config(seed, record="all"))
+    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=seed, record="all"))
     path = sde.write_ensemble_dump(ens, args.out)
     print(f"wrote {ens.n_traj} trajectories x {ens.n_samples} samples "
           f"({ens.n_diverged} diverged) to {path} (+ .json sidecar)")
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("optimize-angle", help="best local-oscillator angle "
                         "for one objective")
     _add_common(s)
-    s.add_argument("--objective", choices=("squeezing", "duan", "epr"),
+    s.add_argument("--objective", choices=criteria.OBJECTIVES,
                    default=None, help="figure of merit (default from config)")
     s.add_argument("--omega", type=float, default=None,
                    help="frequency at which to optimize (default from config)")

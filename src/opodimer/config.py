@@ -9,30 +9,45 @@ pumps), or the eps1/eps2 pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .criteria import DUAN_PAIRINGS, OBJECTIVES
 from .errors import ConfigError
 from .model import SystemParams
+from .sde import SdeConfig, _config_jsonable
 
 SCHEMA = "opodimer-run/1"
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
 THETA_POLICIES = ("fixed", "optimize")
-THETA_OBJECTIVES = ("squeezing", "duan", "epr")
-DUAN_PAIRINGS = ("xminus_yplus", "xplus_yminus")
 STABILITY_MODES = ("coupling-grid", "pump-scan")
-SDE_STEPPERS = ("semi-implicit-midpoint", "euler-maruyama")
 
 _PUMP_KEYS = ("pump_fraction", "eps", "eps1", "eps2")
+_RATE_KEYS = tuple(f.name for f in fields(SystemParams)
+                   if f.name not in ("eps1", "eps2"))
+
+
+def _section(d, where: str) -> dict:
+    """The check every config section passes first: it must be an object."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    return d
+
+
+def _parse(d: dict, parsers: dict, where: str) -> dict:
+    """Parsed values of the keys of d that parsers names; each parser takes
+    (value, dotted path) and raises ConfigError."""
+    return {k: parse(d[k], f"{where}.{k}" if where else k)
+            for k, parse in parsers.items() if k in d}
 
 
 def _reject_unknown(d: dict, allowed, where: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(_section(d, where)) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; "
                           f"allowed: {sorted(allowed)}")
@@ -50,6 +65,24 @@ def _as_int(v, where: str) -> int:
     return v
 
 
+def _as_bool(v, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where} must be a boolean, got {v!r}")
+    return v
+
+
+def _as_floats(v, where: str) -> tuple:
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return tuple(_as_float(x, f"{where}[{i}]") for i, x in enumerate(v))
+
+
+def _one_of(v, options: tuple, where: str):
+    if v not in options:
+        raise ConfigError(f"{where} must be one of {options}, got {v!r}")
+    return v
+
+
 def _as_complex(v, where: str):
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
@@ -64,6 +97,9 @@ def _complex_jsonable(z: complex):
 
 @dataclass(frozen=True)
 class ParamsSpec:
+    """SystemParams as configured. The pump is a fraction of the critical
+    amplitude when pump_fraction is set, else the amplitudes eps1, eps2."""
+
     kappa: float = 0.01
     gamma_a: float = 1.0
     gamma_b: float = 1.0
@@ -71,44 +107,32 @@ class ParamsSpec:
     J_b: float = 0.0
     Delta_a: float = 0.0
     Delta_b: float = 0.0
-    pump_mode: str = "amplitude"
     pump_fraction: float = None
     eps1: complex = 0j
     eps2: complex = 0j
 
-    _KEYS = ("kappa", "gamma_a", "gamma_b", "J_a", "J_b", "Delta_a", "Delta_b")
-
     @classmethod
     def from_dict(cls, d: dict, where: str = "params") -> "ParamsSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where} must be an object, got {d!r}")
-        _reject_unknown(d, cls._KEYS + _PUMP_KEYS, where)
-        kw = {k: _as_float(d[k], f"{where}.{k}") for k in cls._KEYS if k in d}
-        groups = [g for g in ("pump_fraction", "eps", "eps1")
-                  if any(k in d for k in {"pump_fraction": ["pump_fraction"],
-                                          "eps": ["eps"],
-                                          "eps1": ["eps1", "eps2"]}[g])]
-        if len(groups) > 1:
+        _reject_unknown(d, _RATE_KEYS + _PUMP_KEYS, where)
+        kw = _parse(d, dict.fromkeys(_RATE_KEYS, _as_float), where)
+        if ("pump_fraction" in d) + ("eps" in d) + ("eps1" in d or "eps2" in d) > 1:
             raise ConfigError(
                 f"{where}: give exactly one of pump_fraction, eps, or eps1/eps2")
         if "pump_fraction" in d:
-            kw["pump_mode"] = "fraction"
             kw["pump_fraction"] = _as_float(d["pump_fraction"],
                                             f"{where}.pump_fraction")
         elif "eps" in d:
-            e = _as_complex(d["eps"], f"{where}.eps")
-            kw.update(pump_mode="amplitude", eps1=e, eps2=e)
+            kw["eps1"] = kw["eps2"] = _as_complex(d["eps"], f"{where}.eps")
         elif "eps1" in d or "eps2" in d:
             if not ("eps1" in d and "eps2" in d):
                 raise ConfigError(f"{where}: eps1 and eps2 must be given together")
-            kw.update(pump_mode="amplitude",
-                      eps1=_as_complex(d["eps1"], f"{where}.eps1"),
+            kw.update(eps1=_as_complex(d["eps1"], f"{where}.eps1"),
                       eps2=_as_complex(d["eps2"], f"{where}.eps2"))
         return cls(**kw)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self._KEYS}
-        if self.pump_mode == "fraction":
+        d = {k: getattr(self, k) for k in _RATE_KEYS}
+        if self.pump_fraction is not None:
             d["pump_fraction"] = self.pump_fraction
         elif self.eps1 == self.eps2:
             d["eps"] = _complex_jsonable(self.eps1)
@@ -118,8 +142,8 @@ class ParamsSpec:
         return d
 
     def to_params(self) -> SystemParams:
-        common = {k: getattr(self, k) for k in self._KEYS}
-        if self.pump_mode == "fraction":
+        common = {k: getattr(self, k) for k in _RATE_KEYS}
+        if self.pump_fraction is not None:
             return SystemParams.symmetric(pump_fraction=self.pump_fraction,
                                           **common)
         return SystemParams(eps1=self.eps1, eps2=self.eps2, **common)
@@ -127,10 +151,8 @@ class ParamsSpec:
     def patched(self, patch: dict, where: str) -> "ParamsSpec":
         """New spec with a subset of keys replaced; setting any pump key
         replaces the whole pump specification."""
-        if not isinstance(patch, dict):
-            raise ConfigError(f"{where} must be an object, got {patch!r}")
         d = self.to_dict()
-        if any(k in patch for k in _PUMP_KEYS):
+        if any(k in _section(patch, where) for k in _PUMP_KEYS):
             for k in _PUMP_KEYS:
                 d.pop(k, None)
         d.update(patch)
@@ -145,16 +167,13 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "sweep") -> "SweepSpec":
-        _reject_unknown(d, ("omega_start", "omega_stop", "omega_points"), where)
-        kw = {}
-        for k in ("omega_start", "omega_stop"):
-            if k in d:
-                kw[k] = _as_float(d[k], f"{where}.{k}")
-        if "omega_points" in d:
-            n = _as_int(d["omega_points"], f"{where}.omega_points")
-            if n < 1:
-                raise ConfigError(f"{where}.omega_points must be >= 1, got {n}")
-            kw["omega_points"] = n
+        parsers = {"omega_start": _as_float, "omega_stop": _as_float,
+                   "omega_points": _as_int}
+        _reject_unknown(d, parsers, where)
+        kw = _parse(d, parsers, where)
+        if kw.get("omega_points", 1) < 1:
+            raise ConfigError(f"{where}.omega_points must be >= 1, "
+                              f"got {kw['omega_points']}")
         return cls(**kw)
 
     def to_dict(self) -> dict:
@@ -174,21 +193,16 @@ class ThetaSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "theta") -> "ThetaSpec":
-        _reject_unknown(d, ("policy", "degrees", "objective", "at_omega"), where)
-        policy = d.get("policy", "fixed")
-        if policy not in THETA_POLICIES:
-            raise ConfigError(f"{where}.policy must be one of {THETA_POLICIES}, "
-                              f"got {policy!r}")
+        policy = _one_of(_section(d, where).get("policy", "fixed"),
+                         THETA_POLICIES, f"{where}.policy")
         if policy == "fixed":
             _reject_unknown(d, ("policy", "degrees"), where + ' (policy "fixed")')
             return cls(policy="fixed",
                        degrees=_as_float(d.get("degrees", 0.0), f"{where}.degrees"))
         _reject_unknown(d, ("policy", "objective", "at_omega"),
                         where + ' (policy "optimize")')
-        objective = d.get("objective", "squeezing")
-        if objective not in THETA_OBJECTIVES:
-            raise ConfigError(f"{where}.objective must be one of "
-                              f"{THETA_OBJECTIVES}, got {objective!r}")
+        objective = _one_of(d.get("objective", "squeezing"), OBJECTIVES,
+                            f"{where}.objective")
         return cls(policy="optimize", degrees=0.0, objective=objective,
                    at_omega=_as_float(d.get("at_omega", 0.0), f"{where}.at_omega"))
 
@@ -207,16 +221,12 @@ class VariantSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "VariantSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where} must be an object, got {d!r}")
         _reject_unknown(d, ("label", "params", "theta"), where)
         label = d.get("label")
         if label is not None and not isinstance(label, str):
             raise ConfigError(f"{where}.label must be a string, got {label!r}")
         patch = d.get("params", {})
-        if not isinstance(patch, dict):
-            raise ConfigError(f"{where}.params must be an object, got {patch!r}")
-        _reject_unknown(patch, ParamsSpec._KEYS + _PUMP_KEYS, f"{where}.params")
+        _reject_unknown(patch, _RATE_KEYS + _PUMP_KEYS, f"{where}.params")
         theta = ThetaSpec.from_dict(d["theta"], f"{where}.theta") \
             if "theta" in d else None
         return cls(label=label, params_patch=tuple(sorted(patch.items())),
@@ -233,6 +243,12 @@ class VariantSpec:
         return d
 
 
+def _vary_from_list(v, where: str = "vary") -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {v!r}")
+    return tuple(VariantSpec.from_dict(x, f"{where}[{i}]") for i, x in enumerate(v))
+
+
 @dataclass(frozen=True)
 class StabilitySpec:
     mode: str = "coupling-grid"
@@ -243,30 +259,17 @@ class StabilitySpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "stability") -> "StabilitySpec":
-        mode = d.get("mode", "coupling-grid")
-        if mode not in STABILITY_MODES:
-            raise ConfigError(f"{where}.mode must be one of {STABILITY_MODES}, "
-                              f"got {mode!r}")
+        mode = _one_of(_section(d, where).get("mode", "coupling-grid"),
+                       STABILITY_MODES, f"{where}.mode")
         if mode == "coupling-grid":
             _reject_unknown(d, ("mode", "J_a", "J_b", "track_detuning"),
                             where + ' (mode "coupling-grid")')
         else:
             _reject_unknown(d, ("mode", "pump_fractions"),
                             where + ' (mode "pump-scan")')
-        kw = {"mode": mode}
-        if "track_detuning" in d:
-            if not isinstance(d["track_detuning"], bool):
-                raise ConfigError(f"{where}.track_detuning must be a boolean, "
-                                  f"got {d['track_detuning']!r}")
-            kw["track_detuning"] = d["track_detuning"]
-        for k in ("J_a", "J_b", "pump_fractions"):
-            if k in d:
-                v = d[k]
-                if not isinstance(v, (list, tuple)) or not v:
-                    raise ConfigError(f"{where}.{k} must be a non-empty list")
-                kw[k] = tuple(_as_float(x, f"{where}.{k}[{i}]")
-                              for i, x in enumerate(v))
-        return cls(**kw)
+        return cls(mode=mode, **_parse(d, {
+            "J_a": _as_floats, "J_b": _as_floats, "track_detuning": _as_bool,
+            "pump_fractions": _as_floats}, where))
 
     def to_dict(self) -> dict:
         if self.mode == "coupling-grid":
@@ -276,44 +279,16 @@ class StabilitySpec:
         return {"mode": self.mode, "pump_fractions": list(self.pump_fractions)}
 
 
-@dataclass(frozen=True)
-class SdeSpec:
-    dt: float = 0.01
-    t_transient: float = 20.0
-    t_measure: float = 200.0
-    n_traj: int = 4096
-    stepper: str = "semi-implicit-midpoint"
-    record_stride: int = 5
+# The configurable SdeConfig fields; seed and record are set per command, and
+# SdeConfig itself checks ranges and the stepper name.
+_SDE_PARSERS = {"dt": _as_float, "t_transient": _as_float,
+                "t_measure": _as_float, "n_traj": _as_int,
+                "stepper": lambda v, where: v, "record_stride": _as_int}
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "sde") -> "SdeSpec":
-        _reject_unknown(d, ("dt", "t_transient", "t_measure", "n_traj",
-                            "stepper", "record_stride"), where)
-        kw = {}
-        for k in ("dt", "t_transient", "t_measure"):
-            if k in d:
-                kw[k] = _as_float(d[k], f"{where}.{k}")
-        for k in ("n_traj", "record_stride"):
-            if k in d:
-                kw[k] = _as_int(d[k], f"{where}.{k}")
-        if "stepper" in d:
-            if d["stepper"] not in SDE_STEPPERS:
-                raise ConfigError(f"{where}.stepper must be one of "
-                                  f"{SDE_STEPPERS}, got {d['stepper']!r}")
-            kw["stepper"] = d["stepper"]
-        return cls(**kw)
 
-    def to_dict(self) -> dict:
-        return {"dt": self.dt, "t_transient": self.t_transient,
-                "t_measure": self.t_measure, "n_traj": self.n_traj,
-                "stepper": self.stepper, "record_stride": self.record_stride}
-
-    def to_sde_config(self, seed: int, record: str = "alpha"):
-        from .sde import SdeConfig
-        return SdeConfig(dt=self.dt, t_transient=self.t_transient,
-                         t_measure=self.t_measure, n_traj=self.n_traj,
-                         seed=seed, stepper=self.stepper,
-                         record_stride=self.record_stride, record=record)
+def _sde_from_dict(d: dict, where: str = "sde") -> SdeConfig:
+    _reject_unknown(d, _SDE_PARSERS, where)
+    return SdeConfig(**_parse(d, _SDE_PARSERS, where))
 
 
 @dataclass(frozen=True)
@@ -322,14 +297,9 @@ class VerifySpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "verify") -> "VerifySpec":
-        _reject_unknown(d, ("omegas",), where)
-        if "omegas" in d:
-            v = d["omegas"]
-            if not isinstance(v, (list, tuple)) or not v:
-                raise ConfigError(f"{where}.omegas must be a non-empty list")
-            return cls(omegas=tuple(_as_float(x, f"{where}.omegas[{i}]")
-                                    for i, x in enumerate(v)))
-        return cls()
+        parsers = {"omegas": _as_floats}
+        _reject_unknown(d, parsers, where)
+        return cls(**_parse(d, parsers, where))
 
     def to_dict(self) -> dict:
         return {"omegas": list(self.omegas)}
@@ -345,56 +315,26 @@ class RunConfig:
     epr_infer_from: int = 1
     combined: bool = False
     stability: StabilitySpec = field(default_factory=StabilitySpec)
-    sde: SdeSpec = field(default_factory=SdeSpec)
+    sde: SdeConfig = field(default_factory=SdeConfig)
     verify: VerifySpec = field(default_factory=VerifySpec)
     seed: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"run config must be an object, got {d!r}")
-        _reject_unknown(d, ("schema", "params", "sweep", "vary", "theta",
-                            "duan_pairing", "epr_infer_from", "combined",
-                            "stability", "sde", "verify", "seed"), "run config")
+        parsers = {
+            "params": ParamsSpec.from_dict, "sweep": SweepSpec.from_dict,
+            "vary": _vary_from_list, "theta": ThetaSpec.from_dict,
+            "duan_pairing": lambda v, where: _one_of(v, DUAN_PAIRINGS, where),
+            "epr_infer_from": lambda v, where: _one_of(_as_int(v, where),
+                                                       (1, 2), where),
+            "combined": _as_bool, "stability": StabilitySpec.from_dict,
+            "sde": _sde_from_dict, "verify": VerifySpec.from_dict,
+            "seed": _as_int}
+        _reject_unknown(d, ("schema", *parsers), "run config")
         schema = d.get("schema", SCHEMA)
         if schema != SCHEMA:
             raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r}")
-        kw = {}
-        if "params" in d:
-            kw["params"] = ParamsSpec.from_dict(d["params"])
-        if "sweep" in d:
-            kw["sweep"] = SweepSpec.from_dict(d["sweep"])
-        if "vary" in d:
-            if not isinstance(d["vary"], (list, tuple)):
-                raise ConfigError(f"vary must be a list, got {d['vary']!r}")
-            kw["vary"] = tuple(VariantSpec.from_dict(v, f"vary[{i}]")
-                               for i, v in enumerate(d["vary"]))
-        if "theta" in d:
-            kw["theta"] = ThetaSpec.from_dict(d["theta"])
-        if "duan_pairing" in d:
-            if d["duan_pairing"] not in DUAN_PAIRINGS:
-                raise ConfigError(f"duan_pairing must be one of {DUAN_PAIRINGS}, "
-                                  f"got {d['duan_pairing']!r}")
-            kw["duan_pairing"] = d["duan_pairing"]
-        if "epr_infer_from" in d:
-            v = _as_int(d["epr_infer_from"], "epr_infer_from")
-            if v not in (1, 2):
-                raise ConfigError(f"epr_infer_from must be 1 or 2, got {v}")
-            kw["epr_infer_from"] = v
-        if "combined" in d:
-            if not isinstance(d["combined"], bool):
-                raise ConfigError(f"combined must be a boolean, got "
-                                  f"{d['combined']!r}")
-            kw["combined"] = d["combined"]
-        if "stability" in d:
-            kw["stability"] = StabilitySpec.from_dict(d["stability"])
-        if "sde" in d:
-            kw["sde"] = SdeSpec.from_dict(d["sde"])
-        if "verify" in d:
-            kw["verify"] = VerifySpec.from_dict(d["verify"])
-        if "seed" in d:
-            kw["seed"] = _as_int(d["seed"], "seed")
-        return cls(**kw)
+        return cls(**_parse(d, parsers, ""))
 
     def to_dict(self) -> dict:
         d = {"schema": SCHEMA, "params": self.params.to_dict(),
@@ -406,7 +346,8 @@ class RunConfig:
                   "epr_infer_from": self.epr_infer_from,
                   "combined": self.combined,
                   "stability": self.stability.to_dict(),
-                  "sde": self.sde.to_dict(),
+                  "sde": {k: v for k, v in _config_jsonable(self.sde).items()
+                          if k in _SDE_PARSERS},
                   "verify": self.verify.to_dict(),
                   "seed": self.seed})
         return d

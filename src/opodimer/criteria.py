@@ -17,9 +17,11 @@ import numpy as np
 from .errors import DegenerateVarianceError
 from .linearized import build_linear_model
 from .model import SystemParams, steady_state
-from .spectrum import QuadratureSelector, output_moment, quadrature_variance_out, spectral_matrix
+from .spectrum import (QuadratureSelector, output_moment, quadrature_variance_out,
+                       spectral_matrix, two_mode_terms)
 
 DUAN_PAIRINGS = ("xminus_yplus", "xplus_yminus")
+OBJECTIVES = ("squeezing", "duan", "epr")
 
 _ANGLE_TOL = 1e-6
 _GRID_POINTS = 181
@@ -77,13 +79,9 @@ def duan_sum(p: SystemParams, omega: float, theta: float = 0.0,
         raise ValueError(f"pairing must be one of {DUAN_PAIRINGS}, got {pairing!r}")
     S = _smatrix(p, float(omega))
     ga = p.gamma_a
-    tx, ty = theta, theta + math.pi / 2
-    if pairing == "xminus_yplus":
-        first = [(1, tx, 1.0), (2, tx, -1.0)]
-        second = [(1, ty, 1.0), (2, ty, 1.0)]
-    else:
-        first = [(1, tx, 1.0), (2, tx, 1.0)]
-        second = [(1, ty, 1.0), (2, ty, -1.0)]
+    sx, sy = (-1.0, 1.0) if pairing == "xminus_yplus" else (1.0, -1.0)
+    first = two_mode_terms(theta, sx)
+    second = two_mode_terms(theta + math.pi / 2, sy)
     return (output_moment(S, first, first, ga)
             + output_moment(S, second, second, ga))
 
@@ -126,7 +124,7 @@ def combined_variances(p: SystemParams, omega: float) -> dict:
     out = {}
     for name, sign, ang in (("S_Xp", 1.0, 0.0), ("S_Yp", 1.0, math.pi / 2),
                             ("S_Xm", -1.0, 0.0), ("S_Ym", -1.0, math.pi / 2)):
-        terms = [(1, ang, 1.0), (2, ang, sign)]
+        terms = two_mode_terms(ang, sign)
         out[name] = output_moment(S, terms, terms, ga)
     return out
 

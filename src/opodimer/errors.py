@@ -24,7 +24,9 @@ class DetuningMismatchError(OpodimerError):
 
 
 class ConvergenceFailureError(OpodimerError):
-    """Dense eigensolver failed to converge."""
+    """A numeric result failed its accuracy check: the dense eigensolver did
+    not converge, the steady state missed its residual tolerance, or a
+    quadrature projection kept an imaginary residue."""
 
 
 class SingularAtFrequencyError(OpodimerError):

@@ -9,7 +9,7 @@ with dx in the package-wide ordering [alpha1, alpha1+, alpha2, alpha2+,
 beta1, beta1+, beta2, beta2+] and dW a vector of independent real Wiener
 increments. On the Delta_a = J_a, Delta_b = J_b manifold the sum and
 difference of the low-frequency modes decouple, giving an equivalent pair of
-independent 2x2 problems handled by CombinedModel.
+independent 2x2 problems (build_combined_model).
 """
 
 from __future__ import annotations
@@ -34,14 +34,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_combined_manifold(p: SystemParams, what: str) -> float:
+    """The real pump amplitude; raises DetuningMismatchError unless
+    Delta_a = J_a, Delta_b = J_b and the pumps are equal and real."""
+    if abs(p.Delta_a - p.J_a) > _DETUNING_TOL or abs(p.Delta_b - p.J_b) > _DETUNING_TOL:
+        raise DetuningMismatchError(
+            f"{what} need Delta_a = J_a and Delta_b = J_b, got "
+            f"Delta_a - J_a = {p.Delta_a - p.J_a:.3e}, "
+            f"Delta_b - J_b = {p.Delta_b - p.J_b:.3e}")
+    if not p.equal_pumps or abs(p.eps1.imag) > _DETUNING_TOL * max(1.0, abs(p.eps1)):
+        raise DetuningMismatchError(f"{what} need equal real pumps, got "
+                                    f"eps1 = {p.eps1}, eps2 = {p.eps2}")
+    return p.eps1.real
+
+
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """8x8 fluctuation model around one steady state.
+    """Fluctuation model around one steady state.
 
-    A is the complex drift matrix; B is the noise matrix, nonzero only in
-    its first four diagonal entries (principal square roots of the complex
-    pump-field products, so the entries are real exactly when the
-    intracavity pump fields are real and nonnegative).
+    A is the complex drift matrix; B is the noise matrix. The full model is
+    8x8 in STATE_LABELS ordering, with B nonzero only in its first four
+    diagonal entries (principal square roots of the complex pump-field
+    products, so the entries are real exactly when the intracavity pump
+    fields are real and nonnegative). The combined model is 4x4 in
+    COMBINED_LABELS ordering [A_plus, A_plus+, A_minus, A_minus+] with
+    A_pm = alpha1 +- alpha2 (unnormalized, so each combined mode carries a
+    vacuum variance of 2); its plus and minus 2x2 blocks do not couple.
     """
 
     A: np.ndarray
@@ -52,25 +70,6 @@ class LinearModel:
 
     def diffusion(self) -> np.ndarray:
         """B B^T, the diffusion matrix of the fluctuation equation."""
-        return self.B @ self.B.T
-
-
-@dataclass(frozen=True, eq=False)
-class CombinedModel:
-    """4x4 model for the sum/difference low-frequency modes.
-
-    Ordering [A_plus, A_plus+, A_minus, A_minus+] with A_pm = alpha1 +-
-    alpha2 (unnormalized, so each combined mode carries a vacuum variance
-    of 2). The plus and minus 2x2 blocks do not couple.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    params: SystemParams
-    steady: SteadyState
-    ordering: tuple = COMBINED_LABELS
-
-    def diffusion(self) -> np.ndarray:
         return self.B @ self.B.T
 
 
@@ -106,20 +105,14 @@ def build_linear_model(p: SystemParams, ss: SteadyState) -> LinearModel:
     return LinearModel(A=_frozen(A), B=_frozen(B), params=p, steady=ss)
 
 
-def build_combined_model(p: SystemParams, ss: SteadyState) -> CombinedModel:
+def build_combined_model(p: SystemParams, ss: SteadyState) -> LinearModel:
     """Assemble the 4x4 sum/difference model.
 
     Valid only on the Delta_a = J_a, Delta_b = J_b manifold with equal real
     pumps, where the steady pump field is real and the combined modes
     decouple exactly.
     """
-    if abs(p.Delta_a - p.J_a) > _DETUNING_TOL or abs(p.Delta_b - p.J_b) > _DETUNING_TOL:
-        raise DetuningMismatchError(
-            "combined modes need Delta_a = J_a and Delta_b = J_b, got "
-            f"Delta_a - J_a = {p.Delta_a - p.J_a:.3e}, "
-            f"Delta_b - J_b = {p.Delta_b - p.J_b:.3e}")
-    if not p.equal_pumps or abs(p.eps1.imag) > _DETUNING_TOL * max(1.0, abs(p.eps1)):
-        raise DetuningMismatchError("combined modes need equal real pumps")
+    require_combined_manifold(p, "combined modes")
     m = p.kappa * ss.beta1_ss.real
     ga, ja = p.gamma_a, 1j * p.J_a
     A = np.array([
@@ -137,7 +130,8 @@ def build_combined_model(p: SystemParams, ss: SteadyState) -> CombinedModel:
         [1, 0, -1, 0],
         [0, 1, 0, -1],
     ], dtype=complex)
-    return CombinedModel(A=_frozen(A), B=_frozen(B), params=p, steady=ss)
+    return LinearModel(A=_frozen(A), B=_frozen(B), params=p, steady=ss,
+                       ordering=COMBINED_LABELS)
 
 
 def numeric_eigenvalues(m) -> np.ndarray:

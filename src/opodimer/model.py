@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AboveThresholdError, NoCrossingError
+from .errors import AboveThresholdError, ConvergenceFailureError, NoCrossingError
 
 # Relative guard band around |eps| = eps_crit: exactly-critical pumps are
 # classified as at-or-above so the linearized analysis never runs on a
@@ -142,15 +142,20 @@ class SteadyState:
 def derived_scales(p: SystemParams) -> DerivedScales:
     """Auxiliary rates, threshold pump amplitude, and pump phase.
 
-    eps_crit = sqrt([gamma_a^2 + (J_a - Delta_a)^2][gamma_b^2 + (J_b - Delta_b)^2]) / kappa,
-    which reduces to gamma_tilde_a * gamma_tilde_b / kappa on resonance and to
-    gamma_a * gamma_b / kappa on the Delta = J manifold. theta_b is the phase
-    picked up by the intracavity pump field.
+    eps_crit = sqrt([gamma_a^2 + d_a^2][gamma_b^2 + (J_b - Delta_b)^2]) / kappa
+    with d_a = min(|J_a - Delta_a|, |J_a + Delta_a|): equal pumps drive only
+    the symmetric pump supermode (detuning Delta_b - J_b), which feeds both
+    signal supermodes (detunings Delta_a -+ J_a), and the one closer to
+    resonance oscillates first. This reduces to gamma_tilde_a *
+    gamma_tilde_b / kappa on resonance and to gamma_a * gamma_b / kappa on the
+    Delta = J manifold, and holds for either sign of coupling and detuning.
+    theta_b is the phase picked up by the intracavity pump field.
     """
     gta = math.hypot(p.gamma_a, p.J_a)
     gtb = math.hypot(p.gamma_b, p.J_b)
+    d_a = min(abs(p.J_a - p.Delta_a), abs(p.J_a + p.Delta_a))
     eps_crit = math.sqrt(
-        (p.gamma_a ** 2 + (p.J_a - p.Delta_a) ** 2)
+        (p.gamma_a ** 2 + d_a ** 2)
         * (p.gamma_b ** 2 + (p.J_b - p.Delta_b) ** 2)
     ) / p.kappa
     theta_b = math.atan2(p.J_b - p.Delta_b, p.gamma_b)
@@ -188,26 +193,22 @@ def _beta_fixed_point(p: SystemParams) -> tuple[complex, complex]:
     if p.equal_pumps:
         b = p.eps1 / (p.gamma_b - 1j * (p.J_b - p.Delta_b))
         return b, b
-    # Newton on the two independent pump-mode equations; the alpha = 0
-    # subsystem is linear, so the iteration lands in one step and the loop
-    # only confirms the residual.
+    # The alpha = 0 pump-mode equations are linear: one 2x2 solve.
     cb = p.gamma_b + 1j * p.Delta_b
-    jac = np.array([[-cb, 1j * p.J_b], [1j * p.J_b, -cb]], dtype=complex)
-    rhs = np.array([p.eps1, p.eps2], dtype=complex)
-    beta = np.zeros(2, dtype=complex)
-    for _ in range(20):
-        resid = rhs + jac @ beta
-        if np.max(np.abs(resid)) <= 1e-14 * max(1.0, abs(p.eps1), abs(p.eps2)):
-            break
-        beta = beta - np.linalg.solve(jac, resid)
+    beta = np.linalg.solve(np.array([[cb, -1j * p.J_b], [-1j * p.J_b, cb]]),
+                           np.array([p.eps1, p.eps2]))
     return complex(beta[0]), complex(beta[1])
+
+
+def inside_guard(scales: DerivedScales) -> bool:
+    """True when the pump sits strictly inside the guard band below eps_crit."""
+    return scales.pump_fraction < 1.0 - THRESHOLD_GUARD
 
 
 def _unchecked_state(p: SystemParams) -> SteadyState:
     """Fixed point without the stability gate; used by threshold probing."""
     b1, b2 = _beta_fixed_point(p)
-    frac = derived_scales(p).pump_fraction
-    regime = (Regime.BELOW_THRESHOLD if frac < 1.0 - THRESHOLD_GUARD
+    regime = (Regime.BELOW_THRESHOLD if inside_guard(derived_scales(p))
               else Regime.AT_OR_ABOVE_THRESHOLD)
     return SteadyState(beta1_ss=b1, beta2_ss=b2, regime=regime)
 
@@ -218,7 +219,7 @@ def _is_below_threshold(p: SystemParams) -> bool:
     eigs = stability_eigenvalues(p)
     if float(np.min(eigs.real)) <= 0.0:
         return False
-    if p.equal_pumps and derived_scales(p).pump_fraction >= 1.0 - THRESHOLD_GUARD:
+    if p.equal_pumps and not inside_guard(derived_scales(p)):
         return False
     return True
 
@@ -243,7 +244,8 @@ def steady_state(p: SystemParams) -> SteadyState:
     state = SteadyState(beta1_ss=b1, beta2_ss=b2, regime=Regime.BELOW_THRESHOLD)
     resid = float(np.max(np.abs(drift_rhs(p, state.vector()))))
     if resid > _RESIDUAL_TOL * max(1.0, abs(p.eps1), abs(p.eps2)):
-        raise RuntimeError(f"steady-state residual {resid:.3e} out of tolerance")
+        raise ConvergenceFailureError(
+            f"steady-state residual {resid:.3e} out of tolerance")
     return state
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import model as _model
 from .errors import ConfigError, DivergenceDetectedError, InsufficientDataError
-from .spectrum import vacuum_baseline
+from .linearized import STATE_LABELS, _frozen
+from .spectrum import coefficient_vector, vacuum_baseline
 
 _NOISE_CHUNK = 2048
 _DIVERGENCE_FACTOR = 1e6
@@ -53,13 +54,12 @@ class SdeConfig:
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_transient", float(self.t_transient))
         object.__setattr__(self, "t_measure", float(self.t_measure))
-        if isinstance(self.stepper, str):
-            try:
-                object.__setattr__(self, "stepper", Stepper(self.stepper))
-            except ValueError:
-                raise ConfigError(
-                    f"unknown stepper {self.stepper!r}; choose from "
-                    f"{[s.value for s in Stepper]}") from None
+        try:
+            object.__setattr__(self, "stepper", Stepper(self.stepper))
+        except ValueError:
+            raise ConfigError(
+                f"unknown stepper {self.stepper!r}; choose from "
+                f"{[s.value for s in Stepper]}") from None
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError(f"dt must be a positive finite float, got {self.dt!r}")
         if self.t_transient < 0.0 or not math.isfinite(self.t_transient):
@@ -116,15 +116,11 @@ class TrajectoryEnsemble:
 
         terms is [(mode, theta, weight), ...] as in spectrum.coefficient_vector;
         returns a complex (n_samples, n_live) array. The combination is complex
-        pathwise even though its ensemble statistics are real.
+        pathwise even though its ensemble statistics are real. Projecting
+        before selecting the live columns never copies the states array.
         """
-        keep = ~self.diverged
-        q = np.zeros((self.states.shape[1], int(keep.sum())), dtype=complex)
-        for mode, theta, weight in terms:
-            s = 2 * (mode - 1)
-            q += weight * (self.states[s][:, keep] * np.exp(-1j * theta)
-                           + self.states[s + 1][:, keep] * np.exp(1j * theta))
-        return q
+        c = coefficient_vector(self.states.shape[0], terms)
+        return np.tensordot(c, self.states, axes=1)[:, ~self.diverged]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,11 +248,9 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
     if n_div:
         warnings.warn(f"{n_div} of {cfg.n_traj} trajectories diverged and are "
                       "excluded from statistics", RuntimeWarning, stacklevel=2)
-    times.setflags(write=False)
-    rec.setflags(write=False)
-    diverged.setflags(write=False)
-    return TrajectoryEnsemble(times=times, states=rec, record=cfg.record,
-                              params=p, config=cfg, diverged=diverged)
+    return TrajectoryEnsemble(times=_frozen(times), states=_frozen(rec),
+                              record=cfg.record, params=p, config=cfg,
+                              diverged=_frozen(diverged))
 
 
 def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms,
@@ -297,30 +291,18 @@ def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms,
         if nb >= 2 else np.full(n_rec, np.nan)
     order = np.argsort(omega)
     return SpectrumEstimate(
-        omega=_ro(omega[order]), values=_ro(values[order]),
-        stderr=_ro(stderr[order]), baseline=base,
+        omega=_frozen(omega[order]), values=_frozen(values[order]),
+        stderr=_frozen(stderr[order]), baseline=base,
         n_traj_used=n_live, n_diverged=ensemble.n_diverged)
 
 
-def _ro(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _params_jsonable(p: _model.SystemParams) -> dict:
-    return {
-        "kappa": p.kappa, "gamma_a": p.gamma_a, "gamma_b": p.gamma_b,
-        "J_a": p.J_a, "J_b": p.J_b, "Delta_a": p.Delta_a, "Delta_b": p.Delta_b,
-        "eps1": [p.eps1.real, p.eps1.imag], "eps2": [p.eps2.real, p.eps2.imag],
-    }
+    d = asdict(p)
+    return d | {k: [d[k].real, d[k].imag] for k in ("eps1", "eps2")}
 
 
 def _config_jsonable(cfg: SdeConfig) -> dict:
-    return {
-        "dt": cfg.dt, "t_transient": cfg.t_transient, "t_measure": cfg.t_measure,
-        "n_traj": cfg.n_traj, "seed": cfg.seed, "stepper": cfg.stepper.value,
-        "record_stride": cfg.record_stride, "record": cfg.record,
-    }
+    return asdict(cfg) | {"stepper": cfg.stepper.value}
 
 
 def write_ensemble_dump(ensemble: TrajectoryEnsemble, path) -> Path:
@@ -336,8 +318,6 @@ def write_ensemble_dump(ensemble: TrajectoryEnsemble, path) -> Path:
     arr = np.ascontiguousarray(
         ensemble.states.transpose(2, 1, 0)).astype("<c16")
     path.write_bytes(arr.tobytes())
-    labels = ("alpha1", "alpha1+", "alpha2", "alpha2+",
-              "beta1", "beta1+", "beta2", "beta2+")[:ensemble.states.shape[0]]
     sidecar = {
         "format": DUMP_FORMAT,
         "dtype": "complex128-le",
@@ -345,7 +325,7 @@ def write_ensemble_dump(ensemble: TrajectoryEnsemble, path) -> Path:
         "n_traj": ensemble.n_traj,
         "n_samples": ensemble.n_samples,
         "n_variables": ensemble.states.shape[0],
-        "variables": list(labels),
+        "variables": list(STATE_LABELS[:ensemble.states.shape[0]]),
         "t_first_sample": float(ensemble.times[0]),
         "dt_sample": ensemble.dt_sample,
         "params": _params_jsonable(ensemble.params),

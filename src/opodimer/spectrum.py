@@ -19,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AboveThresholdError, DomainError, DetuningMismatchError, SingularAtFrequencyError
-from .model import SystemParams, THRESHOLD_GUARD, derived_scales
+from .errors import (AboveThresholdError, ConvergenceFailureError, DomainError,
+                     SingularAtFrequencyError)
+from .linearized import _frozen, require_combined_manifold
+from .model import SystemParams, derived_scales, inside_guard
 
 COND_LIMIT = 1e12
 
 _IMAG_RESIDUE_TOL = 1e-10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +99,12 @@ def coefficient_vector(n: int, terms) -> np.ndarray:
     return c
 
 
+def two_mode_terms(theta: float, sign: float) -> list:
+    """Terms of the unnormalized sum (sign +1) or difference (sign -1)
+    quadrature X1 +- X2, both modes at angle theta."""
+    return [(1, theta, 1.0), (2, theta, sign)]
+
+
 def vacuum_baseline(terms1, terms2) -> float:
     """Coherent-state (vacuum) moment of two quadrature combinations.
 
@@ -133,9 +136,9 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
     c1 = coefficient_vector(mat.shape[0], terms1)
     c2 = coefficient_vector(mat.shape[0], terms2)
     v = complex(0.5 * (c1 @ mat @ c2 + c2 @ mat @ c1))
-    scale = max(1.0, abs(v))
-    assert abs(v.imag) <= _IMAG_RESIDUE_TOL * scale, \
-        f"imaginary residue {v.imag:.3e} in quadrature projection"
+    if abs(v.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(v)):
+        raise ConvergenceFailureError(
+            f"imaginary residue {v.imag:.3e} in quadrature projection")
     base = unit_baseline * vacuum_baseline(terms1, terms2)
     return base + 2.0 * gamma_a * v.real
 
@@ -163,16 +166,9 @@ def combined_variance_out(S: SpectralMatrix, branch: str, theta: float,
                          gamma_a, unit_baseline=2.0)
 
 
-def _require_equal_real_pumps(p: SystemParams, exc) -> float:
-    if not p.equal_pumps or p.eps1.imag != 0.0:
-        raise exc("closed forms require equal real pumps, got "
-                  f"eps1 = {p.eps1}, eps2 = {p.eps2}")
-    return p.eps1.real
-
-
 def _require_below(p: SystemParams) -> None:
     scales = derived_scales(p)
-    if scales.pump_fraction >= 1.0 - THRESHOLD_GUARD:
+    if not inside_guard(scales):
         raise AboveThresholdError(
             f"pump fraction {scales.pump_fraction:.6g} is not below threshold "
             f"eps_crit = {scales.eps_crit:.8g}", eps_crit=scales.eps_crit)
@@ -192,7 +188,10 @@ def analytic_variances(p: SystemParams, omega: float) -> dict:
         raise DomainError(
             f"resonant closed forms need Delta_a = Delta_b = 0, got "
             f"Delta_a = {p.Delta_a:g}, Delta_b = {p.Delta_b:g}")
-    eps = _require_equal_real_pumps(p, DomainError)
+    if not p.equal_pumps or p.eps1.imag != 0.0:
+        raise DomainError("resonant closed forms need equal real pumps, got "
+                          f"eps1 = {p.eps1}, eps2 = {p.eps2}")
+    eps = p.eps1.real
     _require_below(p)
     ga, gb, ja, jb = p.gamma_a, p.gamma_b, p.J_a, p.J_b
     gta2 = ga * ga + ja * ja
@@ -220,12 +219,7 @@ def analytic_combined(p: SystemParams, omega: float) -> dict:
     single-downconverter spectra stacked; the difference mode carries the
     shifted resonance at 2 J_a.
     """
-    if abs(p.Delta_a - p.J_a) > 1e-12 or abs(p.Delta_b - p.J_b) > 1e-12:
-        raise DetuningMismatchError(
-            "combined closed forms need Delta_a = J_a and Delta_b = J_b, got "
-            f"Delta_a - J_a = {p.Delta_a - p.J_a:.3e}, "
-            f"Delta_b - J_b = {p.Delta_b - p.J_b:.3e}")
-    eps = _require_equal_real_pumps(p, DetuningMismatchError)
+    eps = require_combined_manifold(p, "combined closed forms")
     _require_below(p)
     ga, gb, ja = p.gamma_a, p.gamma_b, p.J_a
     ke = p.kappa * eps

@@ -190,9 +190,14 @@ def test_criterion_06_threshold_bisection_matches_analytic():
             crit = derived_scales(det).eps_crit
             assert threshold_bisection(det) == pytest.approx(crit, rel=1e-6)
             detuned_values.append(crit)
+            # coupling and detuning of opposite sign, on and off Delta = -J
+            for da, db in ((-ja, -jb), (-3.0, -3.0)):
+                opp = sym(J_a=ja, J_b=jb, Delta_a=da, Delta_b=db)
+                assert threshold_bisection(opp) == pytest.approx(
+                    derived_scales(opp).eps_crit, rel=1e-6)
     assert np.allclose(detuned_values, detuned_values[0], rtol=1e-12)
-    _pass(6, f"5x5 grid, resonant and matched-detuning; detuned threshold "
-             f"constant at {detuned_values[0]:g}")
+    _pass(6, f"5x5 grid, resonant, matched-detuning and opposite-sign "
+             f"detuning; detuned threshold constant at {detuned_values[0]:g}")
 
 
 def test_criterion_07_eigenvalue_oracle():

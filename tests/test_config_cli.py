@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,10 @@ from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
 from opodimer.errors import ConfigError
 from opodimer.sde import load_ensemble_dump
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+    .read_text(encoding="ascii"))["spectrum"]
 
 DRIVEN = {
     "params": {"J_a": 1.0, "J_b": 1.0, "pump_fraction": 0.5},
@@ -68,6 +74,21 @@ class TestRunConfig:
             {"sde": {"n_step": 10}},
             {"verify": {"freqs": [0.0]}},
             {"vary": [{"patch": {}}]},
+            # sections that are not objects
+            5,
+            {"params": 5},
+            {"sweep": 5},
+            {"theta": 5},
+            {"stability": 5},
+            {"sde": 5},
+            {"verify": 5},
+            {"vary": [5]},
+            {"vary": [{"params": 5}]},
+            {"vary": [{"theta": 5}]},
+            # SDE settings out of range fail at load time
+            {"sde": {"dt": -0.01}},
+            {"sde": {"n_traj": 1}},
+            {"sde": {"stepper": "rk4"}},
         ]
         for d in bad:
             with pytest.raises(ConfigError):
@@ -177,6 +198,10 @@ class TestSpectrumCommand:
         r = run_cli("spectrum", "--set", "params.bogus=1", config=DRIVEN,
                     tmp_path=tmp_path)
         assert r.returncode == 1
+        r = run_cli("spectrum", "--set", "sweep=5", config=DRIVEN,
+                    tmp_path=tmp_path)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
 
     def test_unknown_subcommand_exits_1(self):
         r = run_cli("spectro")
@@ -190,6 +215,9 @@ class TestSpectrumCommand:
         assert r.returncode == 0, r.stderr
         assert elapsed < 60.0
         assert len(parse_csv(r.stdout)) > 100
+        data = r.stdout.encode("ascii")
+        assert len(data) == REFERENCE[name]["bytes"]
+        assert hashlib.sha256(data).hexdigest() == REFERENCE[name]["sha256"]
 
     def test_fig1_strong_coupling_dip(self):
         r = run_cli("spectrum", "--preset", "fig1")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opodimer.errors import AboveThresholdError
+from opodimer import model
+from opodimer.errors import AboveThresholdError, ConvergenceFailureError
 from opodimer.model import (Regime, SystemParams, derived_scales, drift_rhs,
                             sort_eigenvalues, stability_eigenvalues,
                             steady_state, threshold_bisection)
@@ -66,6 +67,14 @@ class TestDerivedScales:
             s = derived_scales(sym(J_a=ja, Delta_a=ja, J_b=1.0, Delta_b=1.0))
             assert s.eps_crit == pytest.approx(100.0, rel=1e-14)
 
+    def test_opposite_sign_coupling_and_detuning(self):
+        # the difference signal supermode sits at detuning Delta_a + J_a = 0:
+        # eps_crit = sqrt(1 + 3^2) * 1 / 0.01, not sqrt(1 + 6^2) * sqrt(1 + 3^2) / 0.01
+        p = sym(J_a=3.0, Delta_a=-3.0, J_b=0.0, Delta_b=-3.0)
+        crit = derived_scales(p).eps_crit
+        assert crit == pytest.approx(316.2277660168380, rel=1e-14)
+        assert threshold_bisection(p) == pytest.approx(crit, rel=1e-8)
+
 
 class TestSteadyState:
     def test_pump_rotation(self):
@@ -127,6 +136,11 @@ class TestSteadyState:
     def test_at_threshold_is_not_below(self):
         with pytest.raises(AboveThresholdError):
             steady_state(sym(pump_fraction=1.0))
+
+    def test_residual_check_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(model, "_beta_fixed_point", lambda p: (1.0, 1.0))
+        with pytest.raises(ConvergenceFailureError):
+            steady_state(sym())
 
 
 class TestEigenvalues:

@@ -169,6 +169,13 @@ class TestDivergence:
                             noise=noise)
         assert ens.n_diverged == 1
         assert ens.diverged[0] and not ens.diverged[1:].any()
+        # pathwise series: the per-slot sum over the live trajectories
+        terms = [(1, 0.3, 1.0), (2, 0.3, -1.0)]
+        live = ens.states[:, :, 1:]
+        want = sum(w * (live[2 * m - 2] * np.exp(-1j * t)
+                        + live[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
+        assert np.allclose(ens.quadrature_series(terms), want, rtol=0.0,
+                           atol=1e-14 * np.abs(live).max())
         est = estimate_output_spectrum(ens, Y0_TERMS)
         assert est.n_traj_used == 5
         assert np.isfinite(est.values).all()

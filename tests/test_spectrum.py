@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from opodimer.errors import (AboveThresholdError, DetuningMismatchError,
-                             DomainError, SingularAtFrequencyError)
+from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
+                             DetuningMismatchError, DomainError,
+                             SingularAtFrequencyError)
 from opodimer.linearized import build_combined_model, build_linear_model
 from opodimer.model import SystemParams, _unchecked_state, steady_state
-from opodimer.spectrum import (QuadratureSelector, analytic_combined,
-                               analytic_variances, combined_variance_out,
-                               output_moment, quadrature_variance_out,
-                               spectral_matrix, vacuum_baseline)
+from opodimer.spectrum import (QuadratureSelector, SpectralMatrix,
+                               analytic_combined, analytic_variances,
+                               combined_variance_out, output_moment,
+                               quadrature_variance_out, spectral_matrix,
+                               vacuum_baseline)
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -96,6 +98,13 @@ class TestSpectralMatrix:
         S = spectral_matrix(model_for(sym()), 0.5)
         assert S.cond >= 1.0
         assert S.omega == 0.5
+
+    def test_imaginary_residue_raises_typed_error(self):
+        # i * identity breaks the conjugation symmetry of a true S(omega)
+        S = SpectralMatrix(omega=0.0, S=1j * np.eye(8), cond=1.0)
+        terms = [(1, 0.0, 1.0)]
+        with pytest.raises(ConvergenceFailureError):
+            output_moment(S, terms, terms, 1.0)
 
 
 class TestSingleOpoLimit:
