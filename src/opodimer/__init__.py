@@ -11,8 +11,8 @@ studies and emits deterministic CSV.
 
 from .config import RunConfig, load_config_file, load_preset
 from .criteria import (CorrelationRecord, combined_variances, duan_sum,
-                       epr_product, evaluate_record, optimize_angle,
-                       theta_optimal)
+                       epr_product, evaluate_record, evaluate_records,
+                       optimize_angle, spectral_stack, theta_optimal)
 from .errors import (AboveThresholdError, ConfigError, ConvergenceFailureError,
                      DegenerateVarianceError, DetuningMismatchError,
                      DivergenceDetectedError, DomainError, InsufficientDataError,
@@ -26,7 +26,7 @@ from .sde import (SdeConfig, SpectrumEstimate, Stepper, TrajectoryEnsemble,
                   estimate_output_spectrum, integrate, load_ensemble_dump,
                   write_ensemble_dump)
 from .spectrum import (QuadratureSelector, SpectralMatrix, analytic_combined,
-                       analytic_variances, combined_variance_out, output_moment,
+                       analytic_variances, output_moment,
                        quadrature_variance_out, spectral_matrix,
                        vacuum_baseline)
 
@@ -35,18 +35,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AboveThresholdError", "ConfigError", "ConvergenceFailureError",
     "CorrelationRecord", "DegenerateVarianceError", "DerivedScales",
-    "DetuningMismatchError", "DivergenceDetectedError",
-    "DomainError", "InsufficientDataError", "LinearModel", "NoCrossingError",
-    "OpodimerError", "QuadratureSelector", "Regime", "RunConfig", "SdeConfig",
+    "DetuningMismatchError", "DivergenceDetectedError", "DomainError",
+    "InsufficientDataError", "LinearModel", "NoCrossingError", "OpodimerError",
+    "QuadratureSelector", "Regime", "RunConfig", "SdeConfig",
     "SingularAtFrequencyError", "SpectralMatrix", "SpectrumEstimate",
     "SteadyState", "Stepper", "SystemParams", "TrajectoryEnsemble",
     "analytic_combined", "analytic_variances", "build_combined_model",
-    "build_linear_model", "combined_variance_out", "combined_variances",
-    "derived_scales", "drift_rhs", "duan_sum", "epr_product",
-    "estimate_output_spectrum", "evaluate_record", "finite_difference_jacobian",
-    "integrate", "load_config_file", "load_ensemble_dump", "load_preset",
+    "build_linear_model", "combined_variances", "derived_scales", "drift_rhs",
+    "duan_sum", "epr_product", "estimate_output_spectrum", "evaluate_record",
+    "evaluate_records", "finite_difference_jacobian", "integrate",
+    "load_config_file", "load_ensemble_dump", "load_preset",
     "numeric_eigenvalues", "optimize_angle", "output_moment",
-    "quadrature_variance_out", "spectral_matrix", "stability_eigenvalues",
-    "steady_state", "theta_optimal", "threshold_bisection",
-    "vacuum_baseline", "write_ensemble_dump",
+    "quadrature_variance_out", "spectral_matrix", "spectral_stack",
+    "stability_eigenvalues", "steady_state", "theta_optimal",
+    "threshold_bisection", "vacuum_baseline", "write_ensemble_dump",
 ]

@@ -79,7 +79,6 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     rows = []
     for label, pspec, tspec in variants:
         p = pspec.to_params()
-        steady_state(p)  # threshold gate; AboveThreshold -> exit 2
         scales = derived_scales(p)
         theta = _resolve_theta(p, tspec, cfg)
         name = label if label is not None else "-"
@@ -88,15 +87,13 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
                                   separators=(",", ":"))
                      + f" theta_deg={math.degrees(theta):.12g}"
                      + f" eps_crit={scales.eps_crit:.12g}")
-        for w in cfg.sweep.omegas():
-            r = criteria.evaluate_record(p, float(w), theta,
-                                         duan_pairing=cfg.duan_pairing,
-                                         epr_infer_from=cfg.epr_infer_from)
+        S = criteria.spectral_stack(p, cfg.sweep.omegas())
+        records = criteria.evaluate_records(S, p.gamma_a, theta, cfg.duan_pairing,
+                                            cfg.epr_infer_from)
+        combined = criteria.combined_variances(S, p.gamma_a) if cfg.combined else {}
+        for r, *more in zip(records, *(v.tolist() for v in combined.values())):
             row = [r.omega, math.degrees(r.theta), r.S_X, r.S_Y, r.cov_XY,
-                   r.duan_sum, r.epr_product, ";".join(r.flags()) or "-"]
-            if cfg.combined:
-                cv = criteria.combined_variances(p, float(w))
-                row += [cv["S_Xp"], cv["S_Yp"], cv["S_Xm"], cv["S_Ym"]]
+                   r.duan_sum, r.epr_product, ";".join(r.flags()) or "-", *more]
             if multi:
                 row.append(name)
             rows.append(",".join(_fmt(x) for x in row))
@@ -131,7 +128,6 @@ def cmd_stability(args, cfg: RunConfig) -> int:
 
 def cmd_optimize_angle(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
-    steady_state(p)
     objective = args.objective or (
         cfg.theta.objective if cfg.theta.policy == "optimize" else "squeezing")
     omega = args.omega if args.omega is not None else (
@@ -171,15 +167,20 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     theta = _resolve_theta(p, cfg.theta, cfg)
     seed = args.seed if args.seed is not None else cfg.seed
     ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=seed))
-    report = []
-    worst = 0.0
+    picks = []
     for name in _VERIFY_COMBOS:
         terms = _combo_terms(name, theta)
         est = sde.estimate_output_spectrum(ens, terms)
-        for w in cfg.verify.omegas:
-            wbin, val, err = est.nearest(w)
-            pred = spectrum.output_moment(spectrum.spectral_matrix(model, wbin),
-                                          terms, terms, p.gamma_a)
+        picks.append((name, terms, [est.nearest(w) for w in cfg.verify.omegas]))
+    bins = np.unique([wbin for _, _, near in picks for wbin, _, _ in near])
+    S = spectrum.spectral_matrix(model, bins)
+    report = []
+    worst = 0.0
+    for name, terms, near in picks:
+        preds = dict(zip(bins.tolist(),
+                         spectrum.output_moment(S, terms, terms, p.gamma_a).tolist()))
+        for wbin, val, err in near:
+            pred = preds[wbin]
             diff = val - pred
             if err > 0.0:
                 z = diff / err

@@ -24,8 +24,13 @@ SCHEMA = "opodimer-run/1"
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
-THETA_POLICIES = ("fixed", "optimize")
-STABILITY_MODES = ("coupling-grid", "pump-scan")
+# Keys of each theta policy and stability mode; _MODE_KEYS names the selector.
+THETA_POLICIES = {"fixed": ("policy", "degrees"),
+                  "optimize": ("policy", "objective", "at_omega")}
+STABILITY_MODES = {"coupling-grid": ("mode", "J_a", "J_b", "track_detuning"),
+                   "pump-scan": ("mode", "pump_fractions")}
+_MODE_KEYS = {"theta": ("policy", THETA_POLICIES),
+              "stability": ("mode", STABILITY_MODES)}
 
 _PUMP_KEYS = ("pump_fraction", "eps", "eps1", "eps2")
 _RATE_KEYS = tuple(f.name for f in fields(SystemParams)
@@ -194,13 +199,11 @@ class ThetaSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "theta") -> "ThetaSpec":
         policy = _one_of(_section(d, where).get("policy", "fixed"),
-                         THETA_POLICIES, f"{where}.policy")
+                         tuple(THETA_POLICIES), f"{where}.policy")
+        _reject_unknown(d, THETA_POLICIES[policy], f'{where} (policy "{policy}")')
         if policy == "fixed":
-            _reject_unknown(d, ("policy", "degrees"), where + ' (policy "fixed")')
             return cls(policy="fixed",
                        degrees=_as_float(d.get("degrees", 0.0), f"{where}.degrees"))
-        _reject_unknown(d, ("policy", "objective", "at_omega"),
-                        where + ' (policy "optimize")')
         objective = _one_of(d.get("objective", "squeezing"), OBJECTIVES,
                             f"{where}.objective")
         return cls(policy="optimize", degrees=0.0, objective=objective,
@@ -260,13 +263,8 @@ class StabilitySpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "stability") -> "StabilitySpec":
         mode = _one_of(_section(d, where).get("mode", "coupling-grid"),
-                       STABILITY_MODES, f"{where}.mode")
-        if mode == "coupling-grid":
-            _reject_unknown(d, ("mode", "J_a", "J_b", "track_detuning"),
-                            where + ' (mode "coupling-grid")')
-        else:
-            _reject_unknown(d, ("mode", "pump_fractions"),
-                            where + ' (mode "pump-scan")')
+                       tuple(STABILITY_MODES), f"{where}.mode")
+        _reject_unknown(d, STABILITY_MODES[mode], f'{where} (mode "{mode}")')
         return cls(mode=mode, **_parse(d, {
             "J_a": _as_floats, "J_b": _as_floats, "track_detuning": _as_bool,
             "pump_fractions": _as_floats}, where))
@@ -393,9 +391,10 @@ def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
     """Apply dotted-key overrides like params.J_a=2 or sde.n_traj=256.
 
     Values parse as JSON with a bare-string fallback. Setting any pump key
-    displaces the previous pump specification. The result is re-validated
-    from scratch, so unknown paths are rejected with the same messages as
-    file input.
+    displaces the previous pump specification; setting theta.policy or
+    stability.mode drops the keys only the previous one accepts. The result
+    is validated again in full, so unknown paths are rejected with the same
+    messages as file input.
     """
     d = cfg.to_dict()
     for a in assignments:
@@ -419,5 +418,11 @@ def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
             for k in _PUMP_KEYS:
                 if k not in keep:
                     cur.pop(k, None)
+        selector, modes = _MODE_KEYS.get(parts[0], (None, {}))
+        if parts[1:] == [selector]:
+            # str(): a malformed value must reach the validator, not fail here
+            for k in (set(modes.get(str(cur.get(leaf)), ()))
+                      - set(modes.get(str(value), ()))):
+                cur.pop(k, None)
         cur[leaf] = value
     return RunConfig.from_dict(d)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AboveThresholdError, ConvergenceFailureError, NoCrossingError
 
@@ -326,5 +325,6 @@ def threshold_bisection(p: SystemParams, rtol: float = 1e-10) -> float:
         raise NoCrossingError(
             f"min Re eig does not change sign on [0, {hi:.6g}]: "
             f"endpoints {f_lo:.6g}, {f_hi:.6g}")
+    from scipy.optimize import brentq  # deferred: most of the package import time
     root = brentq(slowest, 0.0, hi, rtol=rtol, xtol=1e-12 * hi)
     return float(root)

@@ -31,12 +31,13 @@ _IMAG_RESIDUE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpectralMatrix:
-    """Raw S(omega) for one model at one frequency, plus the conditioning of
-    the resolvent factor that produced it."""
+    """Raw S(omega) for one model, stacked over frequencies: omega (n_omega,),
+    S (n_omega, n, n), and cond (n_omega,), the conditioning of the resolvent
+    factor that produced each slice."""
 
-    omega: float
+    omega: np.ndarray
     S: np.ndarray
-    cond: float
+    cond: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,43 +61,53 @@ class QuadratureSelector:
         return self.theta % math.pi
 
 
-def spectral_matrix(model, omega: float) -> SpectralMatrix:
-    """Evaluate S(omega) by two linear solves with partial pivoting.
+def spectral_matrix(model, omegas) -> SpectralMatrix:
+    """Evaluate S(omega) at every frequency of omegas (a scalar is one
+    frequency) by two stacked linear solves with partial pivoting.
 
     Works for the 8x8 model and the 4x4 combined model alike. Raises
-    SingularAtFrequency when (A + i omega) is ill-conditioned beyond 1e12,
-    which at omega = 0 signals an at-threshold drift matrix.
+    SingularAtFrequencyError naming the first frequency where (A + i omega)
+    is ill-conditioned beyond 1e12, which at omega = 0 signals an
+    at-threshold drift matrix.
     """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a scalar or 1-D, got shape {omegas.shape}")
     A = model.A
-    n = A.shape[0]
-    eye = np.eye(n)
-    shifted = A + 1j * omega * eye
-    cond = float(np.linalg.cond(shifted))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
+    shift = 1j * omegas[:, None, None] * np.eye(A.shape[0])
+    shifted = A + shift
+    cond = np.linalg.cond(shifted)
+    bad = ~(cond <= COND_LIMIT)  # also catches nan
+    if bad.any():
+        k = int(np.argmax(bad))
         raise SingularAtFrequencyError(
-            f"condition number {cond:.3e} of (A + i omega) exceeds {COND_LIMIT:.0e} "
-            f"at omega = {omega:g}")
+            f"condition number {cond[k]:.3e} of (A + i omega) exceeds {COND_LIMIT:.0e} "
+            f"at omega = {omegas[k]:g}")
     left = np.linalg.solve(shifted, model.diffusion())
     # right factor (A^T - i omega)^-1: solve (A - i omega) Y^T = left^T,
-    # then Y = left (A^T - i omega)^-1.
-    S = np.linalg.solve(A - 1j * omega * eye, left.T).T
-    return SpectralMatrix(omega=float(omega), S=_frozen(S), cond=cond)
+    # then Y = left (A^T - i omega)^-1. S keeps the transposed layout of the
+    # solve: each slice then projects with the same summation order as a
+    # single-frequency solve, so the printed digits do not depend on n_omega.
+    S = np.linalg.solve(A - shift, left.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return SpectralMatrix(omega=_frozen(omegas), S=_frozen(S), cond=_frozen(cond))
 
 
 def coefficient_vector(n: int, terms) -> np.ndarray:
     """Quadrature-combination coefficients in the doubled ordering.
 
-    terms is an iterable of (mode, theta, weight); the selected mode's bare
+    terms is a sequence of (mode, theta, weight); the selected mode's bare
     slot receives weight * e^{-i theta} and its '+' slot weight * e^{+i theta}.
+    A 1-D array of angles (the same for every term) gives one coefficient
+    vector per angle, shape (n_theta, n).
     """
-    c = np.zeros(n, dtype=complex)
+    c = np.zeros((n,) + np.shape(terms[0][1]), dtype=complex)
     for mode, theta, weight in terms:
         s = 2 * (mode - 1)
         if not 0 <= s < n:
             raise ValueError(f"mode {mode} out of range for a {n}-variable model")
         c[s] += weight * np.exp(-1j * theta)
         c[s + 1] += weight * np.exp(1j * theta)
-    return c
+    return c.T
 
 
 def two_mode_terms(theta: float, sign: float) -> list:
@@ -105,46 +116,54 @@ def two_mode_terms(theta: float, sign: float) -> list:
     return [(1, theta, 1.0), (2, theta, sign)]
 
 
-def vacuum_baseline(terms1, terms2) -> float:
+def vacuum_baseline(terms1, terms2):
     """Coherent-state (vacuum) moment of two quadrature combinations.
 
     Every same-mode pair contributes w1 w2 cos(theta1 - theta2) per unit of
     the mode's vacuum variance; cross-mode pairs contribute nothing. This
     reduces to 1 for a variance, 0 for orthogonal-quadrature or cross-mode
-    covariances.
+    covariances. A 1-D array of angles gives one baseline per angle.
     """
     base = 0.0
     for m1, t1, w1 in terms1:
         for m2, t2, w2 in terms2:
             if m1 == m2:
-                base += w1 * w2 * math.cos(t1 - t2)
+                base += w1 * w2 * np.cos(t1 - t2)
     return base
 
 
 def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
-                  unit_baseline: float = 1.0) -> float:
-    """Output-normalized symmetrized moment of two quadrature combinations.
+                  unit_baseline: float = 1.0) -> np.ndarray:
+    """Output-normalized symmetrized moment of two quadrature combinations at
+    every frequency of the stack: shape (n_omega,), or (n_omega, n_theta) for
+    a 1-D array of term angles.
 
     value = unit_baseline * vacuum term + 2 gamma_a * Re[(c1.S.c2 + c2.S.c1)/2].
     Taking the real part implements the +-omega average exactly: conjugation
     symmetry of the doubled phase space gives S(-w) = C S(w)* C with C the
     pairwise slot swap, under which the symmetrized projection conjugates.
     unit_baseline is the vacuum variance carried by one unit of mode weight
-    (1 for bare modes, 2 for the unnormalized sum/difference modes).
+    (1 for bare modes, 2 for the unnormalized sum/difference modes). Raises
+    ConvergenceFailureError naming the first frequency whose projection keeps
+    an imaginary residue.
     """
     mat = S.S
-    c1 = coefficient_vector(mat.shape[0], terms1)
-    c2 = coefficient_vector(mat.shape[0], terms2)
-    v = complex(0.5 * (c1 @ mat @ c2 + c2 @ mat @ c1))
-    if abs(v.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(v)):
+    c1 = coefficient_vector(mat.shape[-1], terms1)
+    c2 = coefficient_vector(mat.shape[-1], terms2)
+    v = 0.5 * ((c1 @ mat)[..., None, :] @ c2[..., :, None]
+               + (c2 @ mat)[..., None, :] @ c1[..., :, None])[..., 0, 0]
+    bad = np.abs(v.imag) > _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(v))
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
         raise ConvergenceFailureError(
-            f"imaginary residue {v.imag:.3e} in quadrature projection")
+            f"imaginary residue {v.imag[k]:.3e} in quadrature projection "
+            f"at omega = {S.omega[k[0]]:g}")
     base = unit_baseline * vacuum_baseline(terms1, terms2)
     return base + 2.0 * gamma_a * v.real
 
 
 def quadrature_variance_out(S: SpectralMatrix, q1: QuadratureSelector,
-                            q2: QuadratureSelector, gamma_a: float) -> float:
+                            q2: QuadratureSelector, gamma_a: float) -> np.ndarray:
     """Output spectral moment of two single-mode quadratures.
 
     Equal selectors give the variance (baseline 1); a cross-mode or
@@ -152,18 +171,6 @@ def quadrature_variance_out(S: SpectralMatrix, q1: QuadratureSelector,
     """
     return output_moment(S, [(q1.mode, q1.theta, 1.0)],
                          [(q2.mode, q2.theta, 1.0)], gamma_a)
-
-
-def combined_variance_out(S: SpectralMatrix, branch: str, theta: float,
-                          gamma_a: float) -> float:
-    """Output variance of one sum/difference quadrature from the 4x4 model.
-
-    branch is "plus" or "minus"; the combined modes are unnormalized, so the
-    vacuum baseline per mode is 2.
-    """
-    idx = {"plus": 1, "minus": 2}[branch]
-    return output_moment(S, [(idx, theta, 1.0)], [(idx, theta, 1.0)],
-                         gamma_a, unit_baseline=2.0)
 
 
 def _require_below(p: SystemParams) -> None:

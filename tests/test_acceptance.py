@@ -13,7 +13,8 @@ import pytest
 
 from opodimer import sde
 from opodimer.criteria import (combined_variances, duan_sum, epr_product,
-                               optimize_angle, single_mode_moments)
+                               optimize_angle, single_mode_moments,
+                               spectral_stack)
 from opodimer.linearized import (build_linear_model,
                                  finite_difference_jacobian,
                                  numeric_eigenvalues)
@@ -127,7 +128,8 @@ def test_criterion_03_detuned_squeezing_headline(ens_detuned):
     want = 2.0 / 9.0
     got = analytic_combined(FIG4, 0.0)["S_Yp"]
     assert got == pytest.approx(want, abs=1e-6)
-    assert combined_variances(FIG4, 0.0)["S_Yp"] == pytest.approx(
+    S = spectral_stack(FIG4, 0.0)
+    assert combined_variances(S, FIG4.gamma_a)["S_Yp"] == pytest.approx(
         want, abs=1e-6)
 
     p, ens = ens_detuned
@@ -140,7 +142,7 @@ def test_criterion_03_detuned_squeezing_headline(ens_detuned):
 
 
 def test_criterion_04_entanglement_witness():
-    got = duan_sum(FIG4, 0.0, 0.0, "xminus_yplus")
+    got = duan_sum(spectral_stack(FIG4, 0.0), FIG4.gamma_a, 0.0, "xminus_yplus")[0]
     assert got == pytest.approx(2.2123156566708087, abs=1e-4)
     assert got < 4.0
     ref = analytic_combined(FIG4, 0.0)
@@ -149,11 +151,11 @@ def test_criterion_04_entanglement_witness():
     dips = []
     for ja in (1.0, 10.0, 20.0):
         p = sym(J_a=ja, Delta_a=ja, Delta_b=1.0)
-        assert duan_sum(p, 0.0) < 4.0
+        assert duan_sum(spectral_stack(p, 0.0), p.gamma_a)[0] < 4.0
         if ja >= 10.0:
             lo, hi = 1.5 * ja, 2.5 * ja
             grid = np.linspace(lo, hi, 601)
-            vals = np.array([duan_sum(p, w) for w in grid])
+            vals = duan_sum(spectral_stack(p, grid), p.gamma_a)
             k = int(vals.argmin())
             assert 0 < k < len(grid) - 1
             assert vals[k] < 4.0
@@ -165,7 +167,8 @@ def test_criterion_04_entanglement_witness():
 
 
 def test_criterion_05_epr_two_route_crosscheck():
-    route_a = epr_product(FIG4, 0.0, 0.0, infer_from=1)
+    route_a = epr_product(spectral_stack(FIG4, 0.0), FIG4.gamma_a, 0.0,
+                          infer_from=1)[0]
     c = analytic_combined(FIG4, 0.0)
     s_x1 = (c["S_Xp"] + c["S_Xm"]) / 4.0
     v_x = (c["S_Xp"] - c["S_Xm"]) / 4.0

@@ -125,6 +125,29 @@ class TestRunConfig:
         assert out.params.pump_fraction == 0.25
         assert out.params.to_params().eps1 != 3.0 + 0j
 
+    def test_override_switches_mode(self):
+        cfg = RunConfig()
+        out = apply_overrides(cfg, ["stability.mode=pump-scan"])
+        assert out.stability.mode == "pump-scan"
+        out = apply_overrides(cfg, ["theta.policy=optimize",
+                                    "theta.objective=duan"])
+        assert (out.theta.policy, out.theta.objective) == ("optimize", "duan")
+        back = apply_overrides(out, ["theta.policy=fixed"])
+        assert back.theta == RunConfig().theta
+        # a key of the other mode, or no mode's key, is still rejected
+        for bad in (["stability.mode=pump-scan", "stability.J_a=[1]"],
+                    ["theta.policy=optimize", "theta.degrees=3"],
+                    ["stability.mode=pump-scan", "stability.bogus=1"]):
+            with pytest.raises(ConfigError):
+                apply_overrides(cfg, bad)
+
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--set", "stability.mode=pump-scan"),
+        ("optimize-angle", "--set", "theta.policy=optimize")])
+    def test_mode_switch_on_the_command_line(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 0, r.stderr
+
     def test_override_bad_key_and_value(self):
         cfg = RunConfig.from_dict(DRIVEN)
         with pytest.raises(ConfigError):

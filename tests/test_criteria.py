@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from opodimer import criteria
 from opodimer.criteria import (CorrelationRecord, combined_variances,
                                duan_sum, epr_product, evaluate_record,
                                optimize_angle, single_mode_moments,
-                               theta_optimal)
+                               spectral_stack, theta_optimal)
 from opodimer.model import SystemParams
 from opodimer.spectrum import analytic_combined
 
@@ -51,32 +52,34 @@ class TestThetaOptimal:
 class TestWitnesses:
     def test_duan_pairing_is_quarter_turn_of_transpose(self):
         p = sym(J_a=2.0)
-        for w in (0.0, 1.3):
-            for t in (0.0, 0.4, 1.1):
-                a = duan_sum(p, w, t, "xminus_yplus")
-                b = duan_sum(p, w, t + math.pi / 2, "xplus_yminus")
-                assert a == pytest.approx(b, rel=1e-12)
+        S = spectral_stack(p, [0.0, 1.3])
+        for t in (0.0, 0.4, 1.1):
+            a = duan_sum(S, p.gamma_a, t, "xminus_yplus")
+            b = duan_sum(S, p.gamma_a, t + math.pi / 2, "xplus_yminus")
+            assert a == pytest.approx(b, rel=1e-12)
 
     def test_duan_rejects_unknown_pairing(self):
         with pytest.raises(ValueError):
-            duan_sum(sym(), 0.0, 0.0, "xx_yy")
+            duan_sum(spectral_stack(sym(), 0.0), 1.0, 0.0, "xx_yy")
 
     def test_detuned_duan_equals_combined_sum(self):
         # V(X1 - X2) + V(Y1 + Y2) at theta = 0 is S_Xm + S_Yp identically
-        for w in (0.0, 2.0, 18.9):
-            d = duan_sum(DETUNED, w, 0.0, "xminus_yplus")
+        omegas = [0.0, 2.0, 18.9]
+        d = duan_sum(spectral_stack(DETUNED, omegas), DETUNED.gamma_a, 0.0,
+                     "xminus_yplus")
+        for k, w in enumerate(omegas):
             a = analytic_combined(DETUNED, w)
-            assert d == pytest.approx(a["S_Xm"] + a["S_Yp"], rel=1e-10)
+            assert d[k] == pytest.approx(a["S_Xm"] + a["S_Yp"], rel=1e-10)
 
     def test_epr_symmetric_between_outputs(self):
-        for w in (0.0, 1.5):
-            assert epr_product(DETUNED, w, 0.0, infer_from=1) == \
-                pytest.approx(epr_product(DETUNED, w, 0.0, infer_from=2),
-                              rel=1e-10)
+        S = spectral_stack(DETUNED, [0.0, 1.5])
+        assert epr_product(S, DETUNED.gamma_a, 0.0, infer_from=1) == \
+            pytest.approx(epr_product(S, DETUNED.gamma_a, 0.0, infer_from=2),
+                          rel=1e-10)
 
     def test_epr_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            epr_product(sym(), 0.0, 0.0, infer_from=3)
+            epr_product(spectral_stack(sym(), 0.0), 1.0, 0.0, infer_from=3)
 
     def test_undriven_cavity_is_classical(self):
         p = sym(pump_fraction=0.0)
@@ -96,11 +99,12 @@ class TestWitnesses:
         assert r.epr_product == pytest.approx(0.35857196073739517, abs=1e-9)
 
     def test_combined_variances_match_closed_forms(self):
-        for w in (0.0, 5.0, 20.0):
-            got = combined_variances(DETUNED, w)
+        omegas = [0.0, 5.0, 20.0]
+        got = combined_variances(spectral_stack(DETUNED, omegas), DETUNED.gamma_a)
+        for i, w in enumerate(omegas):
             want = analytic_combined(DETUNED, w)
             for k in want:
-                assert got[k] == pytest.approx(want[k], rel=1e-10)
+                assert got[k][i] == pytest.approx(want[k], rel=1e-10)
 
 
 class TestOptimizeAngle:
@@ -114,20 +118,35 @@ class TestOptimizeAngle:
     def test_squeezing_value_is_true_minimum(self):
         p = sym(J_a=5.0)
         t, v = optimize_angle(p, 0.0, "squeezing")
+        S = spectral_stack(p, 0.0)
         for dt in (-0.01, 0.01):
-            s, _, _ = single_mode_moments(p, 0.0, t + dt)
-            assert s >= v - 1e-12
+            s, _, _ = single_mode_moments(S, p.gamma_a, t + dt)
+            assert s[0] >= v - 1e-12
 
     @pytest.mark.parametrize("objective", ["duan", "epr"])
     def test_witness_minimizers_beat_fine_grid(self, objective):
         p = sym(J_a=2.0)
         t, v = optimize_angle(p, 1.5, objective)
-        fn = {"duan": lambda x: duan_sum(p, 1.5, x),
-              "epr": lambda x: epr_product(p, 1.5, x)}[objective]
+        S = spectral_stack(p, 1.5)
+        fn = {"duan": lambda x: duan_sum(S, p.gamma_a, x)[0],
+              "epr": lambda x: epr_product(S, p.gamma_a, x)[0]}[objective]
         grid = np.linspace(0.0, math.pi, 20001)
         best = min(fn(x) for x in grid)
         assert v <= best + 1e-8
         assert 0.0 <= t < math.pi
+
+    @pytest.mark.parametrize("objective", criteria.OBJECTIVES)
+    def test_one_spectral_solve_per_call(self, monkeypatch, objective):
+        calls = []
+        solve = criteria.spectral_matrix
+
+        def counted(model, omegas):
+            calls.append(omegas)
+            return solve(model, omegas)
+
+        monkeypatch.setattr(criteria, "spectral_matrix", counted)
+        optimize_angle(sym(J_a=2.0), 1.5, objective)
+        assert len(calls) == 1
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +190,9 @@ class TestThresholdBisection:
     def test_matches_analytic_detuned(self):
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
         assert threshold_bisection(p) == pytest.approx(100.0, rel=1e-8)
+
+    def test_package_import_defers_the_root_finder(self):
+        code = "import sys, opodimer; assert 'scipy.optimize' not in sys.modules"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr

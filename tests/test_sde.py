@@ -101,12 +101,13 @@ class TestPhysics:
         assert np.allclose(est.stderr, 0.0)
 
     def test_driven_spectrum_matches_linear_theory_at_dc(self):
-        from opodimer.criteria import single_mode_moments
+        from opodimer.criteria import single_mode_moments, spectral_stack
         p = sym()
         cfg = SdeConfig(dt=0.01, t_transient=20.0, t_measure=120.0,
                         n_traj=512, seed=12)
         est = estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
-        sy, _, _ = single_mode_moments(p, 0.0, math.pi / 2)
+        sy, _, _ = single_mode_moments(spectral_stack(p, 0.0), p.gamma_a,
+                                       math.pi / 2)
         w, val, err = est.nearest(0.0)
         assert w == 0.0
         assert err > 0.0
@@ -117,8 +118,9 @@ class TestPhysics:
         cfg = SdeConfig(dt=0.005, t_transient=20.0, t_measure=80.0,
                         n_traj=256, seed=21, stepper="euler-maruyama")
         est = estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
-        from opodimer.criteria import single_mode_moments
-        sy, _, _ = single_mode_moments(p, 0.0, math.pi / 2)
+        from opodimer.criteria import single_mode_moments, spectral_stack
+        sy, _, _ = single_mode_moments(spectral_stack(p, 0.0), p.gamma_a,
+                                       math.pi / 2)
         _, val, err = est.nearest(0.0)
         assert abs(val - sy) / err < 3.0
 

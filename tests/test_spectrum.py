@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opodimer.config import load_preset
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
@@ -10,9 +11,8 @@ from opodimer.linearized import build_combined_model, build_linear_model
 from opodimer.model import SystemParams, _unchecked_state, steady_state
 from opodimer.spectrum import (QuadratureSelector, SpectralMatrix,
                                analytic_combined, analytic_variances,
-                               combined_variance_out, output_moment,
-                               quadrature_variance_out, spectral_matrix,
-                               vacuum_baseline)
+                               output_moment, quadrature_variance_out,
+                               spectral_matrix, vacuum_baseline)
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -96,14 +96,45 @@ class TestSpectralMatrix:
 
     def test_condition_number_reported(self):
         S = spectral_matrix(model_for(sym()), 0.5)
-        assert S.cond >= 1.0
-        assert S.omega == 0.5
+        assert S.cond.shape == S.omega.shape == (1,)
+        assert S.cond[0] >= 1.0
+        assert S.omega[0] == 0.5
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig5"])
+    def test_stack_equals_each_omega_alone(self, preset):
+        cfg = load_preset(preset)
+        omegas = cfg.sweep.omegas()
+        for _, spec, _ in cfg.variants():
+            m = model_for(spec.to_params())
+            stack = spectral_matrix(m, omegas)
+            assert stack.S.shape == (len(omegas), 8, 8)
+            for k, w in enumerate(omegas):
+                one = spectral_matrix(m, w)
+                assert np.array_equal(stack.S[k], one.S[0])
+                assert np.array_equal(stack.cond[k], one.cond[0])
+
+    def test_singular_frequency_in_stack_is_named(self):
+        p = sym(pump_fraction=1.0)
+        m = build_linear_model(p, _unchecked_state(p))
+        with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
+            spectral_matrix(m, [2.0, -1.5, 0.0, 3.0])
 
     def test_imaginary_residue_raises_typed_error(self):
         # i * identity breaks the conjugation symmetry of a true S(omega)
-        S = SpectralMatrix(omega=0.0, S=1j * np.eye(8), cond=1.0)
+        S = SpectralMatrix(omega=np.zeros(1), S=1j * np.eye(8)[None],
+                           cond=np.ones(1))
         terms = [(1, 0.0, 1.0)]
         with pytest.raises(ConvergenceFailureError):
+            output_moment(S, terms, terms, 1.0)
+
+    def test_imaginary_residue_in_one_slice_of_the_stack(self):
+        good = spectral_matrix(model_for(sym()), [0.5, 1.0, 2.0])
+        mat = np.array(good.S)
+        mat[1] += 1j * np.eye(8)
+        S = SpectralMatrix(omega=good.omega, S=mat, cond=good.cond)
+        terms = [(1, 0.3, 1.0)]
+        output_moment(good, terms, terms, 1.0)
+        with pytest.raises(ConvergenceFailureError, match=r"at omega = 1$"):
             output_moment(S, terms, terms, 1.0)
 
 
@@ -180,14 +211,12 @@ class TestCombined:
         for w in (0.0, 1.1, 6.61, 20.0, -20.0):
             S4 = spectral_matrix(m4, w)
             a = analytic_combined(p, w)
-            assert combined_variance_out(S4, "plus", 0.0, 1.0) == \
-                pytest.approx(a["S_Xp"], rel=1e-10)
-            assert combined_variance_out(S4, "plus", math.pi / 2, 1.0) == \
-                pytest.approx(a["S_Yp"], rel=1e-10)
-            assert combined_variance_out(S4, "minus", 0.0, 1.0) == \
-                pytest.approx(a["S_Xm"], rel=1e-10)
-            assert combined_variance_out(S4, "minus", math.pi / 2, 1.0) == \
-                pytest.approx(a["S_Ym"], rel=1e-10)
+            # the combined modes are unnormalized: vacuum baseline 2 per mode
+            for key, mode, ang in (("S_Xp", 1, 0.0), ("S_Yp", 1, math.pi / 2),
+                                   ("S_Xm", 2, 0.0), ("S_Ym", 2, math.pi / 2)):
+                q = [(mode, ang, 1.0)]
+                v = output_moment(S4, q, q, 1.0, unit_baseline=2.0)
+                assert v == pytest.approx(a[key], rel=1e-10), (key, w)
 
     def test_matches_full_model_projections(self):
         p = self.detuned()
