@@ -24,8 +24,8 @@ from .spectrum import SpectralMatrix, output_moment, spectral_matrix, two_mode_t
 DUAN_PAIRINGS = ("xminus_yplus", "xplus_yminus")
 OBJECTIVES = ("squeezing", "duan", "epr")
 
-_ANGLE_TOL = 1e-6
-_GRID_POINTS = 181
+# Three angles whose z = e^{2i theta} are the cube roots of unity.
+_THIRDS = np.array([0.0, math.pi / 3, 2 * math.pi / 3])
 
 
 def spectral_stack(p: SystemParams, omegas) -> SpectralMatrix:
@@ -41,20 +41,6 @@ def single_mode_moments(S: SpectralMatrix, gamma_a: float, theta=0.0) -> tuple:
     y = [(1, theta + math.pi / 2, 1.0)]
     return (output_moment(S, x, x, gamma_a), output_moment(S, y, y, gamma_a),
             output_moment(S, x, y, gamma_a))
-
-
-def theta_optimal(v_x: float, v_y: float, v_xy: float) -> tuple:
-    """Angles minimizing and maximizing the single-mode variance.
-
-    The variance at angle t is (v_x+v_y)/2 + R cos(2t - phi) with
-    R cos(phi) = (v_x-v_y)/2 and R sin(phi) = v_xy, so the extrema follow
-    from atan2 directly. Both angles are reported in [0, pi).
-    """
-    if v_xy == 0.0 and v_x == v_y:
-        return 0.0, math.pi / 2
-    t_max = 0.5 * math.atan2(2.0 * v_xy, v_x - v_y)
-    t_min = (t_max + math.pi / 2) % math.pi
-    return t_min, t_max % math.pi
 
 
 def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
@@ -75,6 +61,13 @@ def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
             + output_moment(S, second, second, gamma_a))
 
 
+def _inference_modes(infer_from: int) -> tuple:
+    """(i, j): the conditioning mode i = infer_from and the inferred mode j."""
+    if infer_from not in (1, 2):
+        raise ValueError(f"infer_from must be 1 or 2, got {infer_from!r}")
+    return infer_from, 3 - infer_from
+
+
 def epr_product(S: SpectralMatrix, gamma_a: float, theta=0.0,
                 infer_from: int = 1) -> np.ndarray:
     """Product of inference variances; EPR steering below 1.
@@ -83,10 +76,7 @@ def epr_product(S: SpectralMatrix, gamma_a: float, theta=0.0,
     linear gain: S_inf(Q_j) = S(Q_j) - V(Q_i, Q_j)^2 / S(Q_i), evaluated for
     Q = X and Q = Y in the angle-theta frame. Shaped like duan_sum.
     """
-    if infer_from not in (1, 2):
-        raise ValueError(f"infer_from must be 1 or 2, got {infer_from!r}")
-    i = infer_from
-    j = 2 if i == 1 else 1
+    i, j = _inference_modes(infer_from)
     prod = 1.0
     for ang in (theta, theta + math.pi / 2):
         qi = [(i, ang, 1.0)]
@@ -164,43 +154,62 @@ def evaluate_record(p: SystemParams, omega: float, theta: float = 0.0,
                             duan_pairing, epr_infer_from)[0]
 
 
+def _laurent(samples) -> np.ndarray:
+    """Coefficients of z^-1, z^0, z^1 (z = e^{2i theta}) of a moment
+    sampled at the angles _THIRDS."""
+    return np.fft.fftshift(np.fft.fft(samples)) / 3.0
+
+
+def _powers(c) -> np.ndarray:
+    """Powers of z carried by Laurent coefficients c, centred on z^0."""
+    return np.arange(len(c)) - len(c) // 2
+
+
 def optimize_angle(p: SystemParams, omega: float, objective: str = "squeezing",
                    *, pairing: str = "xminus_yplus",
                    infer_from: int = 1) -> tuple:
-    """Minimize one figure of merit over the local-oscillator angle.
+    """Minimize one figure of merit over the local-oscillator angle, exactly.
 
-    objective "squeezing" minimizes the mode-1 variance at the angle (closed
-    form via theta_optimal); "duan" and "epr" minimize the respective witness
-    by a half-period grid scan, projected as one stack, refined with
-    golden-section to 1e-6 rad. S(omega) is solved once for all of it.
-    Returns (theta, value) with theta in [0, pi).
+    Every moment at angle theta is a + b cos 2theta + c sin 2theta, a
+    Laurent polynomial of degree 1 in z = e^{2i theta}, so its values at
+    theta = 0, pi/3, 2pi/3 fix it. Each objective is written as num/den: the
+    mode-1 variance ("squeezing") and duan_sum are num itself (den = 1);
+    the EPR product is N(z)N(-z) / (v_i(z)v_i(-z)) with
+    N = v_i v_j - v_ij^2. The witness is evaluated, as one stacked
+    projection, at the angles of the roots of num' den - num den' and at
+    theta = 0 (which covers a flat objective), and the smallest value wins.
+    S(omega) is solved once for all of it.
+
+    Returns (theta, value) with theta in [0, pi), or in [0, pi/2) for "epr":
+    theta -> theta + pi/2 swaps its X and Y factors, so its period is pi/2.
+    Within one period the EPR product can have two distinct minima of equal
+    value; argmin then takes the first candidate, deterministically.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     S = spectral_stack(p, [omega])
     ga = p.gamma_a
-    if objective == "squeezing":
-        v_x, v_y, v_xy = (float(v[0]) for v in single_mode_moments(S, ga))
-        t_min, _ = theta_optimal(v_x, v_y, v_xy)
-        return t_min, float(single_mode_moments(S, ga, t_min)[0][0])
-    f = {"duan": lambda t: duan_sum(S, ga, t, pairing)[0],
-         "epr": lambda t: epr_product(S, ga, t, infer_from)[0]}[objective]
-    grid = np.linspace(0.0, math.pi, _GRID_POINTS)
-    k = int(np.argmin(f(grid)))
-    step = grid[1] - grid[0]
-    a, b = grid[k] - step, grid[k] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _ANGLE_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t_best = 0.5 * (a + b) % math.pi
-    return t_best, float(f(t_best))
+    witness = {"squeezing": lambda t: single_mode_moments(S, ga, t)[0],
+               "duan": lambda t: duan_sum(S, ga, t, pairing),
+               "epr": lambda t: epr_product(S, ga, t, infer_from)}[objective]
+    if objective == "epr":
+        i, j = _inference_modes(infer_from)
+        vi, vj, vij = (_laurent(output_moment(S, [(a, _THIRDS, 1.0)],
+                                              [(b, _THIRDS, 1.0)], ga)[0])
+                       for a, b in ((i, i), (j, j), (i, j)))
+        n = np.convolve(vi, vj) - np.convolve(vij, vij)
+        num = np.convolve(n, n * (-1.0) ** _powers(n))
+        den = np.convolve(vi, vi * (-1.0) ** _powers(vi))
+    else:
+        num, den = _laurent(witness(_THIRDS)[0]), np.ones(1)
+    # z d/dz of num/den vanishes where this Laurent polynomial does
+    grad = (np.convolve(num * _powers(num), den)
+            - np.convolve(num, den * _powers(den)))
+    period = math.pi / 2 if objective == "epr" else math.pi
+    # the second fold sends a tiny negative angle, which rounds up to
+    # period, to 0
+    theta = np.concatenate(([0.0], np.angle(np.roots(grad[::-1])) / 2
+                            % period % period))
+    values = witness(theta)[0]
+    k = int(np.argmin(values))
+    return float(theta[k]), float(values[k])

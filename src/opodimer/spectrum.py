@@ -14,7 +14,6 @@ from the same commutator algebra (see vacuum_baseline).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,27 +37,6 @@ class SpectralMatrix:
     omega: np.ndarray
     S: np.ndarray
     cond: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuadratureSelector:
-    """One local-oscillator choice: mode index (1 or 2) and angle theta.
-
-    theta is kept as given; theta_reported folds it into [0, pi), which is
-    lossless for variances (X^theta and X^(theta+pi) have equal variance).
-    """
-
-    mode: int
-    theta: float
-
-    def __post_init__(self):
-        if self.mode not in (1, 2):
-            raise ValueError(f"mode must be 1 or 2, got {self.mode!r}")
-        object.__setattr__(self, "theta", float(self.theta))
-
-    @property
-    def theta_reported(self) -> float:
-        return self.theta % math.pi
 
 
 def spectral_matrix(model, omegas) -> SpectralMatrix:
@@ -97,14 +75,15 @@ def coefficient_vector(n: int, terms) -> np.ndarray:
 
     terms is a sequence of (mode, theta, weight); the selected mode's bare
     slot receives weight * e^{-i theta} and its '+' slot weight * e^{+i theta}.
-    A 1-D array of angles (the same for every term) gives one coefficient
-    vector per angle, shape (n_theta, n).
+    The mode is 1 or 2 (the signal modes; the pumps are not quadratures at
+    the signal outputs). A 1-D array of angles (the same for every term)
+    gives one coefficient vector per angle, shape (n_theta, n).
     """
     c = np.zeros((n,) + np.shape(terms[0][1]), dtype=complex)
     for mode, theta, weight in terms:
+        if mode not in (1, 2):
+            raise ValueError(f"mode must be 1 or 2, got {mode!r}")
         s = 2 * (mode - 1)
-        if not 0 <= s < n:
-            raise ValueError(f"mode {mode} out of range for a {n}-variable model")
         c[s] += weight * np.exp(-1j * theta)
         c[s + 1] += weight * np.exp(1j * theta)
     return c.T
@@ -145,7 +124,8 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
     unit_baseline is the vacuum variance carried by one unit of mode weight
     (1 for bare modes, 2 for the unnormalized sum/difference modes). Raises
     ConvergenceFailureError naming the first frequency whose projection keeps
-    an imaginary residue.
+    an imaginary residue above 1e-10 times both max(1, |v|) and
+    max(1, |c1| |S| |c2|), the scale of its roundoff.
     """
     mat = S.S
     c1 = coefficient_vector(mat.shape[-1], terms1)
@@ -154,23 +134,17 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
                + (c2 @ mat)[..., None, :] @ c1[..., :, None])[..., 0, 0]
     bad = np.abs(v.imag) > _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(v))
     if bad.any():
+        # a moment that vanishes while S is large keeps the roundoff of S
+        scale = ((np.abs(c1) @ np.abs(mat))[..., None, :]
+                 @ np.abs(c2)[..., :, None])[..., 0, 0]
+        bad &= np.abs(v.imag) > _IMAG_RESIDUE_TOL * np.maximum(1.0, scale)
+    if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)
         raise ConvergenceFailureError(
             f"imaginary residue {v.imag[k]:.3e} in quadrature projection "
             f"at omega = {S.omega[k[0]]:g}")
     base = unit_baseline * vacuum_baseline(terms1, terms2)
     return base + 2.0 * gamma_a * v.real
-
-
-def quadrature_variance_out(S: SpectralMatrix, q1: QuadratureSelector,
-                            q2: QuadratureSelector, gamma_a: float) -> np.ndarray:
-    """Output spectral moment of two single-mode quadratures.
-
-    Equal selectors give the variance (baseline 1); a cross-mode or
-    orthogonal-quadrature pair gives the covariance (baseline 0).
-    """
-    return output_moment(S, [(q1.mode, q1.theta, 1.0)],
-                         [(q2.mode, q2.theta, 1.0)], gamma_a)
 
 
 def _require_below(p: SystemParams) -> None:

@@ -21,9 +21,8 @@ from opodimer.linearized import (build_linear_model,
 from opodimer.model import (SystemParams, derived_scales, sort_eigenvalues,
                             stability_eigenvalues, steady_state,
                             threshold_bisection)
-from opodimer.spectrum import (QuadratureSelector, analytic_combined,
-                               analytic_variances, quadrature_variance_out,
-                               spectral_matrix)
+from opodimer.spectrum import (analytic_combined, analytic_variances,
+                               output_moment, spectral_matrix)
 
 
 def sym(**kw):
@@ -51,15 +50,15 @@ def _random_resonant(rng):
 
 def _numeric_moments(p, omega):
     S = spectral_matrix(build_linear_model(p, steady_state(p)), omega)
-    qx1, qy1 = QuadratureSelector(1, 0.0), QuadratureSelector(1, math.pi / 2)
-    qx2, qy2 = QuadratureSelector(2, 0.0), QuadratureSelector(2, math.pi / 2)
+    qx1, qy1 = [(1, 0.0, 1.0)], [(1, math.pi / 2, 1.0)]
+    qx2, qy2 = [(2, 0.0, 1.0)], [(2, math.pi / 2, 1.0)]
     ga = p.gamma_a
     return {
-        "S_X": quadrature_variance_out(S, qx1, qx1, ga),
-        "S_Y": quadrature_variance_out(S, qy1, qy1, ga),
-        "V_XY": quadrature_variance_out(S, qx1, qy1, ga),
-        "V_X1X2": quadrature_variance_out(S, qx1, qx2, ga),
-        "V_Y1Y2": quadrature_variance_out(S, qy1, qy2, ga),
+        "S_X": output_moment(S, qx1, qx1, ga),
+        "S_Y": output_moment(S, qy1, qy1, ga),
+        "V_XY": output_moment(S, qx1, qy1, ga),
+        "V_X1X2": output_moment(S, qx1, qx2, ga),
+        "V_Y1Y2": output_moment(S, qy1, qy2, ga),
     }
 
 

@@ -214,6 +214,16 @@ class TestSpectrumCommand:
         assert r.returncode == 2
         assert "200" in r.stderr
 
+    def test_vanishing_covariance_near_threshold_exits_0(self, tmp_path):
+        # cov_XY vanishes at 22.5 degrees while S is large; its imaginary
+        # roundoff is judged against |c1| |S| |c2|, not against |cov_XY|
+        r = run_cli("spectrum", "--set", "params.J_a=1", "--set", "params.J_b=1",
+                    "--set", "params.pump_fraction=0.999",
+                    "--set", "theta.degrees=22.5", "--set", "sweep.omega_start=0",
+                    "--set", "sweep.omega_stop=0", "--set", "sweep.omega_points=1")
+        assert r.returncode == 0, r.stderr
+        assert len(parse_csv(r.stdout)) == 1
+
     def test_malformed_set_exits_1(self, tmp_path):
         r = run_cli("spectrum", "--set", "params.J_a", config=DRIVEN,
                     tmp_path=tmp_path)
@@ -311,6 +321,15 @@ class TestOptimizeAngleCommand:
         assert float(row["theta_deg"]) == pytest.approx(112.5, abs=1e-4)
         assert float(row["omega"]) == 0.0
         assert row["objective"] == "squeezing"
+
+    def test_epr_near_threshold(self):
+        r = run_cli("optimize-angle", "--preset", "fig1",
+                    "--set", "params.pump_fraction=0.999",
+                    "--objective", "epr", "--omega", "0")
+        assert r.returncode == 0, r.stderr
+        row = parse_csv(r.stdout)[0]
+        assert float(row["value"]) <= 1.33147192209 * (1 + 1e-9)
+        assert 0.0 <= float(row["theta_deg"]) < 90.0
 
 
 class TestVerifyCommand:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from opodimer import criteria
+from opodimer.config import apply_overrides, load_preset
 from opodimer.criteria import (CorrelationRecord, combined_variances,
                                duan_sum, epr_product, evaluate_record,
                                optimize_angle, single_mode_moments,
-                               spectral_stack, theta_optimal)
+                               spectral_stack)
 from opodimer.model import SystemParams
 from opodimer.spectrum import analytic_combined
 
@@ -20,33 +21,6 @@ def sym(**kw):
 
 
 DETUNED = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
-
-
-class TestThetaOptimal:
-    def test_extrema_bracket_grid(self):
-        rng = np.random.default_rng(2)
-        ts = np.linspace(0.0, math.pi, 721)
-        for _ in range(25):
-            vx, vy = rng.uniform(0.1, 5.0, 2)
-            vxy = rng.uniform(-2.0, 2.0)
-            t_min, t_max = theta_optimal(vx, vy, vxy)
-
-            def var(t):
-                c, s = math.cos(t), math.sin(t)
-                return vx * c * c + vy * s * s + 2 * vxy * s * c
-
-            vals = [var(t) for t in ts]
-            assert var(t_min) <= min(vals) + 1e-12
-            assert var(t_max) >= max(vals) - 1e-12
-            assert 0.0 <= t_min < math.pi and 0.0 <= t_max < math.pi
-
-    def test_degenerate_circle(self):
-        assert theta_optimal(1.0, 1.0, 0.0) == (0.0, math.pi / 2)
-
-    def test_diagonal_covariance_free(self):
-        t_min, t_max = theta_optimal(3.0, 1.0, 0.0)
-        assert t_min == pytest.approx(math.pi / 2)
-        assert t_max == pytest.approx(0.0)
 
 
 class TestWitnesses:
@@ -80,6 +54,8 @@ class TestWitnesses:
     def test_epr_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             epr_product(spectral_stack(sym(), 0.0), 1.0, 0.0, infer_from=3)
+        with pytest.raises(ValueError, match="infer_from"):
+            optimize_angle(sym(), 0.0, "epr", infer_from=3)
 
     def test_undriven_cavity_is_classical(self):
         p = sym(pump_fraction=0.0)
@@ -133,7 +109,22 @@ class TestOptimizeAngle:
         grid = np.linspace(0.0, math.pi, 20001)
         best = min(fn(x) for x in grid)
         assert v <= best + 1e-8
-        assert 0.0 <= t < math.pi
+        assert 0.0 <= t < (math.pi / 2 if objective == "epr" else math.pi)
+
+    def test_duan_symmetric_minimum_is_exact(self):
+        # the fig1 Duan witness is symmetric about 67.5 degrees at omega = 0
+        p = load_preset("fig1").params.to_params()
+        t, _ = optimize_angle(p, 0.0, "duan")
+        assert math.degrees(t) == pytest.approx(67.5, abs=1e-9)
+
+    @pytest.mark.parametrize("preset,minimum", [("fig4", 9.91384849671e-07),
+                                                ("fig5", 1.00017247003e-06)])
+    def test_epr_minimum_narrower_than_a_grid_step(self, preset, minimum):
+        # at 0.999 of threshold the EPR dip is narrower than 1e-6 rad
+        cfg = apply_overrides(load_preset(preset), ["params.pump_fraction=0.999"])
+        t, v = optimize_angle(cfg.params.to_params(), 0.0, "epr")
+        assert v <= minimum * (1 + 1e-9)
+        assert 0.0 <= t < math.pi / 2
 
     @pytest.mark.parametrize("objective", criteria.OBJECTIVES)
     def test_one_spectral_solve_per_call(self, monkeypatch, objective):

@@ -178,6 +178,8 @@ class TestDivergence:
                         + live[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
         assert np.allclose(ens.quadrature_series(terms), want, rtol=0.0,
                            atol=1e-14 * np.abs(live).max())
+        with pytest.raises(ValueError, match="mode must be 1 or 2"):
+            ens.quadrature_series([(3, 0.0, 1.0)])  # a pump slot
         est = estimate_output_spectrum(ens, Y0_TERMS)
         assert est.n_traj_used == 5
         assert np.isfinite(est.values).all()

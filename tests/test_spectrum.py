@@ -9,9 +9,8 @@ from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              SingularAtFrequencyError)
 from opodimer.linearized import build_combined_model, build_linear_model
 from opodimer.model import SystemParams, _unchecked_state, steady_state
-from opodimer.spectrum import (QuadratureSelector, SpectralMatrix,
-                               analytic_combined, analytic_variances,
-                               output_moment, quadrature_variance_out,
+from opodimer.spectrum import (SpectralMatrix, analytic_combined,
+                               analytic_variances, output_moment,
                                spectral_matrix, vacuum_baseline)
 
 SWAP = np.zeros((8, 8))
@@ -32,31 +31,27 @@ def model_for(p):
 
 def numeric_moments(p, omega, theta=0.0):
     S = spectral_matrix(model_for(p), omega)
-    qx = QuadratureSelector(1, theta)
-    qy = QuadratureSelector(1, theta + math.pi / 2)
-    qx2 = QuadratureSelector(2, theta)
-    qy2 = QuadratureSelector(2, theta + math.pi / 2)
+    qx = [(1, theta, 1.0)]
+    qy = [(1, theta + math.pi / 2, 1.0)]
+    qx2 = [(2, theta, 1.0)]
+    qy2 = [(2, theta + math.pi / 2, 1.0)]
     ga = p.gamma_a
     return {
-        "S_X": quadrature_variance_out(S, qx, qx, ga),
-        "S_Y": quadrature_variance_out(S, qy, qy, ga),
-        "V_XY": quadrature_variance_out(S, qx, qy, ga),
-        "V_X1X2": quadrature_variance_out(S, qx, qx2, ga),
-        "V_Y1Y2": quadrature_variance_out(S, qy, qy2, ga),
+        "S_X": output_moment(S, qx, qx, ga),
+        "S_Y": output_moment(S, qy, qy, ga),
+        "V_XY": output_moment(S, qx, qy, ga),
+        "V_X1X2": output_moment(S, qx, qx2, ga),
+        "V_Y1Y2": output_moment(S, qy, qy2, ga),
     }
 
 
 class TestSelectors:
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSelector(0, 0.0)
-        with pytest.raises(ValueError):
-            QuadratureSelector(3, 0.0)
-
-    def test_theta_reporting_folds_to_half_period(self):
-        q = QuadratureSelector(1, 4.0)
-        assert q.theta == 4.0
-        assert q.theta_reported == pytest.approx(4.0 - math.pi)
+        # modes 3 and 4 are the pump slots of the 8-variable model
+        S = spectral_matrix(model_for(sym()), 0.0)
+        for mode in (0, 3, 4):
+            with pytest.raises(ValueError, match="mode must be 1 or 2"):
+                output_moment(S, [(mode, 0.0, 1.0)], [(mode, 0.0, 1.0)], 1.0)
 
     def test_vacuum_baseline_cases(self):
         assert vacuum_baseline([(1, 0.3, 1.0)], [(1, 0.3, 1.0)]) == pytest.approx(1.0)
@@ -73,10 +68,10 @@ class TestSpectralMatrix:
     def test_even_in_frequency_after_projection(self):
         p = sym(J_a=2.0)
         m = model_for(p)
-        q = QuadratureSelector(1, 0.7)
+        q = [(1, 0.7, 1.0)]
         for w in (0.3, 1.7, 9.2):
-            a = quadrature_variance_out(spectral_matrix(m, w), q, q, p.gamma_a)
-            b = quadrature_variance_out(spectral_matrix(m, -w), q, q, p.gamma_a)
+            a = output_moment(spectral_matrix(m, w), q, q, p.gamma_a)
+            b = output_moment(spectral_matrix(m, -w), q, q, p.gamma_a)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_conjugation_symmetry_of_raw_matrix(self):
