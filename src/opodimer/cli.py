@@ -135,10 +135,13 @@ def cmd_optimize_angle(args, cfg: RunConfig) -> int:
     t, v = criteria.optimize_angle(p, omega, objective,
                                    pairing=cfg.duan_pairing,
                                    infer_from=cfg.epr_infer_from)
+    # fold after rounding: an angle just below the period prints as 0,
+    # not as the period itself
+    period = 90.0 if objective == "epr" else 180.0
+    deg = float(_fmt(math.degrees(t))) % period
     lines = _header("optimize-angle", cfg)
     lines.append("omega,objective,theta_deg,value")
-    lines.append(",".join(_fmt(x) for x in (omega, objective,
-                                            math.degrees(t), v)))
+    lines.append(",".join(_fmt(x) for x in (omega, objective, deg, v)))
     _emit(lines, args.out)
     return 0
 

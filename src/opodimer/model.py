@@ -164,26 +164,56 @@ def derived_scales(p: SystemParams) -> DerivedScales:
                          pump_fraction=frac)
 
 
-def drift_rhs(p: SystemParams, x) -> np.ndarray:
+def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
     """Deterministic part of the doubled-phase-space equations of motion.
 
     Accepts a state of shape (8,) or a stack of shape (8, n); returns the
-    time derivative with the same shape.
+    time derivative with the same shape, written into ``out`` when given
+    (C-contiguous, of x's shape, not overlapping x). Row by row:
+
+        out[0] = -ca a1 + k a1+ b1 + i J_a a2      (ca = gamma_a + i Delta_a)
+        out[1] = -ca* a1+ + k a1 b1+ - i J_a a2+
+        out[4] = eps1 - cb b1 - k/2 a1 a1 + i J_b b2   (cb = gamma_b + i Delta_b)
+        out[5] = eps1* - cb* b1+ - k/2 a1+ a1+ - i J_b b2+
+
+    and rows 2, 3, 6, 7 with cavities 1 and 2 swapped. The four signal rows
+    and the four pump rows are each computed as one (4, n) block: the
+    partner rows (a1 <-> a1+) are the view reshape(2, 2, n)[:, ::-1], the
+    other cavity's rows the view reshape(2, 2, n)[::-1]; steps that both
+    blocks share run once over all 8 rows. Each element goes through the
+    operations of the row formulas above in their order.
     """
     x = np.asarray(x, dtype=complex)
-    a1, a1p, a2, a2p, b1, b1p, b2, b2p = x
+    if out is None:
+        out = np.empty(x.shape, dtype=complex)
+    xs, outs = x.reshape(8, -1), out.reshape(8, -1)
+    if not outs.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    n = xs.shape[1]
+    a, b = xs[:4], xs[4:]
+    da, db = outs[:4], outs[4:]
+    w = np.empty((8, n), dtype=complex)
+    ws = w[:4]
     ca = p.gamma_a + 1j * p.Delta_a
     cb = p.gamma_b + 1j * p.Delta_b
+    cac, cbc = ca.conjugate(), cb.conjugate()
+    c = np.array([-ca, -cac, -ca, -cac, cb, cbc, cb, cbc,
+                  p.eps1, p.eps1.conjugate(), p.eps2, p.eps2.conjugate(),
+                  1j * p.J_a, 1j * p.J_b])
+    own, eps, cross = c[:8, None], c[8:12, None], c[12:, None, None, None]
     k = p.kappa
-    out = np.empty_like(x)
-    out[0] = -ca * a1 + k * a1p * b1 + 1j * p.J_a * a2
-    out[1] = -np.conj(ca) * a1p + k * a1 * b1p - 1j * p.J_a * a2p
-    out[2] = -ca * a2 + k * a2p * b2 + 1j * p.J_a * a1
-    out[3] = -np.conj(ca) * a2p + k * a2 * b2p - 1j * p.J_a * a1p
-    out[4] = p.eps1 - cb * b1 - 0.5 * k * a1 * a1 + 1j * p.J_b * b2
-    out[5] = np.conj(p.eps1) - np.conj(cb) * b1p - 0.5 * k * a1p * a1p - 1j * p.J_b * b2p
-    out[6] = p.eps2 - cb * b2 - 0.5 * k * a2 * a2 + 1j * p.J_b * b1
-    out[7] = np.conj(p.eps2) - np.conj(cb) * b2p - 0.5 * k * a2p * a2p - 1j * p.J_b * b1p
+    np.multiply(own, xs, out=outs)                  # -ca a1; cb b1
+    np.subtract(eps, db, out=db)                    # eps1 - cb b1
+    np.multiply(k, a.reshape(2, 2, n)[:, ::-1], out=ws.reshape(2, 2, n))
+    np.multiply(ws, b, out=ws)
+    np.add(da, ws, out=da)                          # + k a1+ b1
+    np.multiply(0.5 * k, a, out=ws)
+    np.multiply(ws, a, out=ws)
+    np.subtract(db, ws, out=db)                     # - k/2 a1 a1
+    w4, out4 = w.reshape(2, 2, 2, n), outs.reshape(2, 2, 2, n)
+    np.multiply(cross, xs.reshape(2, 2, 2, n)[:, ::-1], out=w4)
+    np.add(out4[:, :, 0], w4[:, :, 0], out=out4[:, :, 0])       # + i J a2
+    np.subtract(out4[:, :, 1], w4[:, :, 1], out=out4[:, :, 1])  # - i J a2+
     return out
 
 

@@ -331,6 +331,19 @@ class TestOptimizeAngleCommand:
         assert float(row["value"]) <= 1.33147192209 * (1 + 1e-9)
         assert 0.0 <= float(row["theta_deg"]) < 90.0
 
+    @pytest.mark.parametrize("preset,objective", [
+        ("fig4", "epr"), ("fig5", "epr"), ("fig4", "squeezing"),
+        ("fig1", "duan")])
+    def test_printed_angle_inside_its_period(self, preset, objective):
+        # at fig4 the EPR optimum is theta = 0, which the root finder can
+        # place a hair below pi/2; 12 digits would round that to 90
+        r = run_cli("optimize-angle", "--preset", preset,
+                    "--set", "params.pump_fraction=0.999",
+                    "--objective", objective, "--omega", "0")
+        assert r.returncode == 0, r.stderr
+        period = 90.0 if objective == "epr" else 180.0
+        assert 0.0 <= float(parse_csv(r.stdout)[0]["theta_deg"]) < period
+
 
 class TestVerifyCommand:
     def test_pass_run_and_negative_control(self, tmp_path):

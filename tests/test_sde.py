@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from opodimer import sde
 from opodimer.errors import (ConfigError, DivergenceDetectedError,
                              InsufficientDataError)
 from opodimer.linearized import build_linear_model
-from opodimer.model import SystemParams, steady_state
+from opodimer.model import SystemParams, _unchecked_state, drift_rhs, steady_state
 from opodimer.sde import (SdeConfig, Stepper, estimate_output_spectrum,
                           integrate, load_ensemble_dump, write_ensemble_dump)
 
@@ -67,6 +68,158 @@ class TestDeterminism:
         big = integrate(p, SdeConfig(dt=0.02, t_transient=1.0,
                                      t_measure=4.0, n_traj=8, seed=3))
         assert np.array_equal(small.states, big.states[:, :, :4])
+
+
+def row_drift(p, x):
+    """The equations of motion written row by row, one temporary per term."""
+    a1, a1p, a2, a2p, b1, b1p, b2, b2p = x
+    ca = p.gamma_a + 1j * p.Delta_a
+    cb = p.gamma_b + 1j * p.Delta_b
+    k = p.kappa
+    out = np.empty_like(x)
+    out[0] = -ca * a1 + k * a1p * b1 + 1j * p.J_a * a2
+    out[1] = -np.conj(ca) * a1p + k * a1 * b1p - 1j * p.J_a * a2p
+    out[2] = -ca * a2 + k * a2p * b2 + 1j * p.J_a * a1
+    out[3] = -np.conj(ca) * a2p + k * a2 * b2p - 1j * p.J_a * a1p
+    out[4] = p.eps1 - cb * b1 - 0.5 * k * a1 * a1 + 1j * p.J_b * b2
+    out[5] = np.conj(p.eps1) - np.conj(cb) * b1p - 0.5 * k * a1p * a1p - 1j * p.J_b * b2p
+    out[6] = p.eps2 - cb * b2 - 0.5 * k * a2 * a2 + 1j * p.J_b * b1
+    out[7] = np.conj(p.eps2) - np.conj(cb) * b2p - 0.5 * k * a2p * a2p - 1j * p.J_b * b1p
+    return out
+
+
+def philox_increments(cfg, n_steps):
+    """The standard normal increments integrate draws for cfg, as one array:
+    trajectory t fills chunk after chunk of _NOISE_CHUNK steps from its own
+    Philox stream."""
+    z = np.empty((4, n_steps, cfg.n_traj))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+    for t, s in enumerate(seeds):
+        gen = np.random.Generator(np.random.Philox(s))
+        for c0 in range(0, n_steps, sde._NOISE_CHUNK):
+            m = min(sde._NOISE_CHUNK, n_steps - c0)
+            z[:, c0:c0 + m, t] = gen.standard_normal((4, m))
+    return z
+
+
+def reference_integrate(p, cfg, z):
+    """A plain allocating stepper over explicit increments z: every step
+    builds fresh arrays for the drift, the noise and the update."""
+    ss = _unchecked_state(p)
+    n_tr = round(cfg.t_transient / cfg.dt)
+    n_steps = n_tr + round(cfg.t_measure / cfg.dt)
+    n_vars = 4 if cfg.record == "alpha" else 8
+    x = np.zeros((8, cfg.n_traj), dtype=complex)
+    x[4], x[5] = ss.beta1_ss, np.conj(ss.beta1_ss)
+    x[6], x[7] = ss.beta2_ss, np.conj(ss.beta2_ss)
+    thresh = 1e6 * max(1.0, abs(ss.beta1_ss), abs(ss.beta2_ss))
+    alive = np.ones(cfg.n_traj, dtype=bool)
+    times, rec = [], []
+
+    def noise(y, dw):
+        out = np.zeros_like(y)
+        for r in range(4):
+            out[r] = np.sqrt(p.kappa * y[4 + r]) * dw[r]
+        return out
+
+    for step in range(n_steps):
+        if step >= n_tr and (step - n_tr) % cfg.record_stride == 0:
+            rec.append(x[:n_vars].copy())
+            times.append(step * cfg.dt)
+            peak = np.max(np.abs(x), axis=0)
+            alive &= np.isfinite(peak) & (peak <= thresh)
+        dw = z[:, step, :] * math.sqrt(cfg.dt)
+        if cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT:
+            xm = x
+            for _ in range(4):
+                xm = x + 0.5 * (row_drift(p, xm) * cfg.dt + noise(xm, dw))
+            x = 2.0 * xm - x
+        else:
+            x = x + row_drift(p, x) * cfg.dt + noise(x, dw)
+    peak = np.max(np.abs(x), axis=0)
+    alive &= np.isfinite(peak) & (peak <= thresh)
+    return np.array(times), np.stack(rec, axis=1), ~alive
+
+
+def assert_same_run(ens, ref):
+    times, states, diverged = ref
+    assert np.array_equal(ens.states.view(float), states.view(float))
+    assert np.array_equal(ens.times, times)
+    assert np.array_equal(ens.diverged, diverged)
+
+
+POINTS = {
+    "driven": sym(),
+    # pump rows start at exact zeros, so the sign of each zero matters
+    "undriven": sym(pump_fraction=0.0),
+    "detuned": SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7, J_a=0.3,
+                            J_b=-0.4, Delta_a=0.3, Delta_b=-1.1,
+                            eps1=30 + 20j, eps2=-15 + 2.5j),
+}
+
+
+class TestReferenceStepper:
+    """integrate must give, bit for bit, what the plain stepper gives."""
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("stepper", [s.value for s in Stepper])
+    @pytest.mark.parametrize("record", ["alpha", "all"])
+    def test_seeded_run_equals_reference(self, point, stepper, record):
+        p = POINTS[point]
+        cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=2.0, n_traj=5,
+                        seed=13, stepper=stepper, record=record,
+                        record_stride=3)
+        z = philox_increments(cfg, 125)
+        assert_same_run(integrate(p, cfg), reference_integrate(p, cfg, z))
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("stepper", [s.value for s in Stepper])
+    def test_injected_noise_equals_reference(self, point, stepper):
+        p = POINTS[point]
+        cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=2.0, n_traj=5,
+                        stepper=stepper, record="all", record_stride=2)
+        z = np.random.default_rng(8).standard_normal((4, 125, 5))
+        assert_same_run(integrate(p, cfg, noise=z),
+                        reference_integrate(p, cfg, z))
+
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_run_over_several_blocks(self, monkeypatch, injected):
+        # blocks of 2 trajectories (the last holds 1), noise chunks of 16 steps
+        monkeypatch.setattr(sde, "_NOISE_CHUNK", 16)
+        monkeypatch.setattr(sde, "_NOISE_BUDGET", 4 * 16 * 8 * 2)
+        p = POINTS["detuned"]
+        cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=2.0, n_traj=5,
+                        seed=4, record="all")
+        z = (np.random.default_rng(2).standard_normal((4, 125, 5)) if injected
+             else philox_increments(cfg, 125))
+        ens = integrate(p, cfg, noise=z if injected else None)
+        assert_same_run(ens, reference_integrate(p, cfg, z))
+        monkeypatch.setattr(sde, "_NOISE_BUDGET", 2 ** 25)
+        one = integrate(p, cfg, noise=z if injected else None)
+        assert np.array_equal(ens.states.view(float), one.states.view(float))
+
+    def test_drift_blocks_equal_row_formulas(self):
+        rng = np.random.default_rng(6)
+        zeros = np.array([0.0, -0.0, 1e-310, -1e-310, 1.0, -2.5])
+        for p in POINTS.values():
+            for n in (1, 3, 256):
+                x = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+                signed = np.empty((8, n), dtype=complex)
+                signed.real = rng.choice(zeros, (8, n))
+                signed.imag = rng.choice(zeros, (8, n))
+                for y in (x, signed):
+                    want = row_drift(p, y)
+                    assert np.array_equal(drift_rhs(p, y).view(float),
+                                          want.view(float))
+                    out = np.empty_like(y)
+                    assert drift_rhs(p, y, out=out) is out
+                    assert np.array_equal(out.view(float), want.view(float))
+            # a single state is computed as a stack of one
+            x8 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            got = drift_rhs(p, x8)
+            assert got.shape == (8,)
+            assert np.array_equal(got.view(float),
+                                  row_drift(p, x8[:, None])[:, 0].view(float))
 
 
 class TestPhysics:
