@@ -19,9 +19,9 @@ from .errors import (AboveThresholdError, ConfigError, ConvergenceFailureError,
                      NoCrossingError, OpodimerError, SingularAtFrequencyError)
 from .linearized import (LinearModel, build_combined_model, build_linear_model,
                          finite_difference_jacobian, numeric_eigenvalues)
-from .model import (DerivedScales, Regime, SteadyState, SystemParams,
-                    derived_scales, drift_rhs, stability_eigenvalues,
-                    steady_state, threshold_bisection)
+from .model import (DerivedScales, SteadyState, SystemParams, derived_scales,
+                    drift_rhs, stability_eigenvalues, steady_state,
+                    threshold_bisection)
 from .sde import (SdeConfig, SpectrumEstimate, Stepper, TrajectoryEnsemble,
                   estimate_output_spectrum, integrate, load_ensemble_dump,
                   write_ensemble_dump)
@@ -35,7 +35,7 @@ __all__ = [
     "CorrelationRecord", "DegenerateVarianceError", "DerivedScales",
     "DetuningMismatchError", "DivergenceDetectedError", "DomainError",
     "InsufficientDataError", "LinearModel", "NoCrossingError", "OpodimerError",
-    "Regime", "RunConfig", "SdeConfig", "SingularAtFrequencyError",
+    "RunConfig", "SdeConfig", "SingularAtFrequencyError",
     "SpectralMatrix", "SpectrumEstimate", "SteadyState", "Stepper",
     "SystemParams", "TrajectoryEnsemble", "analytic_combined",
     "analytic_variances", "build_combined_model", "build_linear_model",

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, sde, spectrum
-from .config import (PRESETS, RunConfig, apply_overrides, load_config_file,
-                     load_preset)
+from .config import (PRESETS, RunConfig, _as_float, apply_overrides,
+                     load_config_file, load_preset)
 from .errors import AboveThresholdError, OpodimerError
 from .linearized import _frozen, build_linear_model
 from .model import derived_scales, steady_state, stability_eigenvalues, threshold_bisection
@@ -130,7 +130,7 @@ def cmd_optimize_angle(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
     objective = args.objective or (
         cfg.theta.objective if cfg.theta.policy == "optimize" else "squeezing")
-    omega = args.omega if args.omega is not None else (
+    omega = _as_float(args.omega, "--omega") if args.omega is not None else (
         cfg.theta.at_omega if cfg.theta.policy == "optimize" else 0.0)
     t, v = criteria.optimize_angle(p, omega, objective,
                                    pairing=cfg.duan_pairing,

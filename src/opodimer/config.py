@@ -9,6 +9,7 @@ pumps), or the eps1/eps2 pair.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -59,8 +60,11 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
 
 
 def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {v!r}")
+    # JSON admits NaN, Infinity and integers past the float range; the
+    # comparison is False for each of them
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -103,7 +107,8 @@ def _complex_jsonable(z: complex):
 @dataclass(frozen=True)
 class ParamsSpec:
     """SystemParams as configured. The pump is a fraction of the critical
-    amplitude when pump_fraction is set, else the amplitudes eps1, eps2."""
+    amplitude when pump_fraction is set, else the amplitudes eps1, eps2.
+    The SystemParams are built (and so validated) once, on construction."""
 
     kappa: float = 0.01
     gamma_a: float = 1.0
@@ -115,6 +120,15 @@ class ParamsSpec:
     pump_fraction: float = None
     eps1: complex = 0j
     eps2: complex = 0j
+    _params: SystemParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        common = {k: getattr(self, k) for k in _RATE_KEYS}
+        if self.pump_fraction is not None:
+            p = SystemParams.symmetric(pump_fraction=self.pump_fraction, **common)
+        else:
+            p = SystemParams(eps1=self.eps1, eps2=self.eps2, **common)
+        object.__setattr__(self, "_params", p)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "params") -> "ParamsSpec":
@@ -133,7 +147,10 @@ class ParamsSpec:
                 raise ConfigError(f"{where}: eps1 and eps2 must be given together")
             kw.update(eps1=_as_complex(d["eps1"], f"{where}.eps1"),
                       eps2=_as_complex(d["eps2"], f"{where}.eps2"))
-        return cls(**kw)
+        try:
+            return cls(**kw)
+        except ValueError as exc:  # a rate out of SystemParams' range
+            raise ConfigError(f"{where}: {exc}") from None
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in _RATE_KEYS}
@@ -147,11 +164,7 @@ class ParamsSpec:
         return d
 
     def to_params(self) -> SystemParams:
-        common = {k: getattr(self, k) for k in _RATE_KEYS}
-        if self.pump_fraction is not None:
-            return SystemParams.symmetric(pump_fraction=self.pump_fraction,
-                                          **common)
-        return SystemParams(eps1=self.eps1, eps2=self.eps2, **common)
+        return self._params
 
     def patched(self, patch: dict, where: str) -> "ParamsSpec":
         """New spec with a subset of keys replaced; setting any pump key
@@ -371,11 +384,11 @@ def load_config_file(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(data)
 
@@ -403,7 +416,7 @@ def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
             raise ConfigError(f"override {a!r} is not of the form key=value")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         parts = key.split(".")
         cur = d

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailureError, DetuningMismatchError
-from .model import SteadyState, SystemParams, drift_rhs, sort_eigenvalues
+from .model import (SteadyState, SystemParams, _unchecked_state, drift_rhs,
+                    sort_eigenvalues)
 
 STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
                 "beta1", "beta1+", "beta2", "beta2+")
@@ -27,6 +28,7 @@ STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
 COMBINED_LABELS = ("A_plus", "A_plus+", "A_minus", "A_minus+")
 
 _DETUNING_TOL = 1e-12
+_FD_STEP = 1e-6
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -64,8 +66,6 @@ class LinearModel:
 
     A: np.ndarray
     B: np.ndarray
-    params: SystemParams
-    steady: SteadyState
     ordering: tuple = STATE_LABELS
 
     def diffusion(self) -> np.ndarray:
@@ -102,7 +102,7 @@ def build_linear_model(p: SystemParams, ss: SteadyState) -> LinearModel:
     B[1, 1] = np.sqrt(complex(np.conj(m1)))
     B[2, 2] = np.sqrt(complex(m2))
     B[3, 3] = np.sqrt(complex(np.conj(m2)))
-    return LinearModel(A=_frozen(A), B=_frozen(B), params=p, steady=ss)
+    return LinearModel(A=_frozen(A), B=_frozen(B))
 
 
 def build_combined_model(p: SystemParams, ss: SteadyState) -> LinearModel:
@@ -130,8 +130,7 @@ def build_combined_model(p: SystemParams, ss: SteadyState) -> LinearModel:
         [1, 0, -1, 0],
         [0, 1, 0, -1],
     ], dtype=complex)
-    return LinearModel(A=_frozen(A), B=_frozen(B), params=p, steady=ss,
-                       ordering=COMBINED_LABELS)
+    return LinearModel(A=_frozen(A), B=_frozen(B), ordering=COMBINED_LABELS)
 
 
 def numeric_eigenvalues(m) -> np.ndarray:
@@ -143,8 +142,9 @@ def numeric_eigenvalues(m) -> np.ndarray:
     return sort_eigenvalues(vals)
 
 
-def finite_difference_jacobian(p: SystemParams, x0=None, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the noise-free equations of motion.
+def finite_difference_jacobian(p: SystemParams, x0=None) -> np.ndarray:
+    """Central-difference Jacobian (step _FD_STEP) of the noise-free
+    equations of motion.
 
     The drift is polynomial in the 8 doubled variables, so a real step along
     each complex coordinate recovers the full complex partial derivative. At
@@ -152,13 +152,11 @@ def finite_difference_jacobian(p: SystemParams, x0=None, step: float = 1e-6) -> 
     hand-assembled detuned drift matrix.
     """
     if x0 is None:
-        from .model import _unchecked_state
-
         x0 = _unchecked_state(p).vector()
     x0 = np.asarray(x0, dtype=complex)
     jac = np.empty((8, 8), dtype=complex)
     for k in range(8):
         dx = np.zeros(8, dtype=complex)
-        dx[k] = step
-        jac[:, k] = (drift_rhs(p, x0 + dx) - drift_rhs(p, x0 - dx)) / (2.0 * step)
+        dx[k] = _FD_STEP
+        jac[:, k] = (drift_rhs(p, x0 + dx) - drift_rhs(p, x0 - dx)) / (2.0 * _FD_STEP)
     return jac

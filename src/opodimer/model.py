@@ -15,7 +15,6 @@ conjugates of their partners.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -29,11 +28,8 @@ from .errors import AboveThresholdError, ConvergenceFailureError, NoCrossingErro
 THRESHOLD_GUARD = 1e-9
 
 _RESIDUAL_TOL = 1e-12
-
-
-class Regime(enum.Enum):
-    BELOW_THRESHOLD = "below-threshold"
-    AT_OR_ABOVE_THRESHOLD = "at-or-above-threshold"
+_EIG_REAL_TOL = 1e-9
+_BISECTION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,10 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """Auxiliary rates and the threshold location for one parameter set."""
+    """The threshold location for one parameter set, and the pump's share
+    of it."""
 
-    gamma_tilde_a: float
-    gamma_tilde_b: float
     eps_crit: float
-    theta_b: float
     pump_fraction: float
 
 
@@ -124,44 +118,35 @@ class SteadyState:
 
     beta1_ss: complex
     beta2_ss: complex
-    regime: Regime
-    alpha1_ss: complex = 0.0
-    alpha2_ss: complex = 0.0
 
     def vector(self) -> np.ndarray:
         """Full 8-component state in the package ordering."""
         return np.array([
-            self.alpha1_ss, np.conj(self.alpha1_ss),
-            self.alpha2_ss, np.conj(self.alpha2_ss),
+            0, 0, 0, 0,
             self.beta1_ss, np.conj(self.beta1_ss),
             self.beta2_ss, np.conj(self.beta2_ss),
         ], dtype=complex)
 
 
 def derived_scales(p: SystemParams) -> DerivedScales:
-    """Auxiliary rates, threshold pump amplitude, and pump phase.
+    """Threshold pump amplitude and the pump's fraction of it.
 
     eps_crit = sqrt([gamma_a^2 + d_a^2][gamma_b^2 + (J_b - Delta_b)^2]) / kappa
     with d_a = min(|J_a - Delta_a|, |J_a + Delta_a|): equal pumps drive only
     the symmetric pump supermode (detuning Delta_b - J_b), which feeds both
     signal supermodes (detunings Delta_a -+ J_a), and the one closer to
-    resonance oscillates first. This reduces to gamma_tilde_a *
-    gamma_tilde_b / kappa on resonance and to gamma_a * gamma_b / kappa on the
-    Delta = J manifold, and holds for either sign of coupling and detuning.
-    theta_b is the phase picked up by the intracavity pump field.
+    resonance oscillates first. This reduces to
+    sqrt([gamma_a^2 + J_a^2][gamma_b^2 + J_b^2]) / kappa on resonance and to
+    gamma_a * gamma_b / kappa on the Delta = J manifold, and holds for either
+    sign of coupling and detuning.
     """
-    gta = math.hypot(p.gamma_a, p.J_a)
-    gtb = math.hypot(p.gamma_b, p.J_b)
     d_a = min(abs(p.J_a - p.Delta_a), abs(p.J_a + p.Delta_a))
     eps_crit = math.sqrt(
         (p.gamma_a ** 2 + d_a ** 2)
         * (p.gamma_b ** 2 + (p.J_b - p.Delta_b) ** 2)
     ) / p.kappa
-    theta_b = math.atan2(p.J_b - p.Delta_b, p.gamma_b)
     frac = max(abs(p.eps1), abs(p.eps2)) / eps_crit
-    return DerivedScales(gamma_tilde_a=gta, gamma_tilde_b=gtb,
-                         eps_crit=eps_crit, theta_b=theta_b,
-                         pump_fraction=frac)
+    return DerivedScales(eps_crit=eps_crit, pump_fraction=frac)
 
 
 def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
@@ -217,40 +202,28 @@ def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
     return out
 
 
-def _beta_fixed_point(p: SystemParams) -> tuple[complex, complex]:
-    """High-frequency fields at the alpha = 0 fixed point."""
+def _unchecked_state(p: SystemParams) -> SteadyState:
+    """The alpha = 0 fixed point, which exists on both sides of threshold;
+    no stability gate, so threshold probing can build on it."""
     if p.equal_pumps:
         b = p.eps1 / (p.gamma_b - 1j * (p.J_b - p.Delta_b))
-        return b, b
+        return SteadyState(beta1_ss=b, beta2_ss=b)
     # The alpha = 0 pump-mode equations are linear: one 2x2 solve.
     cb = p.gamma_b + 1j * p.Delta_b
     beta = np.linalg.solve(np.array([[cb, -1j * p.J_b], [-1j * p.J_b, cb]]),
                            np.array([p.eps1, p.eps2]))
-    return complex(beta[0]), complex(beta[1])
-
-
-def inside_guard(scales: DerivedScales) -> bool:
-    """True when the pump sits strictly inside the guard band below eps_crit."""
-    return scales.pump_fraction < 1.0 - THRESHOLD_GUARD
-
-
-def _unchecked_state(p: SystemParams) -> SteadyState:
-    """Fixed point without the stability gate; used by threshold probing."""
-    b1, b2 = _beta_fixed_point(p)
-    regime = (Regime.BELOW_THRESHOLD if inside_guard(derived_scales(p))
-              else Regime.AT_OR_ABOVE_THRESHOLD)
-    return SteadyState(beta1_ss=b1, beta2_ss=b2, regime=regime)
+    return SteadyState(beta1_ss=complex(beta[0]), beta2_ss=complex(beta[1]))
 
 
 def _is_below_threshold(p: SystemParams) -> bool:
-    """True when every drift eigenvalue has positive real part and the pump
-    sits strictly inside the guard band."""
+    """True when every drift eigenvalue has positive real part and, for
+    equal pumps, the pump sits strictly inside the guard band below
+    eps_crit."""
     eigs = stability_eigenvalues(p)
     if float(np.min(eigs.real)) <= 0.0:
         return False
-    if p.equal_pumps and not inside_guard(derived_scales(p)):
-        return False
-    return True
+    return not p.equal_pumps or (
+        derived_scales(p).pump_fraction < 1.0 - THRESHOLD_GUARD)
 
 
 def steady_state(p: SystemParams) -> SteadyState:
@@ -262,15 +235,12 @@ def steady_state(p: SystemParams) -> SteadyState:
     part (or the pump enters the guard band around eps_crit), since the
     fluctuation analysis built on this state would be meaningless there.
     """
-    scales = derived_scales(p)
     if not _is_below_threshold(p):
+        eps_crit = derived_scales(p).eps_crit
         raise AboveThresholdError(
             f"pump amplitude {max(abs(p.eps1), abs(p.eps2)):.8g} is not below "
-            f"threshold: eps_crit = {scales.eps_crit:.8g}",
-            eps_crit=scales.eps_crit,
-        )
-    b1, b2 = _beta_fixed_point(p)
-    state = SteadyState(beta1_ss=b1, beta2_ss=b2, regime=Regime.BELOW_THRESHOLD)
+            f"threshold: eps_crit = {eps_crit:.8g}", eps_crit=eps_crit)
+    state = _unchecked_state(p)
     resid = float(np.max(np.abs(drift_rhs(p, state.vector()))))
     if resid > _RESIDUAL_TOL * max(1.0, abs(p.eps1), abs(p.eps2)):
         raise ConvergenceFailureError(
@@ -278,10 +248,10 @@ def steady_state(p: SystemParams) -> SteadyState:
     return state
 
 
-def sort_eigenvalues(values, real_tol: float = 1e-9) -> np.ndarray:
+def sort_eigenvalues(values) -> np.ndarray:
     """Canonical (Re, Im) lexicographic order, for cross-path comparison.
 
-    Real parts within real_tol (scaled) are treated as ties so that exact
+    Real parts within _EIG_REAL_TOL (scaled) are treated as ties so that exact
     analytic multiplets and their numerically fuzzed counterparts sort into
     the same sequence.
     """
@@ -289,7 +259,7 @@ def sort_eigenvalues(values, real_tol: float = 1e-9) -> np.ndarray:
     if values.size == 0:
         return values
     v = values[np.argsort(values.real, kind="stable")]
-    tol = real_tol * max(1.0, float(np.abs(v.real).max()))
+    tol = _EIG_REAL_TOL * max(1.0, float(np.abs(v.real).max()))
     groups = []
     i = 0
     while i < len(v):
@@ -309,8 +279,8 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     zero marks the oscillation threshold. On resonance with equal real pumps
     the closed form applies:
 
-        gamma_b +- i J_b                                   (each twice)
-        gamma_a +- sqrt(kappa^2 eps^2 / gamma_tilde_b^2 - J_a^2)   (each twice)
+        gamma_b +- i J_b                                               (each twice)
+        gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)   (each twice)
 
     with the principal square root turning a negative argument into an
     imaginary pair. Anything else is delegated to the dense eigensolver on
@@ -329,16 +299,16 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     return linearized.numeric_eigenvalues(m)
 
 
-def threshold_bisection(p: SystemParams, rtol: float = 1e-10) -> float:
+def threshold_bisection(p: SystemParams) -> float:
     """Numeric threshold: equal real pump amplitude at which the slowest
     drift eigenvalue crosses zero.
 
     Ignores the pump fields of ``p`` and scans amplitude on
     [0, 10 * analytic eps_crit] with a bracketing root find on
-    min Re eig(A). The eigenvalues come from the dense solver on the
-    assembled drift matrix, never from the closed form, so this is an
-    independent check of the analytic threshold. Raises NoCrossingError when
-    the bracket does not change sign.
+    min Re eig(A), to relative tolerance _BISECTION_RTOL. The eigenvalues
+    come from the dense solver on the assembled drift matrix, never from the
+    closed form, so this is an independent check of the analytic threshold.
+    Raises NoCrossingError when the bracket does not change sign.
     """
     from . import linearized  # deferred to break the module cycle
 
@@ -356,5 +326,5 @@ def threshold_bisection(p: SystemParams, rtol: float = 1e-10) -> float:
             f"min Re eig does not change sign on [0, {hi:.6g}]: "
             f"endpoints {f_lo:.6g}, {f_hi:.6g}")
     from scipy.optimize import brentq  # deferred: most of the package import time
-    root = brentq(slowest, 0.0, hi, rtol=rtol, xtol=1e-12 * hi)
+    root = brentq(slowest, 0.0, hi, rtol=_BISECTION_RTOL, xtol=1e-12 * hi)
     return float(root)

@@ -27,6 +27,7 @@ _NOISE_CHUNK = 2048
 _DIVERGENCE_FACTOR = 1e6
 _MIDPOINT_ITERATIONS = 4
 _MIN_MEASURE_PERIODS = 50.0
+_N_BATCHES = 16
 # Bytes of the noise buffer (chunk x 4 x block doubles) of one trajectory
 # block: 2048 trajectories at _NOISE_CHUNK = 2048. Every block step carries a
 # fixed numpy dispatch cost (about 0.17 ms on a 2-core Xeon), so blocks of 512
@@ -76,8 +77,9 @@ class SdeConfig:
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
             raise ConfigError(
                 f"record_stride must be an integer >= 1, got {self.record_stride!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if self.record not in ("alpha", "all"):
             raise ConfigError(
                 f'record must be "alpha" or "all", got {self.record!r}')
@@ -88,14 +90,13 @@ class TrajectoryEnsemble:
     """Recorded samples of one integration run.
 
     states has shape (n_vars, n_samples, n_traj) with n_vars = 4 for the
-    signal rows or 8 for the full state; diverged marks trajectories that
-    crossed the divergence threshold at any sampling instant and must be
-    excluded from statistics.
+    signal rows or 8 for the full state, as config.record says; diverged
+    marks trajectories that crossed the divergence threshold at any sampling
+    instant and must be excluded from statistics.
     """
 
     times: np.ndarray
     states: np.ndarray
-    record: str
     params: _model.SystemParams
     config: SdeConfig
     diverged: np.ndarray
@@ -200,8 +201,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
     else:
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
     ss = _model._unchecked_state(p)
-    x0 = np.array([0, 0, 0, 0, ss.beta1_ss, np.conj(ss.beta1_ss),
-                   ss.beta2_ss, np.conj(ss.beta2_ss)], dtype=complex)[:, None]
+    x0 = ss.vector()[:, None]
     thresh = _DIVERGENCE_FACTOR * max(1.0, abs(ss.beta1_ss), abs(ss.beta2_ss))
     n_vars = 4 if cfg.record == "alpha" else 8
     n_chunk = min(_NOISE_CHUNK, n_steps)
@@ -292,20 +292,19 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
                       "excluded from statistics", RuntimeWarning, stacklevel=2)
     times = np.arange(n_tr, n_steps, cfg.record_stride) * cfg.dt
     return TrajectoryEnsemble(times=_frozen(times), states=_frozen(rec),
-                              record=cfg.record, params=p, config=cfg,
-                              diverged=_frozen(diverged))
+                              params=p, config=cfg, diverged=_frozen(diverged))
 
 
-def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms,
-                             n_batches: int = 16) -> SpectrumEstimate:
+def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms) -> SpectrumEstimate:
     """Ensemble periodogram of a quadrature combination, output-normalized.
 
     Per trajectory the finite-window transform F(w) = dt_sample * DFT(q)
     enters as F(w) F(-w) / T, whose ensemble mean converges to the normally
     ordered combination spectrum; adding the vacuum baseline and the
     2 gamma_a in/out scaling makes the result directly comparable with the
-    linearized output spectra. Standard errors come from batch means over
-    trajectories (zero only in the noiseless undriven case).
+    linearized output spectra. Standard errors come from the means of
+    _N_BATCHES batches of trajectories (zero only in the noiseless undriven
+    case).
     """
     p = ensemble.params
     t_meas = ensemble.config.t_measure
@@ -326,7 +325,7 @@ def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms,
     base = vacuum_baseline(terms, terms)
     scale = 2.0 * p.gamma_a
     values = base + scale * P.mean(axis=1)
-    nb = min(n_batches, n_live)
+    nb = min(_N_BATCHES, n_live)
     batch_means = np.stack(
         [P[:, idx].mean(axis=1) for idx in np.array_split(np.arange(n_live), nb)],
         axis=1)

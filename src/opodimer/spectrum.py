@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AboveThresholdError, ConvergenceFailureError, DomainError,
-                     SingularAtFrequencyError)
+from .errors import ConvergenceFailureError, DomainError, SingularAtFrequencyError
 from .linearized import _frozen, require_combined_manifold
-from .model import SystemParams, derived_scales, inside_guard
+from .model import SystemParams, steady_state
 
 COND_LIMIT = 1e12
 
@@ -44,13 +43,15 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     frequency) by two stacked linear solves with partial pivoting.
 
     Works for the 8x8 model and the 4x4 combined model alike. Raises
-    SingularAtFrequencyError naming the first frequency where (A + i omega)
-    is ill-conditioned beyond 1e12, which at omega = 0 signals an
-    at-threshold drift matrix.
+    ValueError for a non-finite frequency, and SingularAtFrequencyError
+    naming the first frequency where (A + i omega) is ill-conditioned beyond
+    1e12, which at omega = 0 signals an at-threshold drift matrix.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be a scalar or 1-D, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        raise ValueError(f"omegas must be finite, got {omegas}")
     A = model.A
     shift = 1j * omegas[:, None, None] * np.eye(A.shape[0])
     shifted = A + shift
@@ -147,14 +148,6 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
     return base + 2.0 * gamma_a * v.real
 
 
-def _require_below(p: SystemParams) -> None:
-    scales = derived_scales(p)
-    if not inside_guard(scales):
-        raise AboveThresholdError(
-            f"pump fraction {scales.pump_fraction:.6g} is not below threshold "
-            f"eps_crit = {scales.eps_crit:.8g}", eps_crit=scales.eps_crit)
-
-
 def analytic_variances(p: SystemParams, omega: float) -> dict:
     """Closed-form resonant output spectra at local-oscillator angle zero.
 
@@ -173,7 +166,7 @@ def analytic_variances(p: SystemParams, omega: float) -> dict:
         raise DomainError("resonant closed forms need equal real pumps, got "
                           f"eps1 = {p.eps1}, eps2 = {p.eps2}")
     eps = p.eps1.real
-    _require_below(p)
+    steady_state(p)  # raises AboveThresholdError at or above threshold
     ga, gb, ja, jb = p.gamma_a, p.gamma_b, p.J_a, p.J_b
     gta2 = ga * ga + ja * ja
     gtb2 = gb * gb + jb * jb
@@ -201,7 +194,7 @@ def analytic_combined(p: SystemParams, omega: float) -> dict:
     shifted resonance at 2 J_a.
     """
     eps = require_combined_manifold(p, "combined closed forms")
-    _require_below(p)
+    steady_state(p)  # raises AboveThresholdError at or above threshold
     ga, gb, ja = p.gamma_a, p.gamma_b, p.J_a
     ke = p.kappa * eps
     w2 = omega * omega

@@ -89,6 +89,11 @@ class TestRunConfig:
             {"sde": {"dt": -0.01}},
             {"sde": {"n_traj": 1}},
             {"sde": {"stepper": "rk4"}},
+            # values JSON admits but the model does not
+            {"params": {"kappa": -1}},
+            {"params": {"J_a": float("nan")}},
+            {"sweep": {"omega_stop": float("inf")}},
+            {"theta": {"degrees": float("nan")}},
         ]
         for d in bad:
             with pytest.raises(ConfigError):
@@ -107,6 +112,14 @@ class TestRunConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert load_config_file(path) == cfg
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        # not UTF-8; an integer past Python's digit limit; truncated JSON
+        for data in (b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}", b"{"):
+            path.write_bytes(data)
+            with pytest.raises(ConfigError):
+                load_config_file(path)
 
     def test_overrides_rewrite_values(self):
         cfg = RunConfig.from_dict(DRIVEN)
@@ -235,6 +248,16 @@ class TestSpectrumCommand:
                     tmp_path=tmp_path)
         assert r.returncode == 1
         assert "Traceback" not in r.stderr
+        for args in (("spectrum", "--set", "params.kappa=-1"),
+                     ("spectrum", "--set", "params.J_a=NaN"),
+                     ("spectrum", "--set", "sweep.omega_stop=Infinity"),
+                     ("spectrum", "--set", "theta.degrees=NaN"),
+                     ("spectrum", "--set", "params.J_a=" + "1" * 5000),
+                     ("optimize-angle", "--omega", "nan"),
+                     ("verify", "--seed", "-1")):
+            r = run_cli(*args, config=DRIVEN, tmp_path=tmp_path)
+            assert r.returncode == 1, args
+            assert "Traceback" not in r.stderr, args
 
     def test_unknown_subcommand_exits_1(self):
         r = run_cli("spectro")

@@ -29,7 +29,7 @@ class TestConfigValidation:
         for kw in (dict(dt=0.0), dict(dt=-1.0), dict(t_measure=0.0),
                    dict(n_traj=1), dict(n_traj=2.5), dict(record_stride=0),
                    dict(stepper="heun"), dict(record="beta_only"),
-                   dict(t_transient=-0.1)):
+                   dict(t_transient=-0.1), dict(seed=-1)):
             with pytest.raises(ConfigError):
                 SdeConfig(**kw)
 

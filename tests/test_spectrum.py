@@ -113,6 +113,8 @@ class TestSpectralMatrix:
         m = build_linear_model(p, _unchecked_state(p))
         with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
             spectral_matrix(m, [2.0, -1.5, 0.0, 3.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            spectral_matrix(model_for(sym()), [2.0, math.nan])
 
     def test_imaginary_residue_raises_typed_error(self):
         # i * identity breaks the conjugation symmetry of a true S(omega)
@@ -186,6 +188,18 @@ class TestClosedForms:
                              Delta_a=0, Delta_b=0, eps1=50, eps2=60), 0.0)
         with pytest.raises(AboveThresholdError):
             analytic_variances(sym(pump_fraction=1.05), 0.0)
+        # one gate for all three, at either edge of the guard band
+        for frac, raises in ((1.0 - 1e-10, True), (1.0 - 1e-8, False)):
+            p = sym(pump_fraction=frac)
+            q = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0, pump_fraction=frac)
+            for call in (lambda: analytic_variances(p, 0.0),
+                         lambda: analytic_combined(q, 0.0),
+                         lambda: steady_state(p), lambda: steady_state(q)):
+                if raises:
+                    with pytest.raises(AboveThresholdError):
+                        call()
+                else:
+                    call()
 
 
 class TestCombined:
