@@ -128,10 +128,10 @@ def cmd_stability(args, cfg: RunConfig) -> int:
 
 def cmd_optimize_angle(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
-    objective = args.objective or (
-        cfg.theta.objective if cfg.theta.policy == "optimize" else "squeezing")
-    omega = _as_float(args.omega, "--omega") if args.omega is not None else (
-        cfg.theta.at_omega if cfg.theta.policy == "optimize" else 0.0)
+    # under the fixed policy, objective and at_omega keep ThetaSpec's defaults
+    objective = args.objective or cfg.theta.objective
+    omega = (_as_float(args.omega, "--omega") if args.omega is not None
+             else cfg.theta.at_omega)
     t, v = criteria.optimize_angle(p, omega, objective,
                                    pairing=cfg.duan_pairing,
                                    infer_from=cfg.epr_infer_from)
@@ -227,8 +227,6 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = False):
     sub.add_argument("--out", metavar="PATH", required=out_required,
                      help="output file (default: stdout)" if not out_required
                      else "output file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sde-dump", help="integrate and dump raw trajectories")
     _add_common(s, out_required=True)
     s.set_defaults(func=cmd_sde_dump)
+
+    for name in ("verify", "sde-dump"):  # the commands that draw noise
+        subs.choices[name].add_argument("--seed", type=int, default=None,
+                                        help="override the config seed")
     return parser
 
 
@@ -293,6 +295,9 @@ def main(argv=None) -> int:
         return 2
     except OpodimerError as exc:
         print(f"opodimer: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"opodimer: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

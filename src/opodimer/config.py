@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -19,19 +20,11 @@ import numpy as np
 from .criteria import DUAN_PAIRINGS, OBJECTIVES
 from .errors import ConfigError
 from .model import SystemParams
-from .sde import SdeConfig, _config_jsonable
+from .sde import SdeConfig
 
 SCHEMA = "opodimer-run/1"
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-
-# Keys of each theta policy and stability mode; _MODE_KEYS names the selector.
-THETA_POLICIES = {"fixed": ("policy", "degrees"),
-                  "optimize": ("policy", "objective", "at_omega")}
-STABILITY_MODES = {"coupling-grid": ("mode", "J_a", "J_b", "track_detuning"),
-                   "pump-scan": ("mode", "pump_fractions")}
-_MODE_KEYS = {"theta": ("policy", THETA_POLICIES),
-              "stability": ("mode", STABILITY_MODES)}
 
 _PUMP_KEYS = ("pump_fraction", "eps", "eps1", "eps2")
 _RATE_KEYS = tuple(f.name for f in fields(SystemParams)
@@ -74,6 +67,15 @@ def _as_int(v, where: str) -> int:
     return v
 
 
+def _as_points(v, where: str) -> int:
+    # one complex 8x8 matrix per point is stacked; numpy cannot even index
+    # a stack past sys.maxsize bytes
+    n, most = _as_int(v, where), sys.maxsize // (8 * 8 * 16)
+    if not 1 <= n <= most:
+        raise ConfigError(f"{where} must be between 1 and {most}, got {n}")
+    return n
+
+
 def _as_bool(v, where: str) -> bool:
     if not isinstance(v, bool):
         raise ConfigError(f"{where} must be a boolean, got {v!r}")
@@ -100,8 +102,23 @@ def _as_complex(v, where: str):
     return complex(_as_float(v, where))
 
 
-def _complex_jsonable(z: complex):
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
+def _jsonable(v):
+    """A config value as JSON writes it; a complex number with an imaginary
+    part becomes [re, im]."""
+    if isinstance(v, complex):
+        return v.real if v.imag == 0.0 else [v.real, v.imag]
+    return list(v) if isinstance(v, tuple) else v.value if isinstance(v, Enum) else v
+
+
+def _drop_displaced_pump(d: dict, keys) -> None:
+    """Remove from d the pump keys that setting keys displaces: any pump key
+    replaces the pump specification, but eps1 and eps2 keep each other."""
+    keys = set(keys)
+    if keys & {"eps1", "eps2"}:
+        keys |= {"eps1", "eps2"}
+    if keys & set(_PUMP_KEYS):
+        for k in set(_PUMP_KEYS) - keys:
+            d.pop(k, None)
 
 
 @dataclass(frozen=True)
@@ -133,20 +150,15 @@ class ParamsSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "params") -> "ParamsSpec":
         _reject_unknown(d, _RATE_KEYS + _PUMP_KEYS, where)
-        kw = _parse(d, dict.fromkeys(_RATE_KEYS, _as_float), where)
         if ("pump_fraction" in d) + ("eps" in d) + ("eps1" in d or "eps2" in d) > 1:
             raise ConfigError(
                 f"{where}: give exactly one of pump_fraction, eps, or eps1/eps2")
-        if "pump_fraction" in d:
-            kw["pump_fraction"] = _as_float(d["pump_fraction"],
-                                            f"{where}.pump_fraction")
-        elif "eps" in d:
-            kw["eps1"] = kw["eps2"] = _as_complex(d["eps"], f"{where}.eps")
-        elif "eps1" in d or "eps2" in d:
-            if not ("eps1" in d and "eps2" in d):
-                raise ConfigError(f"{where}: eps1 and eps2 must be given together")
-            kw.update(eps1=_as_complex(d["eps1"], f"{where}.eps1"),
-                      eps2=_as_complex(d["eps2"], f"{where}.eps2"))
+        if ("eps1" in d) != ("eps2" in d):
+            raise ConfigError(f"{where}: eps1 and eps2 must be given together")
+        kw = _parse(d, {**dict.fromkeys(_RATE_KEYS + ("pump_fraction",), _as_float),
+                        **dict.fromkeys(("eps", "eps1", "eps2"), _as_complex)}, where)
+        if "eps" in kw:
+            kw["eps1"] = kw["eps2"] = kw.pop("eps")
         try:
             return cls(**kw)
         except ValueError as exc:  # a rate out of SystemParams' range
@@ -157,22 +169,19 @@ class ParamsSpec:
         if self.pump_fraction is not None:
             d["pump_fraction"] = self.pump_fraction
         elif self.eps1 == self.eps2:
-            d["eps"] = _complex_jsonable(self.eps1)
+            d["eps"] = _jsonable(self.eps1)
         else:
-            d["eps1"] = _complex_jsonable(self.eps1)
-            d["eps2"] = _complex_jsonable(self.eps2)
+            d.update(eps1=_jsonable(self.eps1), eps2=_jsonable(self.eps2))
         return d
 
     def to_params(self) -> SystemParams:
         return self._params
 
     def patched(self, patch: dict, where: str) -> "ParamsSpec":
-        """New spec with a subset of keys replaced; setting any pump key
-        replaces the whole pump specification."""
+        """New spec with a subset of keys replaced; pump keys displace the
+        previous pump specification as _drop_displaced_pump says."""
         d = self.to_dict()
-        if any(k in _section(patch, where) for k in _PUMP_KEYS):
-            for k in _PUMP_KEYS:
-                d.pop(k, None)
+        _drop_displaced_pump(d, _section(patch, where))
         d.update(patch)
         return ParamsSpec.from_dict(d, where)
 
@@ -182,21 +191,6 @@ class SweepSpec:
     omega_start: float = -20.0
     omega_stop: float = 20.0
     omega_points: int = 401
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "sweep") -> "SweepSpec":
-        parsers = {"omega_start": _as_float, "omega_stop": _as_float,
-                   "omega_points": _as_int}
-        _reject_unknown(d, parsers, where)
-        kw = _parse(d, parsers, where)
-        if kw.get("omega_points", 1) < 1:
-            raise ConfigError(f"{where}.omega_points must be >= 1, "
-                              f"got {kw['omega_points']}")
-        return cls(**kw)
-
-    def to_dict(self) -> dict:
-        return {"omega_start": self.omega_start, "omega_stop": self.omega_stop,
-                "omega_points": self.omega_points}
 
     def omegas(self) -> np.ndarray:
         return np.linspace(self.omega_start, self.omega_stop, self.omega_points)
@@ -209,30 +203,11 @@ class ThetaSpec:
     objective: str = "squeezing"
     at_omega: float = 0.0
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "theta") -> "ThetaSpec":
-        policy = _one_of(_section(d, where).get("policy", "fixed"),
-                         tuple(THETA_POLICIES), f"{where}.policy")
-        _reject_unknown(d, THETA_POLICIES[policy], f'{where} (policy "{policy}")')
-        if policy == "fixed":
-            return cls(policy="fixed",
-                       degrees=_as_float(d.get("degrees", 0.0), f"{where}.degrees"))
-        objective = _one_of(d.get("objective", "squeezing"), OBJECTIVES,
-                            f"{where}.objective")
-        return cls(policy="optimize", degrees=0.0, objective=objective,
-                   at_omega=_as_float(d.get("at_omega", 0.0), f"{where}.at_omega"))
-
-    def to_dict(self) -> dict:
-        if self.policy == "fixed":
-            return {"policy": "fixed", "degrees": self.degrees}
-        return {"policy": "optimize", "objective": self.objective,
-                "at_omega": self.at_omega}
-
 
 @dataclass(frozen=True)
 class VariantSpec:
     label: str = None
-    params_patch: tuple = ()
+    params_patch: tuple = ()  # as given; RunConfig checks it against params
     theta: ThetaSpec = None
 
     @classmethod
@@ -241,22 +216,16 @@ class VariantSpec:
         label = d.get("label")
         if label is not None and not isinstance(label, str):
             raise ConfigError(f"{where}.label must be a string, got {label!r}")
-        patch = d.get("params", {})
-        _reject_unknown(patch, _RATE_KEYS + _PUMP_KEYS, f"{where}.params")
-        theta = ThetaSpec.from_dict(d["theta"], f"{where}.theta") \
+        patch = _section(d.get("params", {}), f"{where}.params")
+        theta = _SECTIONS["theta"].load(d["theta"], f"{where}.theta") \
             if "theta" in d else None
         return cls(label=label, params_patch=tuple(sorted(patch.items())),
                    theta=theta)
 
     def to_dict(self) -> dict:
-        d = {}
-        if self.label is not None:
-            d["label"] = self.label
-        if self.params_patch:
-            d["params"] = dict(self.params_patch)
-        if self.theta is not None:
-            d["theta"] = self.theta.to_dict()
-        return d
+        d = {"label": self.label, "params": dict(self.params_patch),
+             "theta": self.theta and _SECTIONS["theta"].dump(self.theta)}
+        return {k: v for k, v in d.items() if v not in (None, {})}
 
 
 def _vary_from_list(v, where: str = "vary") -> tuple:
@@ -273,47 +242,68 @@ class StabilitySpec:
     track_detuning: bool = False
     pump_fractions: tuple = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "stability") -> "StabilitySpec":
-        mode = _one_of(_section(d, where).get("mode", "coupling-grid"),
-                       tuple(STABILITY_MODES), f"{where}.mode")
-        _reject_unknown(d, STABILITY_MODES[mode], f'{where} (mode "{mode}")')
-        return cls(mode=mode, **_parse(d, {
-            "J_a": _as_floats, "J_b": _as_floats, "track_detuning": _as_bool,
-            "pump_fractions": _as_floats}, where))
-
-    def to_dict(self) -> dict:
-        if self.mode == "coupling-grid":
-            return {"mode": self.mode, "J_a": list(self.J_a),
-                    "J_b": list(self.J_b),
-                    "track_detuning": self.track_detuning}
-        return {"mode": self.mode, "pump_fractions": list(self.pump_fractions)}
-
-
-# The configurable SdeConfig fields; seed and record are set per command, and
-# SdeConfig itself checks ranges and the stepper name.
-_SDE_PARSERS = {"dt": _as_float, "t_transient": _as_float,
-                "t_measure": _as_float, "n_traj": _as_int,
-                "stepper": lambda v, where: v, "record_stride": _as_int}
-
-
-def _sde_from_dict(d: dict, where: str = "sde") -> SdeConfig:
-    _reject_unknown(d, _SDE_PARSERS, where)
-    return SdeConfig(**_parse(d, _SDE_PARSERS, where))
-
 
 @dataclass(frozen=True)
 class VerifySpec:
     omegas: tuple = (0.0, 0.5, 1.5, 3.0, 8.0)
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "verify") -> "VerifySpec":
-        parsers = {"omegas": _as_floats}
-        _reject_unknown(d, parsers, where)
-        return cls(**_parse(d, parsers, where))
 
-    def to_dict(self) -> dict:
-        return {"omegas": list(self.omegas)}
+@dataclass(frozen=True)
+class _Section:
+    """How one config section loads and dumps: its dataclass and the parser
+    of each key; for a section with modes, the key that selects the mode
+    and the keys each mode takes besides it. Keys left out keep the
+    dataclass defaults."""
+
+    cls: type
+    parsers: dict
+    selector: str = None
+    modes: dict = None
+
+    def _keys(self, mode) -> tuple:
+        return (self.selector, *self.modes[mode]) if self.selector else tuple(self.parsers)
+
+    def load(self, d, where: str):
+        kw, label = {}, where
+        if self.selector:
+            kw[self.selector] = mode = _one_of(
+                _section(d, where).get(self.selector, getattr(self.cls, self.selector)),
+                tuple(self.modes), f"{where}.{self.selector}")
+            label = f'{where} ({self.selector} "{mode}")'
+        _reject_unknown(d, self._keys(kw.get(self.selector)), label)
+        return self.cls(**kw, **_parse(d, self.parsers, where))
+
+    def dump(self, spec) -> dict:
+        keys = self._keys(getattr(spec, self.selector) if self.selector else None)
+        return {k: _jsonable(getattr(spec, k)) for k in keys}
+
+
+_SECTIONS = {
+    "sweep": _Section(SweepSpec, {"omega_start": _as_float, "omega_stop": _as_float,
+                                  "omega_points": _as_points}),
+    "theta": _Section(
+        ThetaSpec, {"degrees": _as_float,
+                    "objective": lambda v, where: _one_of(v, OBJECTIVES, where),
+                    "at_omega": _as_float},
+        "policy", {"fixed": ("degrees",), "optimize": ("objective", "at_omega")}),
+    "stability": _Section(
+        StabilitySpec, {"J_a": _as_floats, "J_b": _as_floats,
+                        "track_detuning": _as_bool, "pump_fractions": _as_floats},
+        "mode", {"coupling-grid": ("J_a", "J_b", "track_detuning"),
+                 "pump-scan": ("pump_fractions",)}),
+    # seed and record are set per command; SdeConfig itself checks ranges
+    # and the stepper name
+    "sde": _Section(SdeConfig, {"dt": _as_float, "t_transient": _as_float,
+                                "t_measure": _as_float, "n_traj": _as_int,
+                                "stepper": lambda v, where: v,
+                                "record_stride": _as_int}),
+    "verify": _Section(VerifySpec, {"omegas": _as_floats}),
+}
+
+# the top-level keys that hold plain values
+_SCALARS = {"duan_pairing": lambda v, where: _one_of(v, DUAN_PAIRINGS, where),
+            "epr_infer_from": lambda v, where: _one_of(_as_int(v, where), (1, 2), where),
+            "combined": _as_bool, "seed": _as_int}
 
 
 @dataclass(frozen=True)
@@ -329,18 +319,27 @@ class RunConfig:
     sde: SdeConfig = field(default_factory=SdeConfig)
     verify: VerifySpec = field(default_factory=VerifySpec)
     seed: int = 0
+    _variants: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # expanding the variants here checks each vary entry against params
+        # when the config is built, not when a command first asks for them
+        rows = []
+        for i, v in enumerate(self.vary):
+            spec = self.params.patched(dict(v.params_patch), f"vary[{i}].params")
+            # the patch passed the check above: numbers and [re, im] pairs
+            label = v.label if v.label is not None else ",".join(
+                f"{k}={complex(*x) if isinstance(x, (list, tuple)) else x:g}"
+                for k, x in v.params_patch) or f"v{i + 1}"
+            rows.append((label, spec, v.theta if v.theta is not None else self.theta))
+        object.__setattr__(self, "_variants",
+                           tuple(rows) or ((None, self.params, self.theta),))
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        parsers = {
-            "params": ParamsSpec.from_dict, "sweep": SweepSpec.from_dict,
-            "vary": _vary_from_list, "theta": ThetaSpec.from_dict,
-            "duan_pairing": lambda v, where: _one_of(v, DUAN_PAIRINGS, where),
-            "epr_infer_from": lambda v, where: _one_of(_as_int(v, where),
-                                                       (1, 2), where),
-            "combined": _as_bool, "stability": StabilitySpec.from_dict,
-            "sde": _sde_from_dict, "verify": VerifySpec.from_dict,
-            "seed": _as_int}
+        parsers = {"params": ParamsSpec.from_dict, "vary": _vary_from_list,
+                   **{name: section.load for name, section in _SECTIONS.items()},
+                   **_SCALARS}
         _reject_unknown(d, ("schema", *parsers), "run config")
         schema = d.get("schema", SCHEMA)
         if schema != SCHEMA:
@@ -349,35 +348,17 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = {"schema": SCHEMA, "params": self.params.to_dict(),
-             "sweep": self.sweep.to_dict()}
+             **{name: section.dump(getattr(self, name))
+                for name, section in _SECTIONS.items()},
+             **{k: getattr(self, k) for k in _SCALARS}}
         if self.vary:
             d["vary"] = [v.to_dict() for v in self.vary]
-        d.update({"theta": self.theta.to_dict(),
-                  "duan_pairing": self.duan_pairing,
-                  "epr_infer_from": self.epr_infer_from,
-                  "combined": self.combined,
-                  "stability": self.stability.to_dict(),
-                  "sde": {k: v for k, v in _config_jsonable(self.sde).items()
-                          if k in _SDE_PARSERS},
-                  "verify": self.verify.to_dict(),
-                  "seed": self.seed})
         return d
 
     def variants(self) -> list:
         """Expanded (label, ParamsSpec, ThetaSpec) rows; a single implicit
         variant when vary is empty."""
-        if not self.vary:
-            return [(None, self.params, self.theta)]
-        out = []
-        for i, v in enumerate(self.vary):
-            label = v.label
-            if label is None:
-                label = ",".join(f"{k}={val:g}" for k, val in v.params_patch) \
-                    or f"v{i + 1}"
-            out.append((label,
-                        self.params.patched(dict(v.params_patch), f"vary[{i}]"),
-                        v.theta if v.theta is not None else self.theta))
-        return out
+        return list(self._variants)
 
 
 def load_config_file(path) -> RunConfig:
@@ -426,16 +407,13 @@ def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
                 raise ConfigError(f"override {a!r}: {part} is not an object")
             cur = nxt
         leaf = parts[-1]
-        if parts[:-1] == ["params"] and leaf in _PUMP_KEYS:
-            keep = {"eps1", "eps2"} if leaf in ("eps1", "eps2") else {leaf}
-            for k in _PUMP_KEYS:
-                if k not in keep:
-                    cur.pop(k, None)
-        selector, modes = _MODE_KEYS.get(parts[0], (None, {}))
-        if parts[1:] == [selector]:
+        if parts[:-1] == ["params"]:
+            _drop_displaced_pump(cur, [leaf])
+        section = _SECTIONS.get(parts[0])
+        if section is not None and parts[1:] == [section.selector]:
             # str(): a malformed value must reach the validator, not fail here
-            for k in (set(modes.get(str(cur.get(leaf)), ()))
-                      - set(modes.get(str(value), ()))):
+            for k in (set(section.modes.get(str(cur.get(leaf)), ()))
+                      - set(section.modes.get(str(value), ()))):
                 cur.pop(k, None)
         cur[leaf] = value
     return RunConfig.from_dict(d)

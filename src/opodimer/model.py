@@ -71,10 +71,9 @@ class SystemParams:
             object.__setattr__(self, name, v)
 
     @classmethod
-    def symmetric(cls, *, kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=0.0,
-                  J_b=0.0, Delta_a=0.0, Delta_b=0.0, eps=None,
-                  pump_fraction=None) -> "SystemParams":
-        """Equal-pump constructor.
+    def symmetric(cls, *, eps=None, pump_fraction=None, **rates) -> "SystemParams":
+        """Equal-pump constructor; ``rates`` are the non-pump fields, which
+        keep the class defaults when left out.
 
         The pump is given either directly (``eps``) or as a fraction of the
         critical amplitude (``pump_fraction``); omitting both leaves the
@@ -82,13 +81,11 @@ class SystemParams:
         """
         if eps is not None and pump_fraction is not None:
             raise ValueError("give eps or pump_fraction, not both")
-        base = cls(kappa=kappa, gamma_a=gamma_a, gamma_b=gamma_b, J_a=J_a,
-                   J_b=J_b, Delta_a=Delta_a, Delta_b=Delta_b)
         if pump_fraction is not None:
-            eps = pump_fraction * derived_scales(base).eps_crit
+            eps = pump_fraction * derived_scales(cls(**rates)).eps_crit
         elif eps is None:
             eps = 0.0
-        return replace(base, eps1=complex(eps), eps2=complex(eps))
+        return cls(eps1=complex(eps), eps2=complex(eps), **rates)
 
     @property
     def equal_pumps(self) -> bool:

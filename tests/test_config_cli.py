@@ -24,8 +24,14 @@ DRIVEN = {
 }
 
 
-def run_cli(*args, config=None, tmp_path=None):
+def run_cli(*args, config=None, tmp_path=None, limit_as=None):
     argv = [sys.executable, "-m", "opodimer.cli", *args]
+    if limit_as is not None:
+        # an address-space limit makes an oversized allocation fail even on
+        # a host that overcommits memory
+        argv[1:3] = ["-c", "import resource, sys; resource.setrlimit("
+                     f"resource.RLIMIT_AS, ({limit_as}, {limit_as})); "
+                     "from opodimer.cli import main; sys.exit(main())"]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -94,6 +100,15 @@ class TestRunConfig:
             {"params": {"J_a": float("nan")}},
             {"sweep": {"omega_stop": float("inf")}},
             {"theta": {"degrees": float("nan")}},
+            # vary entries are checked against params at load
+            {"vary": [{"params": {"kappa": -1}}]},
+            {"vary": [{"params": {"J_a": "x"}}]},
+            {"vary": [{"params": {"eps": [1.0]}}]},
+            {"vary": [{"params": {"pump_fraction": 0.5, "eps": 1.0}}]},
+            {"vary": [{"params": {"eps1": 1.0}}]},
+            # a sweep whose (n, 8, 8) complex stack passes sys.maxsize bytes
+            {"sweep": {"omega_points": 2 ** 62}},
+            {"sweep": {"omega_points": 0}},
         ]
         for d in bad:
             with pytest.raises(ConfigError):
@@ -137,6 +152,11 @@ class TestRunConfig:
         out = apply_overrides(cfg, ["params.pump_fraction=0.25"])
         assert out.params.pump_fraction == 0.25
         assert out.params.to_params().eps1 != 3.0 + 0j
+        # a vary patch follows the same rule: eps1 keeps the base's eps2
+        cfg = RunConfig.from_dict({"params": {"eps1": 3.0, "eps2": 2.0},
+                                   "vary": [{"params": {"eps1": 1.0}}]})
+        (_, spec, _), = cfg.variants()
+        assert (spec.eps1, spec.eps2) == (1.0, 2.0)
 
     def test_override_switches_mode(self):
         cfg = RunConfig()
@@ -160,6 +180,51 @@ class TestRunConfig:
     def test_mode_switch_on_the_command_line(self, argv):
         r = run_cli(*argv)
         assert r.returncode == 0, r.stderr
+
+    def test_echoed_config_outside_the_presets(self):
+        # the echo of each mode and of a vary entry, pinned byte for byte
+        default = {
+            "schema": "opodimer-run/1",
+            "params": {"kappa": 0.01, "gamma_a": 1.0, "gamma_b": 1.0,
+                       "J_a": 0.0, "J_b": 0.0, "Delta_a": 0.0, "Delta_b": 0.0,
+                       "eps": 0.0},
+            "sweep": {"omega_start": -20.0, "omega_stop": 20.0,
+                      "omega_points": 401},
+            "theta": {"policy": "fixed", "degrees": 0.0},
+            "duan_pairing": "xminus_yplus", "epr_infer_from": 1,
+            "combined": False,
+            "stability": {"mode": "coupling-grid",
+                          "J_a": [0.0, 1.0, 2.0, 5.0, 10.0],
+                          "J_b": [0.0, 1.0, 2.0, 5.0, 10.0],
+                          "track_detuning": False},
+            "sde": {"dt": 0.01, "t_transient": 20.0, "t_measure": 200.0,
+                    "n_traj": 4096, "stepper": "semi-implicit-midpoint",
+                    "record_stride": 5},
+            "verify": {"omegas": [0.0, 0.5, 1.5, 3.0, 8.0]},
+            "seed": 0,
+        }
+        cases = [
+            ({}, {}),
+            ({"theta": {"policy": "optimize"}},
+             {"theta": {"policy": "optimize", "objective": "squeezing",
+                        "at_omega": 0.0}}),
+            ({"stability": {"mode": "pump-scan"}},
+             {"stability": {"mode": "pump-scan",
+                            "pump_fractions": [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]}}),
+            ({"vary": [{"params": {"eps1": [3.0, 1.0], "eps2": 2},
+                        "theta": {"policy": "optimize", "objective": "epr"}}]},
+             {"vary": [{"params": {"eps1": [3.0, 1.0], "eps2": 2},
+                        "theta": {"policy": "optimize", "objective": "epr",
+                                  "at_omega": 0.0}}]}),
+            ({"sde": {"stepper": "euler-maruyama"}},
+             {"sde": {"dt": 0.01, "t_transient": 20.0, "t_measure": 200.0,
+                      "n_traj": 4096, "stepper": "euler-maruyama",
+                      "record_stride": 5}}),
+        ]
+        for d, echoed in cases:
+            got = RunConfig.from_dict(d).to_dict()
+            assert (json.dumps(got, sort_keys=True)
+                    == json.dumps(default | echoed, sort_keys=True)), d
 
     def test_override_bad_key_and_value(self):
         cfg = RunConfig.from_dict(DRIVEN)
@@ -254,10 +319,33 @@ class TestSpectrumCommand:
                      ("spectrum", "--set", "theta.degrees=NaN"),
                      ("spectrum", "--set", "params.J_a=" + "1" * 5000),
                      ("optimize-angle", "--omega", "nan"),
-                     ("verify", "--seed", "-1")):
+                     ("verify", "--seed", "-1"),
+                     # vary entries are checked at load, by every command
+                     ("stability", "--set", 'vary=[{"params":{"kappa":-1}}]'),
+                     ("verify", "--set", 'vary=[{"params":{"kappa":-1}}]'),
+                     ("optimize-angle", "--set", 'vary=[{"params":{"kappa":-1}}]'),
+                     ("spectrum", "--set", 'vary=[{"params":{"J_a":"x"}}]')):
             r = run_cli(*args, config=DRIVEN, tmp_path=tmp_path)
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr, args
+        # a sweep too large to allocate, and one too large to index
+        for n in ("100000000000", "4611686018427387904"):
+            r = run_cli("spectrum", "--preset", "fig1",
+                        "--set", f"sweep.omega_points={n}", limit_as=2 ** 33)
+            assert r.returncode == 1, n
+            assert "Traceback" not in r.stderr, n
+
+    def test_complex_pump_vary_entry_gets_a_label(self):
+        r = run_cli("spectrum", "--set", 'vary=[{"params":{"eps":[1.0,0.5]}}]',
+                    "--set", "sweep.omega_points=3")
+        assert r.returncode == 0, r.stderr
+        assert "# variant eps=1+0.5j: " in r.stdout
+        assert len(parse_csv(r.stdout)) == 3
+
+    def test_seed_only_where_it_is_read(self):
+        r = run_cli("spectrum", "--preset", "fig1", "--seed", "3")
+        assert r.returncode == 1
+        assert "unrecognized arguments: --seed" in r.stderr
 
     def test_unknown_subcommand_exits_1(self):
         r = run_cli("spectro")
