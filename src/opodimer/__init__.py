@@ -10,9 +10,9 @@ studies and emits deterministic CSV.
 """
 
 from .config import RunConfig, load_config_file, load_preset
-from .criteria import (CorrelationRecord, combined_variances, duan_sum,
-                       epr_product, evaluate_record, evaluate_records,
-                       optimize_angle, spectral_stack)
+from .criteria import (combined_variances, duan_sum, epr_product,
+                       optimize_angle, quadrature, spectral_stack,
+                       witness_flags, witness_table)
 from .errors import (AboveThresholdError, ConfigError, ConvergenceFailureError,
                      DegenerateVarianceError, DetuningMismatchError,
                      DivergenceDetectedError, DomainError, InsufficientDataError,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AboveThresholdError", "ConfigError", "ConvergenceFailureError",
-    "CorrelationRecord", "DegenerateVarianceError", "DerivedScales",
+    "DegenerateVarianceError", "DerivedScales",
     "DetuningMismatchError", "DivergenceDetectedError", "DomainError",
     "InsufficientDataError", "LinearModel", "NoCrossingError", "OpodimerError",
     "RunConfig", "SdeConfig", "SingularAtFrequencyError",
@@ -40,10 +40,10 @@ __all__ = [
     "SystemParams", "TrajectoryEnsemble", "analytic_combined",
     "analytic_variances", "build_combined_model", "build_linear_model",
     "combined_variances", "derived_scales", "drift_rhs", "duan_sum",
-    "epr_product", "estimate_output_spectrum", "evaluate_record",
-    "evaluate_records", "finite_difference_jacobian", "integrate",
-    "load_config_file", "load_ensemble_dump", "load_preset",
-    "numeric_eigenvalues", "optimize_angle", "output_moment", "spectral_matrix",
-    "spectral_stack", "stability_eigenvalues", "steady_state",
-    "threshold_bisection", "vacuum_baseline", "write_ensemble_dump",
+    "epr_product", "estimate_output_spectrum", "finite_difference_jacobian",
+    "integrate", "load_config_file", "load_ensemble_dump", "load_preset",
+    "numeric_eigenvalues", "optimize_angle", "output_moment", "quadrature",
+    "spectral_matrix", "spectral_stack", "stability_eigenvalues",
+    "steady_state", "threshold_bisection", "vacuum_baseline",
+    "witness_flags", "witness_table", "write_ensemble_dump",
 ]

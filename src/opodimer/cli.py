@@ -70,12 +70,6 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     variants = cfg.variants()
     multi = len(variants) > 1
     lines = _header("spectrum", cfg)
-    cols = ["omega", "theta_deg", "S_X", "S_Y", "cov_XY", "duan_sum",
-            "epr_product", "flags"]
-    if cfg.combined:
-        cols += ["S_Xp", "S_Yp", "S_Xm", "S_Ym"]
-    if multi:
-        cols.append("variant")
     rows = []
     for label, pspec, tspec in variants:
         p = pspec.to_params()
@@ -88,16 +82,20 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
                      + f" theta_deg={math.degrees(theta):.12g}"
                      + f" eps_crit={scales.eps_crit:.12g}")
         S = criteria.spectral_stack(p, cfg.sweep.omegas())
-        records = criteria.evaluate_records(S, p.gamma_a, theta, cfg.duan_pairing,
-                                            cfg.epr_infer_from)
-        combined = criteria.combined_variances(S, p.gamma_a) if cfg.combined else {}
-        for r, *more in zip(records, *(v.tolist() for v in combined.values())):
-            row = [r.omega, math.degrees(r.theta), r.S_X, r.S_Y, r.cov_XY,
-                   r.duan_sum, r.epr_product, ";".join(r.flags()) or "-", *more]
-            if multi:
-                row.append(name)
-            rows.append(",".join(_fmt(x) for x in row))
-    lines.append(",".join(cols))
+        n = len(S.omega)
+        table = {"omega": S.omega, "theta_deg": [math.degrees(theta)] * n,
+                 **criteria.witness_table(S, p.gamma_a, theta, cfg.duan_pairing,
+                                          cfg.epr_infer_from)}
+        flags = criteria.witness_flags(table)
+        table["flags"] = [";".join(f for f in flags if flags[f][k]) or "-"
+                          for k in range(n)]
+        if cfg.combined:
+            table.update(criteria.combined_variances(S, p.gamma_a))
+        if multi:
+            table["variant"] = [name] * n
+        cols = (c if isinstance(c, list) else c.tolist() for c in table.values())
+        rows.extend(",".join(_fmt(x) for x in row) for row in zip(*cols))
+    lines.append(",".join(table))  # every variant has the same columns
     lines.extend(rows)
     _emit(lines, args.out)
     return 0
@@ -137,7 +135,7 @@ def cmd_optimize_angle(args, cfg: RunConfig) -> int:
                                    infer_from=cfg.epr_infer_from)
     # fold after rounding: an angle just below the period prints as 0,
     # not as the period itself
-    period = 90.0 if objective == "epr" else 180.0
+    period = math.degrees(criteria.PERIODS[objective])
     deg = float(_fmt(math.degrees(t))) % period
     lines = _header("optimize-angle", cfg)
     lines.append("omega,objective,theta_deg,value")
@@ -146,17 +144,8 @@ def cmd_optimize_angle(args, cfg: RunConfig) -> int:
     return 0
 
 
-_VERIFY_COMBOS = ("X1", "Y1", "Xminus", "Yplus")
-
-
-def _combo_terms(name: str, theta: float) -> list:
-    half = math.pi / 2
-    return {
-        "X1": [(1, theta, 1.0)],
-        "Y1": [(1, theta + half, 1.0)],
-        "Xminus": spectrum.two_mode_terms(theta, -1.0),
-        "Yplus": spectrum.two_mode_terms(theta + half, 1.0),
-    }[name]
+# printed name -> criteria.quadrature name of each combination verify checks
+_VERIFY_COMBOS = {"X1": "X1", "Y1": "Y1", "Xminus": "Xm", "Yplus": "Yp"}
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
@@ -168,11 +157,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             A[i, j] = -A[i, j]
         model = dataclasses.replace(model, A=_frozen(A))
     theta = _resolve_theta(p, cfg.theta, cfg)
-    seed = args.seed if args.seed is not None else cfg.seed
-    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=seed))
+    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=cfg.seed))
     picks = []
-    for name in _VERIFY_COMBOS:
-        terms = _combo_terms(name, theta)
+    for name, quadrature in _VERIFY_COMBOS.items():
+        terms = criteria.quadrature(quadrature, theta)
         est = sde.estimate_output_spectrum(ens, terms)
         picks.append((name, terms, [est.nearest(w) for w in cfg.verify.omegas]))
     bins = np.unique([wbin for _, _, near in picks for wbin, _, _ in near])
@@ -207,8 +195,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_sde_dump(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
-    seed = args.seed if args.seed is not None else cfg.seed
-    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=seed, record="all"))
+    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=cfg.seed, record="all"))
     path = sde.write_ensemble_dump(ens, args.out)
     print(f"wrote {ens.n_traj} trajectories x {ens.n_samples} samples "
           f"({ens.n_diverged} diverged) to {path} (+ .json sidecar)")
@@ -281,6 +268,8 @@ def _load(args) -> RunConfig:
         cfg = RunConfig()
     if args.overrides:
         cfg = apply_overrides(cfg, args.overrides)
+    if getattr(args, "seed", None) is not None:  # verify and sde-dump
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

@@ -214,8 +214,11 @@ class VariantSpec:
     def from_dict(cls, d: dict, where: str) -> "VariantSpec":
         _reject_unknown(d, ("label", "params", "theta"), where)
         label = d.get("label")
-        if label is not None and not isinstance(label, str):
-            raise ConfigError(f"{where}.label must be a string, got {label!r}")
+        # the label is the last field of a CSV row and part of a comment line
+        if label is not None and (not isinstance(label, str)
+                                  or any(c in label for c in ",\n\r")):
+            raise ConfigError(f"{where}.label must be a string without commas "
+                              f"or line breaks, got {label!r}")
         patch = _section(d.get("params", {}), f"{where}.params")
         theta = _SECTIONS["theta"].load(d["theta"], f"{where}.theta") \
             if "theta" in d else None
@@ -328,7 +331,7 @@ class RunConfig:
         for i, v in enumerate(self.vary):
             spec = self.params.patched(dict(v.params_patch), f"vary[{i}].params")
             # the patch passed the check above: numbers and [re, im] pairs
-            label = v.label if v.label is not None else ",".join(
+            label = v.label if v.label is not None else ";".join(
                 f"{k}={complex(*x) if isinstance(x, (list, tuple)) else x:g}"
                 for k, x in v.params_patch) or f"v{i + 1}"
             rows.append((label, spec, v.theta if v.theta is not None else self.theta))

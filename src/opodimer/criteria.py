@@ -12,20 +12,40 @@ value per frequency of it: one stacked solve serves a whole sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVarianceError
 from .linearized import build_linear_model
 from .model import SystemParams, steady_state
-from .spectrum import SpectralMatrix, output_moment, spectral_matrix, two_mode_terms
+from .spectrum import SpectralMatrix, output_moment, spectral_matrix
 
 DUAN_PAIRINGS = ("xminus_yplus", "xplus_yminus")
-OBJECTIVES = ("squeezing", "duan", "epr")
+# Period in theta of each objective: every moment has period pi, and
+# theta -> theta + pi/2 swaps the X and Y factors of the EPR product.
+PERIODS = {"squeezing": math.pi, "duan": math.pi, "epr": math.pi / 2}
+OBJECTIVES = tuple(PERIODS)
+
+# (mode, weight) pairs of mode 1, mode 2, their sum p and difference m
+_COMBINATIONS = {"1": ((1, 1.0),), "2": ((2, 1.0),),
+                 "p": ((1, 1.0), (2, 1.0)), "m": ((1, 1.0), (2, -1.0))}
 
 # Three angles whose z = e^{2i theta} are the cube roots of unity.
 _THIRDS = np.array([0.0, math.pi / 3, 2 * math.pi / 3])
+
+
+def quadrature(name: str, theta=0.0) -> list:
+    """(mode, angle, weight) terms of one output quadrature.
+
+    name is X or Y followed by 1 or 2 (one mode), p (the unnormalized sum
+    X1 + X2) or m (the difference X1 - X2). X sits at angle theta and Y at
+    theta + pi/2; a 1-D array of angles gives one quadrature per angle.
+    """
+    kind, which = name[:1], name[1:]
+    if kind not in ("X", "Y") or which not in _COMBINATIONS:
+        raise ValueError(f"unknown quadrature {name!r}")
+    ang = theta + math.pi / 2 if kind == "Y" else theta
+    return [(mode, ang, weight) for mode, weight in _COMBINATIONS[which]]
 
 
 def spectral_stack(p: SystemParams, omegas) -> SpectralMatrix:
@@ -37,8 +57,7 @@ def spectral_stack(p: SystemParams, omegas) -> SpectralMatrix:
 def single_mode_moments(S: SpectralMatrix, gamma_a: float, theta=0.0) -> tuple:
     """(S_X, S_Y, V_XY) of mode 1 at angle theta (Y is theta + pi/2), one
     (n_omega,) array each."""
-    x = [(1, theta, 1.0)]
-    y = [(1, theta + math.pi / 2, 1.0)]
+    x, y = quadrature("X1", theta), quadrature("Y1", theta)
     return (output_moment(S, x, x, gamma_a), output_moment(S, y, y, gamma_a),
             output_moment(S, x, y, gamma_a))
 
@@ -54,9 +73,8 @@ def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
     """
     if pairing not in DUAN_PAIRINGS:
         raise ValueError(f"pairing must be one of {DUAN_PAIRINGS}, got {pairing!r}")
-    sx, sy = (-1.0, 1.0) if pairing == "xminus_yplus" else (1.0, -1.0)
-    first = two_mode_terms(theta, sx)
-    second = two_mode_terms(theta + math.pi / 2, sy)
+    x, y = ("Xm", "Yp") if pairing == "xminus_yplus" else ("Xp", "Ym")
+    first, second = quadrature(x, theta), quadrature(y, theta)
     return (output_moment(S, first, first, gamma_a)
             + output_moment(S, second, second, gamma_a))
 
@@ -78,9 +96,8 @@ def epr_product(S: SpectralMatrix, gamma_a: float, theta=0.0,
     """
     i, j = _inference_modes(infer_from)
     prod = 1.0
-    for ang in (theta, theta + math.pi / 2):
-        qi = [(i, ang, 1.0)]
-        qj = [(j, ang, 1.0)]
+    for kind in "XY":
+        qi, qj = quadrature(f"{kind}{i}", theta), quadrature(f"{kind}{j}", theta)
         vi = output_moment(S, qi, qi, gamma_a)
         vj = output_moment(S, qj, qj, gamma_a)
         vij = output_moment(S, qi, qj, gamma_a)
@@ -90,7 +107,7 @@ def epr_product(S: SpectralMatrix, gamma_a: float, theta=0.0,
             raise DegenerateVarianceError(
                 f"conditioning variance {vi[k]:.3e} too small to divide by "
                 f"at omega = {S.omega[k[0]]:g}, "
-                f"theta = {np.broadcast_to(ang, low.shape)[k]:g}")
+                f"theta = {np.broadcast_to(qi[0][1], low.shape)[k]:g}")
         prod = prod * (vj - vij * vij / vi)
     return prod
 
@@ -100,58 +117,30 @@ def combined_variances(S: SpectralMatrix, gamma_a: float) -> dict:
     model, one (n_omega,) array per name; agrees with the 4x4 route on the
     Delta = J manifold but is defined for any stable parameter set."""
     out = {}
-    for name, sign, ang in (("S_Xp", 1.0, 0.0), ("S_Yp", 1.0, math.pi / 2),
-                            ("S_Xm", -1.0, 0.0), ("S_Ym", -1.0, math.pi / 2)):
-        terms = two_mode_terms(ang, sign)
-        out[name] = output_moment(S, terms, terms, gamma_a)
+    for name in ("Xp", "Yp", "Xm", "Ym"):
+        terms = quadrature(name)
+        out[f"S_{name}"] = output_moment(S, terms, terms, gamma_a)
     return out
 
 
-@dataclass(frozen=True)
-class CorrelationRecord:
-    """One evaluated frequency point: mode-1 moments plus both witnesses."""
-
-    omega: float
-    theta: float
-    S_X: float
-    S_Y: float
-    cov_XY: float
-    duan_sum: float
-    epr_product: float
-
-    @property
-    def squeezed(self) -> bool:
-        return min(self.S_X, self.S_Y) < 1.0
-
-    @property
-    def entangled(self) -> bool:
-        return self.duan_sum < 4.0
-
-    @property
-    def epr(self) -> bool:
-        return self.epr_product < 1.0
-
-    def flags(self) -> tuple:
-        return tuple(name for name in ("squeezed", "entangled", "epr")
-                     if getattr(self, name))
+def witness_table(S: SpectralMatrix, gamma_a: float, theta: float = 0.0,
+                  duan_pairing: str = "xminus_yplus",
+                  epr_infer_from: int = 1) -> dict:
+    """Mode-1 moments and both witnesses at angle theta, one (n_omega,)
+    array per column of the spectrum CSV."""
+    s_x, s_y, cov_xy = single_mode_moments(S, gamma_a, theta)
+    return {"S_X": s_x, "S_Y": s_y, "cov_XY": cov_xy,
+            "duan_sum": duan_sum(S, gamma_a, theta, duan_pairing),
+            "epr_product": epr_product(S, gamma_a, theta, epr_infer_from)}
 
 
-def evaluate_records(S: SpectralMatrix, gamma_a: float, theta: float = 0.0,
-                     duan_pairing: str = "xminus_yplus",
-                     epr_infer_from: int = 1) -> list:
-    """One CorrelationRecord per frequency of the stack, at angle theta."""
-    cols = (S.omega, *single_mode_moments(S, gamma_a, theta),
-            duan_sum(S, gamma_a, theta, duan_pairing),
-            epr_product(S, gamma_a, theta, epr_infer_from))
-    return [CorrelationRecord(w, float(theta), *vals)
-            for w, *vals in zip(*(c.tolist() for c in cols))]
-
-
-def evaluate_record(p: SystemParams, omega: float, theta: float = 0.0,
-                    duan_pairing: str = "xminus_yplus",
-                    epr_infer_from: int = 1) -> CorrelationRecord:
-    return evaluate_records(spectral_stack(p, [omega]), p.gamma_a, theta,
-                            duan_pairing, epr_infer_from)[0]
+def witness_flags(table: dict) -> dict:
+    """Which frequencies of a witness_table beat each classical bound, one
+    (n_omega,) boolean array per flag: a mode-1 variance below 1, the Duan
+    sum below 4, the EPR product below 1."""
+    return {"squeezed": np.minimum(table["S_X"], table["S_Y"]) < 1.0,
+            "entangled": table["duan_sum"] < 4.0,
+            "epr": table["epr_product"] < 1.0}
 
 
 def _laurent(samples) -> np.ndarray:
@@ -194,8 +183,8 @@ def optimize_angle(p: SystemParams, omega: float, objective: str = "squeezing",
                "epr": lambda t: epr_product(S, ga, t, infer_from)}[objective]
     if objective == "epr":
         i, j = _inference_modes(infer_from)
-        vi, vj, vij = (_laurent(output_moment(S, [(a, _THIRDS, 1.0)],
-                                              [(b, _THIRDS, 1.0)], ga)[0])
+        vi, vj, vij = (_laurent(output_moment(S, quadrature(f"X{a}", _THIRDS),
+                                              quadrature(f"X{b}", _THIRDS), ga)[0])
                        for a, b in ((i, i), (j, j), (i, j)))
         n = np.convolve(vi, vj) - np.convolve(vij, vij)
         num = np.convolve(n, n * (-1.0) ** _powers(n))
@@ -205,7 +194,7 @@ def optimize_angle(p: SystemParams, omega: float, objective: str = "squeezing",
     # z d/dz of num/den vanishes where this Laurent polynomial does
     grad = (np.convolve(num * _powers(num), den)
             - np.convolve(num, den * _powers(den)))
-    period = math.pi / 2 if objective == "epr" else math.pi
+    period = PERIODS[objective]
     # the second fold sends a tiny negative angle, which rounds up to
     # period, to 0
     theta = np.concatenate(([0.0], np.angle(np.roots(grad[::-1])) / 2

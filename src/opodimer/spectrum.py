@@ -90,12 +90,6 @@ def coefficient_vector(n: int, terms) -> np.ndarray:
     return c.T
 
 
-def two_mode_terms(theta: float, sign: float) -> list:
-    """Terms of the unnormalized sum (sign +1) or difference (sign -1)
-    quadrature X1 +- X2, both modes at angle theta."""
-    return [(1, theta, 1.0), (2, theta, sign)]
-
-
 def vacuum_baseline(terms1, terms2):
     """Coherent-state (vacuum) moment of two quadrature combinations.
 

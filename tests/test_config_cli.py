@@ -324,7 +324,11 @@ class TestSpectrumCommand:
                      ("stability", "--set", 'vary=[{"params":{"kappa":-1}}]'),
                      ("verify", "--set", 'vary=[{"params":{"kappa":-1}}]'),
                      ("optimize-angle", "--set", 'vary=[{"params":{"kappa":-1}}]'),
-                     ("spectrum", "--set", 'vary=[{"params":{"J_a":"x"}}]')):
+                     ("spectrum", "--set", 'vary=[{"params":{"J_a":"x"}}]'),
+                     # a label is a CSV field and part of a comment line
+                     ("spectrum", "--set", 'vary=[{"label":"a,b"}]'),
+                     ("spectrum", "--set", 'vary=[{"label":"a\\nb"}]'),
+                     ("spectrum", "--set", 'vary=[{"label":"a\\rb"}]')):
             r = run_cli(*args, config=DRIVEN, tmp_path=tmp_path)
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr, args
@@ -341,6 +345,18 @@ class TestSpectrumCommand:
         assert r.returncode == 0, r.stderr
         assert "# variant eps=1+0.5j: " in r.stdout
         assert len(parse_csv(r.stdout)) == 3
+
+    def test_multi_key_vary_label_keeps_the_row_width(self):
+        r = run_cli("spectrum", "--set",
+                    'vary=[{"params":{"J_a":5,"J_b":2}},{"params":{"J_a":1}}]',
+                    "--set", "sweep.omega_points=2")
+        assert r.returncode == 0, r.stderr
+        assert "# variant J_a=5;J_b=2: " in r.stdout
+        header, *rows = [ln.split(",") for ln in r.stdout.splitlines()
+                         if not ln.startswith("#")]
+        assert len(rows) == 4
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][-1] == "J_a=5;J_b=2"
 
     def test_seed_only_where_it_is_read(self):
         r = run_cli("spectrum", "--preset", "fig1", "--seed", "3")
@@ -462,6 +478,7 @@ class TestVerifyCommand:
                     tmp_path=tmp_path)
         assert r.returncode == 0, r.stdout + r.stderr
         assert "# verdict: PASS" in r.stdout
+        assert '"seed":23' in r.stdout  # the # config: line echoes the seed used
         rows = parse_csv(r.stdout)
         assert len(rows) == 4 * 5
         assert all(abs(float(x["z"])) < 3.0 for x in rows)

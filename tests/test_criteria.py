@@ -5,10 +5,9 @@ import pytest
 
 from opodimer import criteria
 from opodimer.config import apply_overrides, load_preset
-from opodimer.criteria import (CorrelationRecord, combined_variances,
-                               duan_sum, epr_product, evaluate_record,
-                               optimize_angle, single_mode_moments,
-                               spectral_stack)
+from opodimer.criteria import (combined_variances, duan_sum, epr_product,
+                               optimize_angle, quadrature, single_mode_moments,
+                               spectral_stack, witness_flags, witness_table)
 from opodimer.model import SystemParams
 from opodimer.spectrum import analytic_combined
 
@@ -21,6 +20,28 @@ def sym(**kw):
 
 
 DETUNED = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("theta", [0.3, np.array([0.0, 0.4, 2.0])])
+    def test_term_lists(self, theta):
+        y = theta + math.pi / 2
+        want = {"X1": [(1, theta, 1.0)], "Y1": [(1, y, 1.0)],
+                "X2": [(2, theta, 1.0)], "Y2": [(2, y, 1.0)],
+                "Xp": [(1, theta, 1.0), (2, theta, 1.0)],
+                "Yp": [(1, y, 1.0), (2, y, 1.0)],
+                "Xm": [(1, theta, 1.0), (2, theta, -1.0)],
+                "Ym": [(1, y, 1.0), (2, y, -1.0)]}
+        for name, terms in want.items():
+            got = quadrature(name, theta)
+            assert [(m, w) for m, _, w in got] == [(m, w) for m, _, w in terms]
+            for (_, a, _), (_, b, _) in zip(got, terms):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("name", ["", "X", "X3", "Z1", "x1", "Xminus"])
+    def test_unknown_name(self, name):
+        with pytest.raises(ValueError, match="quadrature"):
+            quadrature(name)
 
 
 class TestWitnesses:
@@ -59,20 +80,43 @@ class TestWitnesses:
 
     def test_undriven_cavity_is_classical(self):
         p = sym(pump_fraction=0.0)
-        r = evaluate_record(p, 0.7, 0.3)
-        assert r.S_X == pytest.approx(1.0, abs=1e-12)
-        assert r.S_Y == pytest.approx(1.0, abs=1e-12)
-        assert r.cov_XY == pytest.approx(0.0, abs=1e-12)
-        assert r.duan_sum == pytest.approx(4.0, abs=1e-12)
-        assert r.epr_product == pytest.approx(1.0, abs=1e-12)
-        assert r.flags() == ()
+        t = witness_table(spectral_stack(p, 0.7), p.gamma_a, 0.3)
+        assert t["S_X"] == pytest.approx([1.0], abs=1e-12)
+        assert t["S_Y"] == pytest.approx([1.0], abs=1e-12)
+        assert t["cov_XY"] == pytest.approx([0.0], abs=1e-12)
+        assert t["duan_sum"] == pytest.approx([4.0], abs=1e-12)
+        assert t["epr_product"] == pytest.approx([1.0], abs=1e-12)
+        assert not any(f.any() for f in witness_flags(t).values())
 
     def test_detuned_record_flags(self):
-        r = evaluate_record(DETUNED, 0.0, 0.0)
-        assert r.squeezed and r.entangled and r.epr
-        assert r.flags() == ("squeezed", "entangled", "epr")
-        assert r.duan_sum == pytest.approx(2.2123156566708095, abs=1e-10)
-        assert r.epr_product == pytest.approx(0.35857196073739517, abs=1e-9)
+        t = witness_table(spectral_stack(DETUNED, 0.0), DETUNED.gamma_a, 0.0)
+        flags = witness_flags(t)
+        assert list(flags) == ["squeezed", "entangled", "epr"]
+        assert all(f.tolist() == [True] for f in flags.values())
+        assert t["duan_sum"] == pytest.approx([2.2123156566708095], abs=1e-10)
+        assert t["epr_product"] == pytest.approx([0.35857196073739517], abs=1e-9)
+
+    def test_flags_sit_on_the_classical_bounds(self):
+        t = {"S_X": np.array([1.0, 1.2, 0.9]), "S_Y": np.array([1.0, 0.99, 1.5]),
+             "duan_sum": np.array([4.0, 3.99, 5.0]),
+             "epr_product": np.array([1.0, 0.99, 2.0])}
+        flags = witness_flags(t)
+        assert flags["squeezed"].tolist() == [False, True, True]
+        assert flags["entangled"].tolist() == [False, True, False]
+        assert flags["epr"].tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("pairing,infer_from", [("xminus_yplus", 1),
+                                                    ("xplus_yminus", 2)])
+    def test_table_columns_are_the_witnesses(self, pairing, infer_from):
+        S = spectral_stack(DETUNED, [0.0, 1.5, 18.9])
+        t = witness_table(S, DETUNED.gamma_a, 0.4, pairing, infer_from)
+        assert list(t) == ["S_X", "S_Y", "cov_XY", "duan_sum", "epr_product"]
+        want = (*single_mode_moments(S, DETUNED.gamma_a, 0.4),
+                duan_sum(S, DETUNED.gamma_a, 0.4, pairing),
+                epr_product(S, DETUNED.gamma_a, 0.4, infer_from))
+        for col, w in zip(t.values(), want):
+            assert col.shape == (3,)
+            assert np.array_equal(col, w)
 
     def test_combined_variances_match_closed_forms(self):
         omegas = [0.0, 5.0, 20.0]
@@ -143,11 +187,3 @@ class TestOptimizeAngle:
         with pytest.raises(ValueError):
             optimize_angle(sym(), 0.0, "sharpness")
 
-
-class TestRecordShape:
-    def test_record_is_frozen_and_complete(self):
-        r = evaluate_record(sym(), 1.0, 0.2)
-        assert isinstance(r, CorrelationRecord)
-        with pytest.raises(Exception):
-            r.S_X = 5.0
-        assert r.omega == 1.0 and r.theta == 0.2
