@@ -157,12 +157,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             A[i, j] = -A[i, j]
         model = dataclasses.replace(model, A=_frozen(A))
     theta = _resolve_theta(p, cfg.theta, cfg)
-    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=cfg.seed))
-    picks = []
-    for name, quadrature in _VERIFY_COMBOS.items():
-        terms = criteria.quadrature(quadrature, theta)
-        est = sde.estimate_output_spectrum(ens, terms)
-        picks.append((name, terms, [est.nearest(w) for w in cfg.verify.omegas]))
+    combos = [criteria.quadrature(q, theta) for q in _VERIFY_COMBOS.values()]
+    ests = sde.stream_output_spectra(p, dataclasses.replace(cfg.sde, seed=cfg.seed),
+                                     combos, cfg.verify.omegas)
+    picks = [(name, terms, [est.nearest(w) for w in cfg.verify.omegas])
+             for name, terms, est in zip(_VERIFY_COMBOS, combos, ests)]
     bins = np.unique([wbin for _, _, near in picks for wbin, _, _ in near])
     S = spectrum.spectral_matrix(model, bins)
     report = []
@@ -184,7 +183,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     for name, wbin, val, err, pred, z in report:
         lines.append(",".join(_fmt(x) for x in (name, wbin, val, err, pred, z)))
     ok = worst < _Z_LIMIT
-    lines.append(f"# diverged: {ens.n_diverged} of {ens.n_traj}")
+    lines.append(f"# diverged: {ests[0].n_diverged} of {cfg.sde.n_traj}")
     lines.append(f"# verdict: {'PASS' if ok else 'FAIL'} "
                  f"(max |z| = {worst:.3g}, limit {_Z_LIMIT:g})")
     _emit(lines, args.out)
@@ -195,8 +194,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_sde_dump(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
-    ens = sde.integrate(p, dataclasses.replace(cfg.sde, seed=cfg.seed, record="all"))
-    path = sde.write_ensemble_dump(ens, args.out)
+    path = Path(args.out)
+    ens = sde.integrate_to_dump(
+        p, dataclasses.replace(cfg.sde, seed=cfg.seed, record="all"), path)
     print(f"wrote {ens.n_traj} trajectories x {ens.n_samples} samples "
           f"({ens.n_diverged} diverged) to {path} (+ .json sidecar)")
     return 0

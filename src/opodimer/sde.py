@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,9 +30,11 @@ _MIDPOINT_ITERATIONS = 4
 _MIN_MEASURE_PERIODS = 50.0
 _N_BATCHES = 16
 # Bytes of the noise buffer (chunk x 4 x block doubles) of one trajectory
-# block: 2048 trajectories at _NOISE_CHUNK = 2048. Every block step carries a
-# fixed numpy dispatch cost (about 0.17 ms on a 2-core Xeon), so blocks of 512
-# made a 4096-trajectory run about 17% slower than blocks of 2048.
+# block, plus its record buffer when the block is streamed to a consumer:
+# 2048 trajectories at _NOISE_CHUNK = 2048 without one. Every block step
+# carries a fixed numpy dispatch cost (about 0.17 ms on a 2-core Xeon), so
+# blocks of 512 made a 4096-trajectory run about 17% slower than blocks of
+# 2048.
 _NOISE_BUDGET = 128 * 2 ** 20
 
 DUMP_FORMAT = "opodimer-ensemble/1"
@@ -84,15 +87,26 @@ class SdeConfig:
             raise ConfigError(
                 f'record must be "alpha" or "all", got {self.record!r}')
 
+    @property
+    def n_vars(self) -> int:
+        """Variables recorded per sample: the 4 signal rows or all 8."""
+        return 4 if self.record == "alpha" else 8
+
+    def sample_counts(self) -> tuple:
+        """(transient steps, measured steps, recorded samples)."""
+        n_me = round(self.t_measure / self.dt)
+        return round(self.t_transient / self.dt), n_me, -(-n_me // self.record_stride)
+
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
-    """Recorded samples of one integration run.
+    """Samples of one integration run.
 
     states has shape (n_vars, n_samples, n_traj) with n_vars = 4 for the
-    signal rows or 8 for the full state, as config.record says; diverged
-    marks trajectories that crossed the divergence threshold at any sampling
-    instant and must be excluded from statistics.
+    signal rows or 8 for the full state, as config.record says; it is None
+    when integrate handed each block to a consumer instead of keeping it.
+    diverged marks trajectories that crossed the divergence threshold at any
+    sampling instant and must be excluded from statistics.
     """
 
     times: np.ndarray
@@ -103,11 +117,11 @@ class TrajectoryEnsemble:
 
     @property
     def n_traj(self) -> int:
-        return self.states.shape[2]
+        return self.diverged.size
 
     @property
     def n_samples(self) -> int:
-        return self.states.shape[1]
+        return self.times.size
 
     @property
     def n_diverged(self) -> int:
@@ -126,13 +140,24 @@ class TrajectoryEnsemble:
         before selecting the live columns never copies the states array.
         """
         c = coefficient_vector(self.states.shape[0], terms)
-        return np.tensordot(c, self.states, axes=1)[:, ~self.diverged]
+        return _project(c, self.states)[:, ~self.diverged]
+
+
+def _project(c, states) -> np.ndarray:
+    """sum_v c[v] states[v] over the first axis, element by element, so a
+    trajectory's series has the same bits in whatever block it is projected.
+    Diverged (non-finite) trajectories are projected silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = c[0] * states[0]
+        for cv, sv in zip(c[1:], states[1:]):
+            q += cv * sv
+    return q
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
-    """Monte Carlo output spectrum on the FFT frequency grid (shifted to
-    ascending omega), with batch-mean standard errors."""
+    """Monte Carlo output spectrum on the FFT frequency grid, or on the bins
+    kept from it, in ascending omega, with batch-mean standard errors."""
 
     omega: np.ndarray
     values: np.ndarray
@@ -148,7 +173,7 @@ class SpectrumEstimate:
 
 
 def integrate(p: _model.SystemParams, cfg: SdeConfig,
-              noise: np.ndarray = None) -> TrajectoryEnsemble:
+              noise: np.ndarray = None, consume=None) -> TrajectoryEnsemble:
     """Integrate the positive-P equations and record strided samples.
 
     Each trajectory owns a counter-based generator spawned from the config
@@ -175,6 +200,12 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
     Trajectories whose state magnitude exceeds 1e6 * max(1, |beta_ss|) at a
     sampling instant are flagged as diverged and reported, never silently
     dropped; only if every trajectory diverges does this raise.
+
+    With consume given, no states are kept: each finished block is handed
+    over as consume(rec, alive), rec its (n_vars, n_samples, n) samples and
+    alive its slice of the live mask, and the returned ensemble has states
+    None. rec is one buffer reused by every block, so the consumer copies
+    what it keeps; the block budget then covers that buffer too.
     """
     eigs = _model.stability_eigenvalues(p)
     rate = float(np.max(np.abs(eigs)))
@@ -186,8 +217,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
         warnings.warn("integrating at or above threshold; positive-P "
                       "trajectories are expected to spike", RuntimeWarning,
                       stacklevel=2)
-    n_tr = round(cfg.t_transient / cfg.dt)
-    n_me = round(cfg.t_measure / cfg.dt)
+    n_tr, n_me, n_rec = cfg.sample_counts()
     if n_me < cfg.record_stride:
         raise ConfigError("t_measure shorter than one recording stride")
     n_steps = n_tr + n_me
@@ -203,7 +233,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
     ss = _model._unchecked_state(p)
     x0 = ss.vector()[:, None]
     thresh = _DIVERGENCE_FACTOR * max(1.0, abs(ss.beta1_ss), abs(ss.beta2_ss))
-    n_vars = 4 if cfg.record == "alpha" else 8
+    n_vars = cfg.n_vars
     n_chunk = min(_NOISE_CHUNK, n_steps)
     kappa, dt, sqdt = p.kappa, cfg.dt, math.sqrt(cfg.dt)
     drift = _model.drift_rhs
@@ -270,17 +300,22 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
                 np.add(x, nz, out=x)
         check()
 
-    rec = np.empty((n_vars, -(-n_me // cfg.record_stride), cfg.n_traj),
-                   dtype=complex)
+    # bytes per trajectory: noise doubles, plus complex samples if streamed
+    per_traj = 4 * n_chunk * 8 + (0 if consume is None else n_vars * n_rec * 16)
+    block = max(1, _NOISE_BUDGET // per_traj)
+    rec = np.empty((n_vars, n_rec, cfg.n_traj if consume is None
+                    else min(block, cfg.n_traj)), dtype=complex)
     alive = np.ones(cfg.n_traj, dtype=bool)
-    block = max(1, _NOISE_BUDGET // (4 * n_chunk * 8))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, cfg.n_traj, block):
             sl = slice(lo, lo + block)
-            run_block(rec[:, :, sl], alive[sl],
+            out = rec[:, :, sl] if consume is None else rec[:, :, :alive[sl].size]
+            run_block(out, alive[sl],
                       None if seeds is None else
                       [np.random.Generator(np.random.Philox(s)) for s in seeds[sl]],
                       None if noise is None else noise[:, :, sl])
+            if consume is not None:
+                consume(out, alive[sl])
 
     diverged = ~alive
     n_div = int(diverged.sum())
@@ -291,51 +326,112 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
         warnings.warn(f"{n_div} of {cfg.n_traj} trajectories diverged and are "
                       "excluded from statistics", RuntimeWarning, stacklevel=2)
     times = np.arange(n_tr, n_steps, cfg.record_stride) * cfg.dt
-    return TrajectoryEnsemble(times=_frozen(times), states=_frozen(rec),
+    return TrajectoryEnsemble(times=_frozen(times),
+                              states=_frozen(rec) if consume is None else None,
                               params=p, config=cfg, diverged=_frozen(diverged))
 
 
+class _Periodograms:
+    """Per-trajectory periodogram values F(w_k) F(-w_k) / T of quadrature
+    combinations at chosen bins, filled one trajectory block at a time.
+
+    A block's live columns are projected, transformed and kept at the bins
+    only: an (n_combos, n_bins, n_traj) float array is all that grows with
+    the ensemble. Projection and FFT treat each trajectory on its own, so
+    the estimates do not depend on how the ensemble was split into blocks.
+    """
+
+    def __init__(self, p: _model.SystemParams, cfg: SdeConfig, combos,
+                 omegas=None):
+        if cfg.t_measure < _MIN_MEASURE_PERIODS / p.gamma_a:
+            raise InsufficientDataError(
+                f"t_measure = {cfg.t_measure:g} is below {_MIN_MEASURE_PERIODS:g}"
+                f"/gamma_a = {_MIN_MEASURE_PERIODS / p.gamma_a:g}; spectra would "
+                "be dominated by window leakage")
+        n_rec = cfg.sample_counts()[2]
+        self.params, self.combos = p, combos
+        self.dt_s = cfg.dt * cfg.record_stride
+        self.span = n_rec * self.dt_s
+        omega = 2.0 * math.pi * np.fft.fftfreq(n_rec, self.dt_s)
+        bins = np.argsort(omega)
+        if omegas is not None:  # the bin SpectrumEstimate.nearest picks
+            bins = bins[np.unique([np.argmin(np.abs(omega[bins] - w))
+                                   for w in omegas])]
+        self.bins, self.neg, self.omega = bins, (-bins) % n_rec, _frozen(omega[bins])
+        self.coeffs = [coefficient_vector(cfg.n_vars, terms) for terms in combos]
+        self.P = np.empty((len(combos), bins.size, cfg.n_traj))
+        self.n_live = 0
+
+    def __call__(self, rec, alive) -> None:
+        lo, n = self.n_live, int(alive.sum())
+        for P, c in zip(self.P, self.coeffs):
+            F = np.fft.fft(_project(c, rec)[:, alive], axis=0)
+            F *= self.dt_s
+            P[:, lo:lo + n] = (F[self.bins] * F[self.neg]).real / self.span
+            del F  # before the next combination's transform is allocated
+        self.n_live += n
+
+    def estimates(self) -> list:
+        """One SpectrumEstimate per combination over the live trajectories.
+        Standard errors come from the means of _N_BATCHES batches of
+        trajectories (zero only in the noiseless undriven case)."""
+        n_live = self.n_live
+        if n_live == 0:
+            raise DivergenceDetectedError("no live trajectories to estimate from")
+        scale = 2.0 * self.params.gamma_a
+        nb = min(_N_BATCHES, n_live)
+        batches = np.array_split(np.arange(n_live), nb)
+        out = []
+        for terms, P in zip(self.combos, self.P):
+            # the mean sums each C-contiguous row pairwise; a batch sums its
+            # trajectories one after another (an accumulate), an order that
+            # does not depend on the number of bins kept
+            P = np.ascontiguousarray(P[:, :n_live])
+            base = vacuum_baseline(terms, terms)
+            values = base + scale * P.mean(axis=1)
+            batch_means = np.stack(
+                [np.add.accumulate(P[:, idx], axis=1)[:, -1] / idx.size
+                 for idx in batches], axis=1)
+            stderr = scale * batch_means.std(axis=1, ddof=1) / math.sqrt(nb) \
+                if nb >= 2 else np.full(P.shape[0], np.nan)
+            out.append(SpectrumEstimate(
+                omega=self.omega, values=_frozen(values), stderr=_frozen(stderr),
+                baseline=base, n_traj_used=n_live,
+                n_diverged=self.P.shape[2] - n_live))
+        return out
+
+
 def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms) -> SpectrumEstimate:
-    """Ensemble periodogram of a quadrature combination, output-normalized.
+    """Ensemble periodogram of a quadrature combination, output-normalized,
+    on the whole FFT frequency grid (ascending).
 
     Per trajectory the finite-window transform F(w) = dt_sample * DFT(q)
     enters as F(w) F(-w) / T, whose ensemble mean converges to the normally
     ordered combination spectrum; adding the vacuum baseline and the
     2 gamma_a in/out scaling makes the result directly comparable with the
-    linearized output spectra. Standard errors come from the means of
-    _N_BATCHES batches of trajectories (zero only in the noiseless undriven
-    case).
+    linearized output spectra. This is stream_output_spectra's reduction fed
+    the recorded states as one block.
     """
-    p = ensemble.params
-    t_meas = ensemble.config.t_measure
-    if t_meas < _MIN_MEASURE_PERIODS / p.gamma_a:
-        raise InsufficientDataError(
-            f"t_measure = {t_meas:g} is below {_MIN_MEASURE_PERIODS:g}/gamma_a "
-            f"= {_MIN_MEASURE_PERIODS / p.gamma_a:g}; spectra would be "
-            "dominated by window leakage")
-    if ensemble.n_diverged == ensemble.n_traj:
-        raise DivergenceDetectedError("no live trajectories to estimate from")
-    q = ensemble.quadrature_series(terms)
-    n_rec, n_live = q.shape
-    dt_s = ensemble.dt_sample
-    span = n_rec * dt_s
-    F = np.fft.fft(q, axis=0) * dt_s
-    P = (F * F[(-np.arange(n_rec)) % n_rec, :]).real / span
-    omega = 2.0 * math.pi * np.fft.fftfreq(n_rec, dt_s)
-    base = vacuum_baseline(terms, terms)
-    scale = 2.0 * p.gamma_a
-    values = base + scale * P.mean(axis=1)
-    nb = min(_N_BATCHES, n_live)
-    batch_means = np.stack(
-        [P[:, idx].mean(axis=1) for idx in np.array_split(np.arange(n_live), nb)],
-        axis=1)
-    stderr = scale * batch_means.std(axis=1, ddof=1) / math.sqrt(nb) \
-        if nb >= 2 else np.full(n_rec, np.nan)
-    order = np.argsort(omega)
-    return SpectrumEstimate(
-        omega=_frozen(omega[order]), values=_frozen(values[order]),
-        stderr=_frozen(stderr[order]), baseline=base,
-        n_traj_used=n_live, n_diverged=ensemble.n_diverged)
+    acc = _Periodograms(ensemble.params, ensemble.config, [terms])
+    acc(ensemble.states, ~ensemble.diverged)
+    return acc.estimates()[0]
+
+
+def stream_output_spectra(p: _model.SystemParams, cfg: SdeConfig, combos,
+                          omegas=None, noise: np.ndarray = None) -> list:
+    """Integrate and estimate without keeping the ensemble.
+
+    Returns one SpectrumEstimate per quadrature combination of combos, equal
+    bit for bit to estimate_output_spectrum(integrate(p, cfg, noise), terms)
+    restricted to the bins nearest to omegas (every bin when omegas is
+    None). Each trajectory block is folded into those bins as soon as it is
+    integrated, so memory does not grow with n_traj beyond n_combos x n_bins
+    floats per trajectory. The measurement window is checked before any
+    step is taken.
+    """
+    acc = _Periodograms(p, cfg, combos, omegas)
+    integrate(p, cfg, noise, consume=acc)
+    return acc.estimates()
 
 
 def _params_jsonable(p: _model.SystemParams) -> dict:
@@ -345,6 +441,47 @@ def _params_jsonable(p: _model.SystemParams) -> dict:
 
 def _config_jsonable(cfg: SdeConfig) -> dict:
     return asdict(cfg) | {"stepper": cfg.stepper.value}
+
+
+@contextmanager
+def _payload(path: Path):
+    """Yield write(block): append an (n_vars, n_samples, n) block of samples
+    to the payload at path, trajectory-major, as little-endian complex
+    doubles, copying one trajectory at a time. The bytes go to a temporary
+    file beside path that replaces path only once the with-block succeeds;
+    on an error it is removed and path is left as it was."""
+    part = path.with_name(path.name + ".part")
+
+    def write(block):
+        for t in range(block.shape[2]):
+            f.write(np.ascontiguousarray(block[:, :, t].T).astype("<c16", copy=False))
+
+    try:
+        with part.open("wb") as f:
+            yield write
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _write_sidecar(ensemble: TrajectoryEnsemble, path: Path) -> None:
+    n_vars = ensemble.config.n_vars
+    sidecar = {
+        "format": DUMP_FORMAT,
+        "dtype": "complex128-le",
+        "order": ["trajectory", "sample", "variable"],
+        "n_traj": ensemble.n_traj,
+        "n_samples": ensemble.n_samples,
+        "n_variables": n_vars,
+        "variables": list(STATE_LABELS[:n_vars]),
+        "t_first_sample": float(ensemble.times[0]),
+        "dt_sample": ensemble.dt_sample,
+        "params": _params_jsonable(ensemble.params),
+        "config": _config_jsonable(ensemble.config),
+        "diverged_indices": np.flatnonzero(ensemble.diverged).tolist(),
+    }
+    Path(str(path) + ".json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 def write_ensemble_dump(ensemble: TrajectoryEnsemble, path) -> Path:
@@ -357,26 +494,23 @@ def write_ensemble_dump(ensemble: TrajectoryEnsemble, path) -> Path:
     this package.
     """
     path = Path(path)
-    arr = np.ascontiguousarray(
-        ensemble.states.transpose(2, 1, 0)).astype("<c16")
-    path.write_bytes(arr.tobytes())
-    sidecar = {
-        "format": DUMP_FORMAT,
-        "dtype": "complex128-le",
-        "order": ["trajectory", "sample", "variable"],
-        "n_traj": ensemble.n_traj,
-        "n_samples": ensemble.n_samples,
-        "n_variables": ensemble.states.shape[0],
-        "variables": list(STATE_LABELS[:ensemble.states.shape[0]]),
-        "t_first_sample": float(ensemble.times[0]),
-        "dt_sample": ensemble.dt_sample,
-        "params": _params_jsonable(ensemble.params),
-        "config": _config_jsonable(ensemble.config),
-        "diverged_indices": np.flatnonzero(ensemble.diverged).tolist(),
-    }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    with _payload(path) as write:
+        write(ensemble.states)
+    _write_sidecar(ensemble, path)
     return path
+
+
+def integrate_to_dump(p: _model.SystemParams, cfg: SdeConfig, path,
+                      noise: np.ndarray = None) -> TrajectoryEnsemble:
+    """integrate, writing each finished block straight to the dump at path
+    (the bytes and sidecar of write_ensemble_dump) instead of keeping it.
+    Returns the ensemble without states. If integrate raises, no payload or
+    sidecar is written."""
+    path = Path(path)
+    with _payload(path) as write:
+        ens = integrate(p, cfg, noise, consume=lambda rec, alive: write(rec))
+    _write_sidecar(ens, path)
+    return ens
 
 
 def load_ensemble_dump(path) -> tuple:

@@ -3,7 +3,8 @@
 Each test prints one "[criterion N] PASS" line (visible with -s or on
 failure) and enforces the pinned tolerance for that check. The three
 expensive trajectory ensembles are module-scoped so the whole file costs
-one SDE run per physical configuration.
+one SDE run per physical configuration; each streams into the spectrum
+estimate the criteria read and is never held whole.
 """
 import math
 import time
@@ -62,15 +63,18 @@ def _numeric_moments(p, omega):
     }
 
 
-# Wall-clock per ensemble, summed by criterion 9's budget check.
+# Wall-clock per ensemble and its estimate, summed by criterion 9's budget
+# check.
 _SDE_SECONDS = {}
 
+YP_TERMS = [(1, math.pi / 2, 1.0), (2, math.pi / 2, 1.0)]
 
-def _timed_ensemble(key, params, config):
+
+def _timed_estimate(key, params, config, terms, omegas=None):
     start = time.perf_counter()
-    ens = sde.integrate(params, config)
+    est, = sde.stream_output_spectra(params, config, [terms], omegas)
     _SDE_SECONDS[key] = time.perf_counter() - start
-    return ens
+    return est
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +82,7 @@ def ens_vacuum():
     p = sym(pump_fraction=0.0)
     cfg = sde.SdeConfig(dt=0.01, t_transient=0.5, t_measure=100.0,
                         n_traj=4096, seed=41, record_stride=5)
-    return p, _timed_ensemble("vacuum", p, cfg)
+    return p, _timed_estimate("vacuum", p, cfg, [(1, 0.0, 1.0)])
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +90,14 @@ def ens_single():
     p = sym(J_a=0.0, J_b=0.0)
     cfg = sde.SdeConfig(dt=0.01, t_transient=20.0, t_measure=200.0,
                         n_traj=4096, seed=42, record_stride=10)
-    return p, _timed_ensemble("single", p, cfg)
+    return p, _timed_estimate("single", p, cfg, [(1, math.pi / 2, 1.0)], (0.0,))
 
 
 @pytest.fixture(scope="module")
 def ens_detuned():
     cfg = sde.SdeConfig(dt=0.004, t_transient=20.0, t_measure=200.0,
                         n_traj=4096, seed=43, record_stride=25)
-    return FIG4, _timed_ensemble("detuned", FIG4, cfg)
+    return FIG4, _timed_estimate("detuned", FIG4, cfg, YP_TERMS, (0.0,))
 
 
 def test_criterion_01_closed_forms_match_numeric_spectra():
@@ -131,9 +135,7 @@ def test_criterion_03_detuned_squeezing_headline(ens_detuned):
     assert combined_variances(S, FIG4.gamma_a)["S_Yp"] == pytest.approx(
         want, abs=1e-6)
 
-    p, ens = ens_detuned
-    terms = [(1, math.pi / 2, 1.0), (2, math.pi / 2, 1.0)]
-    est = sde.estimate_output_spectrum(ens, terms)
+    p, est = ens_detuned
     _, val, err = est.nearest(0.0)
     z = (val - want) / err
     assert abs(z) < 3.0
@@ -237,21 +239,17 @@ def test_criterion_08_jacobian_negates_drift_matrix():
 
 
 def test_criterion_09_sde_oracle_suite(ens_vacuum, ens_single, ens_detuned):
-    p_vac, ens = ens_vacuum
-    est = sde.estimate_output_spectrum(ens, [(1, 0.0, 1.0)])
+    p_vac, est = ens_vacuum
     assert np.abs(est.values - 1.0).max() <= 3.0 * np.maximum(
         est.stderr, 1e-15).max()
     assert np.allclose(est.values, 1.0, atol=1e-12)
 
-    p_single, ens = ens_single
-    est = sde.estimate_output_spectrum(ens, [(1, math.pi / 2, 1.0)])
+    p_single, est = ens_single
     _, val, err = est.nearest(0.0)
     z_single = (val - 1.0 / 9.0) / err
     assert abs(z_single) < 3.0
 
-    p_det, ens = ens_detuned
-    terms = [(1, math.pi / 2, 1.0), (2, math.pi / 2, 1.0)]
-    est = sde.estimate_output_spectrum(ens, terms)
+    p_det, est = ens_detuned
     _, val, err = est.nearest(0.0)
     z_det = (val - 2.0 / 9.0) / err
     assert abs(z_det) < 3.0

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from opodimer.errors import (ConfigError, DivergenceDetectedError,
 from opodimer.linearized import build_linear_model
 from opodimer.model import SystemParams, _unchecked_state, drift_rhs, steady_state
 from opodimer.sde import (SdeConfig, Stepper, estimate_output_spectrum,
-                          integrate, load_ensemble_dump, write_ensemble_dump)
+                          integrate, integrate_to_dump, load_ensemble_dump,
+                          stream_output_spectra, write_ensemble_dump)
 
 
 def sym(**kw):
@@ -362,6 +365,102 @@ class TestEstimator:
         assert 0.0 in est.omega
 
 
+def force_blocks(monkeypatch, cfg, n):
+    """Shrink _NOISE_BUDGET so that a streamed run of cfg takes blocks of
+    n trajectories."""
+    n_tr, n_me, n_rec = cfg.sample_counts()
+    per_traj = 4 * min(sde._NOISE_CHUNK, n_tr + n_me) * 8 + cfg.n_vars * n_rec * 16
+    monkeypatch.setattr(sde, "_NOISE_BUDGET", n * per_traj)
+
+
+STREAM_COMBOS = [Y0_TERMS, [(1, 0.3, 1.0), (2, 0.3, -1.0)]]
+
+
+def assert_streams_like_recorded(p, cfg, omegas, noise=None):
+    """stream_output_spectra equals, bit for bit, the estimate of the
+    recorded ensemble at the bins it kept."""
+    streamed = stream_output_spectra(p, cfg, STREAM_COMBOS, omegas, noise=noise)
+    ens = integrate(p, cfg, noise=noise)
+    for terms, got in zip(STREAM_COMBOS, streamed):
+        want = estimate_output_spectrum(ens, terms)
+        keep = (slice(None) if omegas is None
+                else np.unique([np.argmin(np.abs(want.omega - w)) for w in omegas]))
+        for field in ("omega", "values", "stderr"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)[keep])
+        assert (got.n_traj_used, got.n_diverged) == (want.n_traj_used, want.n_diverged)
+        assert got.baseline == want.baseline
+        for w in omegas or ():
+            assert got.nearest(w) == want.nearest(w)
+
+
+class TestStreaming:
+    """stream_output_spectra folds each block into its bins as it goes."""
+
+    # 251 samples, an odd count, and batches of 8 or 9 trajectories: a
+    # projection or a batch sum whose rounding depends on where an element
+    # sits in its block, or on how many bins are kept, shows
+    CFG = SdeConfig(dt=0.04, t_transient=0.4, t_measure=50.2, n_traj=130,
+                    seed=11, stepper="euler-maruyama")
+
+    def noise(self, seed):
+        n_tr, n_me, _ = self.CFG.sample_counts()
+        return np.random.default_rng(seed).standard_normal((4, n_tr + n_me, 130))
+
+    @pytest.mark.parametrize("omegas", [None, (0.0, 0.5, 3.0, 0.51), (8.0,)])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_equals_recorded_estimate_over_blocks(self, monkeypatch, omegas,
+                                                  injected):
+        force_blocks(monkeypatch, self.CFG, 45)  # blocks of 45, 45 and 40
+        noise = self.noise(3) if injected else None
+        assert_streams_like_recorded(sym(), self.CFG, omegas, noise)
+
+    def test_equals_recorded_estimate_in_one_block(self):
+        assert_streams_like_recorded(sym(), self.CFG, (0.0, 1.5))
+
+    def test_diverged_trajectory_is_excluded(self, monkeypatch):
+        force_blocks(monkeypatch, self.CFG, 50)
+        noise = self.noise(0)
+        noise[:, :, 60] = 1e5
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            assert_streams_like_recorded(sym(), self.CFG, (0.0, 2.0), noise)
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            est = stream_output_spectra(sym(), self.CFG, [Y0_TERMS], noise=noise)[0]
+        assert (est.n_traj_used, est.n_diverged) == (129, 1)
+        assert np.isfinite(est.values).all()
+
+    def test_memory_does_not_grow_with_the_ensemble(self, monkeypatch):
+        cfg = SdeConfig(dt=0.04, t_transient=0.0, t_measure=50.0, n_traj=8,
+                        seed=2, stepper="euler-maruyama")
+        force_blocks(monkeypatch, cfg, 8)
+        omegas = (0.0, 1.0, 2.0)
+
+        def peak(n_traj):
+            tracemalloc.start()
+            try:
+                stream_output_spectra(sym(), dataclasses.replace(cfg, n_traj=n_traj),
+                                      STREAM_COMBOS, omegas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # first-call allocations (FFT plans and the like)
+        small, big = peak(8), peak(32)
+        # the kept bins grow by n_combos x n_bins floats per trajectory; the
+        # recorded samples of the 24 extra trajectories alone would take
+        # 24 x 4 x 250 complex doubles = 375 KiB
+        bins = len(STREAM_COMBOS) * len(omegas) * 8 * 24
+        assert big - small <= bins + 64 * 1024
+
+    def test_short_window_rejected_before_stepping(self, monkeypatch):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(sde, "integrate", no_steps)
+        cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=20.0, n_traj=4)
+        with pytest.raises(InsufficientDataError):
+            stream_output_spectra(sym(), cfg, [Y0_TERMS], (0.0,))
+
+
 class TestDump:
     def test_round_trip_is_byte_exact(self, tmp_path):
         p = sym()
@@ -380,6 +479,35 @@ class TestDump:
         # sidecar lives beside the payload
         meta = json.loads((tmp_path / "dump.bin.json").read_text())
         assert meta == sidecar
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_streamed_dump_equals_recorded_dump(self, tmp_path, monkeypatch,
+                                                blocks):
+        cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=8.0, n_traj=16,
+                        seed=5, record="all")
+        if blocks > 1:
+            force_blocks(monkeypatch, cfg, 6)  # blocks of 6, 6 and 4
+        p = sym()
+        ens = integrate(p, cfg)
+        streamed = integrate_to_dump(p, cfg, tmp_path / "s.bin")
+        write_ensemble_dump(ens, tmp_path / "r.bin")
+        payload = np.ascontiguousarray(ens.states.transpose(2, 1, 0)).astype("<c16")
+        assert (tmp_path / "s.bin").read_bytes() == payload.tobytes()
+        assert (tmp_path / "r.bin").read_bytes() == payload.tobytes()
+        assert ((tmp_path / "s.bin.json").read_text()
+                == (tmp_path / "r.bin.json").read_text())
+        assert streamed.states is None
+        assert (streamed.n_traj, streamed.n_samples) == (ens.n_traj, ens.n_samples)
+
+    def test_diverged_run_leaves_no_payload(self, tmp_path):
+        cfg = SdeConfig(dt=0.02, t_transient=0.0, t_measure=2.0, n_traj=3)
+        target = tmp_path / "d.bin"
+        target.write_bytes(b"earlier dump")
+        noise = np.full((4, 100, 3), 1e5)
+        with pytest.raises(DivergenceDetectedError):
+            integrate_to_dump(sym(), cfg, target, noise=noise)
+        assert target.read_bytes() == b"earlier dump"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["d.bin"]
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = sym()
