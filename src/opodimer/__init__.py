@@ -23,9 +23,8 @@ from .model import (DerivedScales, SteadyState, SystemParams, derived_scales,
                     drift_rhs, stability_eigenvalues, steady_state,
                     threshold_bisection)
 from .sde import (SdeConfig, SpectrumEstimate, Stepper, TrajectoryEnsemble,
-                  estimate_output_spectrum, integrate, integrate_to_dump,
-                  load_ensemble_dump, stream_output_spectra,
-                  write_ensemble_dump)
+                  integrate, integrate_to_dump, load_ensemble_dump,
+                  stream_output_spectra)
 from .spectrum import (SpectralMatrix, analytic_combined, analytic_variances,
                        output_moment, spectral_matrix, vacuum_baseline)
 
@@ -41,11 +40,11 @@ __all__ = [
     "SystemParams", "TrajectoryEnsemble", "analytic_combined",
     "analytic_variances", "build_combined_model", "build_linear_model",
     "combined_variances", "derived_scales", "drift_rhs", "duan_sum",
-    "epr_product", "estimate_output_spectrum", "finite_difference_jacobian",
+    "epr_product", "finite_difference_jacobian",
     "integrate", "integrate_to_dump", "load_config_file",
     "load_ensemble_dump", "load_preset", "numeric_eigenvalues",
     "optimize_angle", "output_moment", "quadrature", "spectral_matrix",
     "spectral_stack", "stability_eigenvalues", "steady_state",
     "stream_output_spectra", "threshold_bisection", "vacuum_baseline",
-    "witness_flags", "witness_table", "write_ensemble_dump",
+    "witness_flags", "witness_table",
 ]

@@ -160,28 +160,22 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     combos = [criteria.quadrature(q, theta) for q in _VERIFY_COMBOS.values()]
     ests = sde.stream_output_spectra(p, dataclasses.replace(cfg.sde, seed=cfg.seed),
                                      combos, cfg.verify.omegas)
-    picks = [(name, terms, [est.nearest(w) for w in cfg.verify.omegas])
-             for name, terms, est in zip(_VERIFY_COMBOS, combos, ests)]
-    bins = np.unique([wbin for _, _, near in picks for wbin, _, _ in near])
-    S = spectrum.spectral_matrix(model, bins)
-    report = []
+    # every estimate keeps the same bins: those nearest to verify.omegas
+    S = spectrum.spectral_matrix(model, ests[0].omega)
+    lines = _header("verify", cfg)
+    lines.append("combination,omega,sde_value,sde_stderr,linear_value,z")
     worst = 0.0
-    for name, terms, near in picks:
-        preds = dict(zip(bins.tolist(),
-                         spectrum.output_moment(S, terms, terms, p.gamma_a).tolist()))
-        for wbin, val, err in near:
-            pred = preds[wbin]
+    for name, terms, est in zip(_VERIFY_COMBOS, combos, ests):
+        preds = spectrum.output_moment(S, terms, terms, p.gamma_a)
+        for wbin, val, err, pred in zip(est.omega.tolist(), est.values.tolist(),
+                                        est.stderr.tolist(), preds.tolist()):
             diff = val - pred
             if err > 0.0:
                 z = diff / err
             else:
                 z = 0.0 if diff == 0.0 else math.inf
             worst = max(worst, abs(z))
-            report.append((name, wbin, val, err, pred, z))
-    lines = _header("verify", cfg)
-    lines.append("combination,omega,sde_value,sde_stderr,linear_value,z")
-    for name, wbin, val, err, pred, z in report:
-        lines.append(",".join(_fmt(x) for x in (name, wbin, val, err, pred, z)))
+            lines.append(",".join(_fmt(x) for x in (name, wbin, val, err, pred, z)))
     ok = worst < _Z_LIMIT
     lines.append(f"# diverged: {ests[0].n_diverged} of {cfg.sde.n_traj}")
     lines.append(f"# verdict: {'PASS' if ok else 'FAIL'} "
@@ -287,6 +281,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"opodimer: error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. an --out path in a missing directory
+        print(f"opodimer: error: {exc}", file=sys.stderr)
         return 1
 
 

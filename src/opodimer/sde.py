@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,11 +29,10 @@ _MIDPOINT_ITERATIONS = 4
 _MIN_MEASURE_PERIODS = 50.0
 _N_BATCHES = 16
 # Bytes of the noise buffer (chunk x 4 x block doubles) of one trajectory
-# block, plus its record buffer when the block is streamed to a consumer:
-# 2048 trajectories at _NOISE_CHUNK = 2048 without one. Every block step
-# carries a fixed numpy dispatch cost (about 0.17 ms on a 2-core Xeon), so
-# blocks of 512 made a 4096-trajectory run about 17% slower than blocks of
-# 2048.
+# block plus its record buffer (n_vars x n_samples x block complex doubles).
+# Every block step carries a fixed numpy dispatch cost (about 0.17 ms on a
+# 2-core Xeon), so blocks of 512 made a 4096-trajectory run about 17% slower
+# than blocks of 2048.
 _NOISE_BUDGET = 128 * 2 ** 20
 
 DUMP_FORMAT = "opodimer-ensemble/1"
@@ -100,17 +98,13 @@ class SdeConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
-    """Samples of one integration run.
-
-    states has shape (n_vars, n_samples, n_traj) with n_vars = 4 for the
-    signal rows or 8 for the full state, as config.record says; it is None
-    when integrate handed each block to a consumer instead of keeping it.
-    diverged marks trajectories that crossed the divergence threshold at any
-    sampling instant and must be excluded from statistics.
+    """What an integration run leaves once its samples went to the consumer:
+    the sampling instants, the inputs, and the diverged mask, which marks
+    trajectories that crossed the divergence threshold at any sampling
+    instant and must be excluded from statistics.
     """
 
     times: np.ndarray
-    states: np.ndarray
     params: _model.SystemParams
     config: SdeConfig
     diverged: np.ndarray
@@ -130,17 +124,6 @@ class TrajectoryEnsemble:
     @property
     def dt_sample(self) -> float:
         return self.config.dt * self.config.record_stride
-
-    def quadrature_series(self, terms) -> np.ndarray:
-        """Pathwise quadrature-combination series, live trajectories only.
-
-        terms is [(mode, theta, weight), ...] as in spectrum.coefficient_vector;
-        returns a complex (n_samples, n_live) array. The combination is complex
-        pathwise even though its ensemble statistics are real. Projecting
-        before selecting the live columns never copies the states array.
-        """
-        c = coefficient_vector(self.states.shape[0], terms)
-        return _project(c, self.states)[:, ~self.diverged]
 
 
 def _project(c, states) -> np.ndarray:
@@ -172,9 +155,15 @@ class SpectrumEstimate:
         return float(self.omega[i]), float(self.values[i]), float(self.stderr[i])
 
 
-def integrate(p: _model.SystemParams, cfg: SdeConfig,
-              noise: np.ndarray = None, consume=None) -> TrajectoryEnsemble:
-    """Integrate the positive-P equations and record strided samples.
+def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
+              noise: np.ndarray = None) -> TrajectoryEnsemble:
+    """Integrate the positive-P equations, handing strided samples to consume.
+
+    Each finished block of trajectories is handed over as consume(rec,
+    alive): rec its (n_vars, n_samples, n) samples, n_vars = 4 for the
+    signal rows or 8 for the full state as cfg.record says, and alive its
+    slice of the live mask. rec is one buffer reused by every block, so the
+    consumer copies what it keeps. No sample is kept here.
 
     Each trajectory owns a counter-based generator spawned from the config
     seed, so results are bit-identical for identical inputs and trajectory k
@@ -185,10 +174,11 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
 
     Trajectories are integrated in blocks, each on buffers allocated once:
     a block holds as many trajectories as fit _NOISE_BUDGET bytes of noise
-    buffer (min(_NOISE_CHUNK, n_steps) x 4 increments per trajectory), so
-    memory beyond the returned states does not grow with n_traj. Each block
-    takes its own slice of the spawned seeds (or of the injected noise), so
-    blocking changes no output bit, and every element goes through the same
+    and record buffer (min(_NOISE_CHUNK, n_steps) x 4 increments and
+    n_vars x n_samples samples per trajectory), so memory beyond the live
+    mask does not grow with n_traj. Each block spawns its own seeds as it
+    starts (or takes its slice of the injected noise), so blocking changes
+    no output bit, and every element goes through the same
     floating-point operations in the same order as the allocating form
 
         xm = x;  4 times: xm = x + 0.5 * (drift(xm) dt + noise(xm))
@@ -200,12 +190,6 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
     Trajectories whose state magnitude exceeds 1e6 * max(1, |beta_ss|) at a
     sampling instant are flagged as diverged and reported, never silently
     dropped; only if every trajectory diverges does this raise.
-
-    With consume given, no states are kept: each finished block is handed
-    over as consume(rec, alive), rec its (n_vars, n_samples, n) samples and
-    alive its slice of the live mask, and the returned ensemble has states
-    None. rec is one buffer reused by every block, so the consumer copies
-    what it keeps; the block budget then covers that buffer too.
     """
     eigs = _model.stability_eigenvalues(p)
     rate = float(np.max(np.abs(eigs)))
@@ -227,9 +211,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
             raise ConfigError(
                 f"injected noise must have shape (4, {n_steps}, {cfg.n_traj}), "
                 f"got {noise.shape}")
-        seeds = None
-    else:
-        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+    root = np.random.SeedSequence(cfg.seed)  # spawn counts its children
     ss = _model._unchecked_state(p)
     x0 = ss.vector()[:, None]
     thresh = _DIVERGENCE_FACTOR * max(1.0, abs(ss.beta1_ss), abs(ss.beta2_ss))
@@ -300,22 +282,20 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
                 np.add(x, nz, out=x)
         check()
 
-    # bytes per trajectory: noise doubles, plus complex samples if streamed
-    per_traj = 4 * n_chunk * 8 + (0 if consume is None else n_vars * n_rec * 16)
-    block = max(1, _NOISE_BUDGET // per_traj)
-    rec = np.empty((n_vars, n_rec, cfg.n_traj if consume is None
-                    else min(block, cfg.n_traj)), dtype=complex)
+    # bytes per trajectory: noise doubles plus complex samples
+    block = max(1, _NOISE_BUDGET // (4 * n_chunk * 8 + n_vars * n_rec * 16))
+    rec = np.empty((n_vars, n_rec, min(block, cfg.n_traj)), dtype=complex)
     alive = np.ones(cfg.n_traj, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, cfg.n_traj, block):
             sl = slice(lo, lo + block)
-            out = rec[:, :, sl] if consume is None else rec[:, :, :alive[sl].size]
+            out = rec[:, :, :alive[sl].size]
             run_block(out, alive[sl],
-                      None if seeds is None else
-                      [np.random.Generator(np.random.Philox(s)) for s in seeds[sl]],
+                      None if noise is not None else
+                      [np.random.Generator(np.random.Philox(s))
+                       for s in root.spawn(out.shape[2])],
                       None if noise is None else noise[:, :, sl])
-            if consume is not None:
-                consume(out, alive[sl])
+            consume(out, alive[sl])
 
     diverged = ~alive
     n_div = int(diverged.sum())
@@ -326,9 +306,8 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig,
         warnings.warn(f"{n_div} of {cfg.n_traj} trajectories diverged and are "
                       "excluded from statistics", RuntimeWarning, stacklevel=2)
     times = np.arange(n_tr, n_steps, cfg.record_stride) * cfg.dt
-    return TrajectoryEnsemble(times=_frozen(times),
-                              states=_frozen(rec) if consume is None else None,
-                              params=p, config=cfg, diverged=_frozen(diverged))
+    return TrajectoryEnsemble(times=_frozen(times), params=p, config=cfg,
+                              diverged=_frozen(diverged))
 
 
 class _Periodograms:
@@ -401,130 +380,97 @@ class _Periodograms:
         return out
 
 
-def estimate_output_spectrum(ensemble: TrajectoryEnsemble, terms) -> SpectrumEstimate:
-    """Ensemble periodogram of a quadrature combination, output-normalized,
-    on the whole FFT frequency grid (ascending).
+def stream_output_spectra(p: _model.SystemParams, cfg: SdeConfig, combos,
+                          omegas=None, noise: np.ndarray = None) -> list:
+    """Integrate and return one output-normalized ensemble periodogram per
+    quadrature combination of combos ([(mode, theta, weight), ...] each).
 
     Per trajectory the finite-window transform F(w) = dt_sample * DFT(q)
     enters as F(w) F(-w) / T, whose ensemble mean converges to the normally
     ordered combination spectrum; adding the vacuum baseline and the
     2 gamma_a in/out scaling makes the result directly comparable with the
-    linearized output spectra. This is stream_output_spectra's reduction fed
-    the recorded states as one block.
-    """
-    acc = _Periodograms(ensemble.params, ensemble.config, [terms])
-    acc(ensemble.states, ~ensemble.diverged)
-    return acc.estimates()[0]
-
-
-def stream_output_spectra(p: _model.SystemParams, cfg: SdeConfig, combos,
-                          omegas=None, noise: np.ndarray = None) -> list:
-    """Integrate and estimate without keeping the ensemble.
-
-    Returns one SpectrumEstimate per quadrature combination of combos, equal
-    bit for bit to estimate_output_spectrum(integrate(p, cfg, noise), terms)
-    restricted to the bins nearest to omegas (every bin when omegas is
-    None). Each trajectory block is folded into those bins as soon as it is
-    integrated, so memory does not grow with n_traj beyond n_combos x n_bins
-    floats per trajectory. The measurement window is checked before any
-    step is taken.
+    linearized output spectra. Each estimate holds the FFT bins nearest to
+    omegas, once each and ascending (every bin when omegas is None); a bin's
+    value does not depend on which other bins are kept or on how the
+    ensemble is split into blocks. Each block is folded into those bins as
+    soon as it is integrated, so memory does not grow with n_traj beyond
+    n_combos x n_bins floats per trajectory. The measurement window is
+    checked before any step is taken.
     """
     acc = _Periodograms(p, cfg, combos, omegas)
-    integrate(p, cfg, noise, consume=acc)
+    integrate(p, cfg, acc, noise)
     return acc.estimates()
-
-
-def _params_jsonable(p: _model.SystemParams) -> dict:
-    d = asdict(p)
-    return d | {k: [d[k].real, d[k].imag] for k in ("eps1", "eps2")}
-
-
-def _config_jsonable(cfg: SdeConfig) -> dict:
-    return asdict(cfg) | {"stepper": cfg.stepper.value}
-
-
-@contextmanager
-def _payload(path: Path):
-    """Yield write(block): append an (n_vars, n_samples, n) block of samples
-    to the payload at path, trajectory-major, as little-endian complex
-    doubles, copying one trajectory at a time. The bytes go to a temporary
-    file beside path that replaces path only once the with-block succeeds;
-    on an error it is removed and path is left as it was."""
-    part = path.with_name(path.name + ".part")
-
-    def write(block):
-        for t in range(block.shape[2]):
-            f.write(np.ascontiguousarray(block[:, :, t].T).astype("<c16", copy=False))
-
-    try:
-        with part.open("wb") as f:
-            yield write
-        part.replace(path)
-    finally:
-        part.unlink(missing_ok=True)
-
-
-def _write_sidecar(ensemble: TrajectoryEnsemble, path: Path) -> None:
-    n_vars = ensemble.config.n_vars
-    sidecar = {
-        "format": DUMP_FORMAT,
-        "dtype": "complex128-le",
-        "order": ["trajectory", "sample", "variable"],
-        "n_traj": ensemble.n_traj,
-        "n_samples": ensemble.n_samples,
-        "n_variables": n_vars,
-        "variables": list(STATE_LABELS[:n_vars]),
-        "t_first_sample": float(ensemble.times[0]),
-        "dt_sample": ensemble.dt_sample,
-        "params": _params_jsonable(ensemble.params),
-        "config": _config_jsonable(ensemble.config),
-        "diverged_indices": np.flatnonzero(ensemble.diverged).tolist(),
-    }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="ascii")
-
-
-def write_ensemble_dump(ensemble: TrajectoryEnsemble, path) -> Path:
-    """Write raw samples as little-endian complex doubles plus a JSON sidecar.
-
-    Layout is trajectory-major: all samples of trajectory 0, then 1, ...;
-    each sample is n_variables complex doubles in the state ordering. The
-    sidecar (same path + ".json") records shapes, labels, parameters, seed,
-    and the diverged-trajectory indices so the stream can be audited without
-    this package.
-    """
-    path = Path(path)
-    with _payload(path) as write:
-        write(ensemble.states)
-    _write_sidecar(ensemble, path)
-    return path
 
 
 def integrate_to_dump(p: _model.SystemParams, cfg: SdeConfig, path,
                       noise: np.ndarray = None) -> TrajectoryEnsemble:
-    """integrate, writing each finished block straight to the dump at path
-    (the bytes and sidecar of write_ensemble_dump) instead of keeping it.
-    Returns the ensemble without states. If integrate raises, no payload or
-    sidecar is written."""
+    """integrate, writing raw samples as little-endian complex doubles plus
+    a JSON sidecar, and return the ensemble.
+
+    Layout is trajectory-major: all samples of trajectory 0, then 1, ...;
+    each sample is n_variables complex doubles in the state ordering. Each
+    block is copied out one trajectory at a time as it finishes, into a
+    temporary file beside path that replaces path only once the run
+    succeeds; if integrate raises, no payload or sidecar is written and path
+    is left as it was. The sidecar (same path + ".json"), written last,
+    records shapes, labels, parameters, seed, and the diverged-trajectory
+    indices so the stream can be audited without this package.
+    """
     path = Path(path)
-    with _payload(path) as write:
-        ens = integrate(p, cfg, noise, consume=lambda rec, alive: write(rec))
-    _write_sidecar(ens, path)
+    part = path.with_name(path.name + ".part")
+
+    def write(rec, alive):
+        for t in range(rec.shape[2]):
+            f.write(np.ascontiguousarray(rec[:, :, t].T).astype("<c16", copy=False))
+
+    try:
+        with part.open("wb") as f:
+            ens = integrate(p, cfg, write, noise)
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
+    params = asdict(p)
+    sidecar = {
+        "format": DUMP_FORMAT,
+        "dtype": "complex128-le",
+        "order": ["trajectory", "sample", "variable"],
+        "n_traj": ens.n_traj,
+        "n_samples": ens.n_samples,
+        "n_variables": cfg.n_vars,
+        "variables": list(STATE_LABELS[:cfg.n_vars]),
+        "t_first_sample": float(ens.times[0]),
+        "dt_sample": ens.dt_sample,
+        "params": params | {k: [params[k].real, params[k].imag]
+                            for k in ("eps1", "eps2")},
+        "config": asdict(cfg) | {"stepper": cfg.stepper.value},
+        "diverged_indices": np.flatnonzero(ens.diverged).tolist(),
+    }
+    Path(str(path) + ".json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="ascii")
     return ens
 
 
 def load_ensemble_dump(path) -> tuple:
-    """Read a dump back as (states, sidecar) with states shaped like
-    TrajectoryEnsemble.states. Raises ConfigError on format mismatch."""
+    """Read a dump back as (states, sidecar) with states shaped
+    (n_variables, n_samples, n_traj), as integrate hands blocks to its
+    consumer. Raises ConfigError on format mismatch."""
     path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="ascii"))
+    try:
+        sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="ascii"))
+    except ValueError as exc:  # also a sidecar that is not ASCII
+        raise ConfigError(f"sidecar of {path} is not valid JSON: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ConfigError(f"sidecar of {path} is not a JSON object")
     if sidecar.get("format") != DUMP_FORMAT:
         raise ConfigError(
             f"unsupported dump format {sidecar.get('format')!r}")
-    shape = (sidecar["n_traj"], sidecar["n_samples"], sidecar["n_variables"])
-    flat = np.frombuffer(path.read_bytes(), dtype="<c16")
-    if flat.size != shape[0] * shape[1] * shape[2]:
-        raise ConfigError(
-            f"dump holds {flat.size} samples, sidecar promises {shape}")
-    states = flat.reshape(shape).transpose(2, 1, 0)
+    shape = tuple(sidecar.get(k) for k in ("n_traj", "n_samples", "n_variables"))
+    if not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ConfigError(f"sidecar of {path} promises the shape {shape}, not "
+                          "three non-negative integers")
+    data = path.read_bytes()
+    if len(data) != 16 * math.prod(shape):
+        raise ConfigError(f"dump holds {len(data)} bytes, sidecar promises "
+                          f"{shape} complex doubles")
+    states = np.frombuffer(data, dtype="<c16").reshape(shape).transpose(2, 1, 0)
     return states, sidecar

@@ -508,3 +508,19 @@ class TestSdeDumpCommand:
     def test_dump_requires_out(self, tmp_path):
         r = run_cli("sde-dump", config=DRIVEN, tmp_path=tmp_path)
         assert r.returncode == 1
+
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["spectrum", "sde-dump"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, command):
+        cfg = dict(DRIVEN, sde={"n_traj": 8, "t_transient": 1.0, "t_measure": 8.0})
+        (tmp_path / "dir").mkdir()
+        for out in (tmp_path / "missing" / "out", tmp_path / "dir"):
+            r = run_cli(command, "--out", str(out), config=cfg, tmp_path=tmp_path)
+            assert r.returncode == 1, r.stderr
+            assert r.stderr.startswith("opodimer: error: ")
+            assert len(r.stderr.splitlines()) == 1
+            assert str(out) in r.stderr
+        # nothing is left beside the config, such as a .part file
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "dir"]

@@ -12,9 +12,9 @@ from opodimer.errors import (ConfigError, DivergenceDetectedError,
                              InsufficientDataError)
 from opodimer.linearized import build_linear_model
 from opodimer.model import SystemParams, _unchecked_state, drift_rhs, steady_state
-from opodimer.sde import (SdeConfig, Stepper, estimate_output_spectrum,
-                          integrate, integrate_to_dump, load_ensemble_dump,
-                          stream_output_spectra, write_ensemble_dump)
+from opodimer.sde import (SdeConfig, Stepper, integrate, integrate_to_dump,
+                          load_ensemble_dump, stream_output_spectra)
+from opodimer.spectrum import vacuum_baseline
 
 
 def sym(**kw):
@@ -25,6 +25,19 @@ def sym(**kw):
 
 
 Y0_TERMS = [(1, math.pi / 2, 1.0)]
+
+
+def collect(p, cfg, noise=None):
+    """integrate with a consumer that keeps every block: (ensemble, states),
+    states of shape (n_vars, n_samples, n_traj)."""
+    blocks = []
+    ens = integrate(p, cfg, lambda rec, alive: blocks.append(rec.copy()), noise)
+    return ens, np.concatenate(blocks, axis=2)
+
+
+def spectrum_of(p, cfg, terms, noise=None):
+    """The estimate of one combination on every bin."""
+    return stream_output_spectra(p, cfg, [terms], noise=noise)[0]
 
 
 class TestConfigValidation:
@@ -44,14 +57,14 @@ class TestConfigValidation:
         # detuned J_a = 10 puts eigenvalues near |lambda| ~ 20
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
         with pytest.raises(ConfigError):
-            integrate(p, SdeConfig(dt=0.01, t_measure=1.0, n_traj=2))
+            collect(p, SdeConfig(dt=0.01, t_measure=1.0, n_traj=2))
 
     def test_above_threshold_warns(self):
         p = sym(pump_fraction=1.01)
         cfg = SdeConfig(dt=0.002, t_transient=0.0, t_measure=0.1, n_traj=2,
                         seed=7)
         with pytest.warns(RuntimeWarning):
-            integrate(p, cfg)
+            collect(p, cfg)
 
 
 class TestDeterminism:
@@ -59,18 +72,18 @@ class TestDeterminism:
         p = sym()
         cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=4.0, n_traj=8,
                         seed=3)
-        a = integrate(p, cfg)
-        b = integrate(p, cfg)
-        assert np.array_equal(a.states, b.states)
+        _, a = collect(p, cfg)
+        _, b = collect(p, cfg)
+        assert np.array_equal(a, b)
 
     def test_trajectory_prefix_stable_in_ensemble_size(self):
         # growing the ensemble must not reshuffle existing trajectories
         p = sym()
-        small = integrate(p, SdeConfig(dt=0.02, t_transient=1.0,
-                                       t_measure=4.0, n_traj=4, seed=3))
-        big = integrate(p, SdeConfig(dt=0.02, t_transient=1.0,
-                                     t_measure=4.0, n_traj=8, seed=3))
-        assert np.array_equal(small.states, big.states[:, :, :4])
+        _, small = collect(p, SdeConfig(dt=0.02, t_transient=1.0,
+                                        t_measure=4.0, n_traj=4, seed=3))
+        _, big = collect(p, SdeConfig(dt=0.02, t_transient=1.0,
+                                      t_measure=4.0, n_traj=8, seed=3))
+        assert np.array_equal(small, big[:, :, :4])
 
 
 def row_drift(p, x):
@@ -144,9 +157,9 @@ def reference_integrate(p, cfg, z):
     return np.array(times), np.stack(rec, axis=1), ~alive
 
 
-def assert_same_run(ens, ref):
-    times, states, diverged = ref
-    assert np.array_equal(ens.states.view(float), states.view(float))
+def assert_same_run(run, ref):
+    (ens, states), (times, ref_states, diverged) = run, ref
+    assert np.array_equal(states.view(float), ref_states.view(float))
     assert np.array_equal(ens.times, times)
     assert np.array_equal(ens.diverged, diverged)
 
@@ -173,7 +186,7 @@ class TestReferenceStepper:
                         seed=13, stepper=stepper, record=record,
                         record_stride=3)
         z = philox_increments(cfg, 125)
-        assert_same_run(integrate(p, cfg), reference_integrate(p, cfg, z))
+        assert_same_run(collect(p, cfg), reference_integrate(p, cfg, z))
 
     @pytest.mark.parametrize("point", POINTS)
     @pytest.mark.parametrize("stepper", [s.value for s in Stepper])
@@ -182,24 +195,24 @@ class TestReferenceStepper:
         cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=2.0, n_traj=5,
                         stepper=stepper, record="all", record_stride=2)
         z = np.random.default_rng(8).standard_normal((4, 125, 5))
-        assert_same_run(integrate(p, cfg, noise=z),
+        assert_same_run(collect(p, cfg, noise=z),
                         reference_integrate(p, cfg, z))
 
     @pytest.mark.parametrize("injected", [False, True])
     def test_run_over_several_blocks(self, monkeypatch, injected):
         # blocks of 2 trajectories (the last holds 1), noise chunks of 16 steps
         monkeypatch.setattr(sde, "_NOISE_CHUNK", 16)
-        monkeypatch.setattr(sde, "_NOISE_BUDGET", 4 * 16 * 8 * 2)
         p = POINTS["detuned"]
         cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=2.0, n_traj=5,
                         seed=4, record="all")
+        force_blocks(monkeypatch, cfg, 2)
         z = (np.random.default_rng(2).standard_normal((4, 125, 5)) if injected
              else philox_increments(cfg, 125))
-        ens = integrate(p, cfg, noise=z if injected else None)
-        assert_same_run(ens, reference_integrate(p, cfg, z))
+        run = collect(p, cfg, noise=z if injected else None)
+        assert_same_run(run, reference_integrate(p, cfg, z))
         monkeypatch.setattr(sde, "_NOISE_BUDGET", 2 ** 25)
-        one = integrate(p, cfg, noise=z if injected else None)
-        assert np.array_equal(ens.states.view(float), one.states.view(float))
+        _, one = collect(p, cfg, noise=z if injected else None)
+        assert np.array_equal(run[1].view(float), one.view(float))
 
     def test_drift_blocks_equal_row_formulas(self):
         rng = np.random.default_rng(6)
@@ -238,8 +251,9 @@ class TestPhysics:
             (p.gamma_b - 1j * (p.J_b - p.Delta_b))
         cfg = SdeConfig(dt=0.04, t_transient=12.0, t_measure=3.0,
                         n_traj=10000, seed=5, record="all")
-        ens = integrate(p, cfg)
-        beta = ens.states[4, -1, :]
+        last = []  # beta1 at the last sampling instant, block by block
+        ens = integrate(p, cfg, lambda rec, alive: last.append(rec[4, -1].copy()))
+        beta = np.concatenate(last)
         mean = beta.mean()
         err_re = beta.real.std(ddof=1) / math.sqrt(ens.n_traj)
         err_im = beta.imag.std(ddof=1) / math.sqrt(ens.n_traj)
@@ -252,7 +266,7 @@ class TestPhysics:
         p = sym(pump_fraction=0.0)
         cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=60.0, n_traj=64,
                         seed=9)
-        est = estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
+        est = spectrum_of(p, cfg, Y0_TERMS)
         assert np.allclose(est.values, 1.0)
         assert np.allclose(est.stderr, 0.0)
 
@@ -261,7 +275,7 @@ class TestPhysics:
         p = sym()
         cfg = SdeConfig(dt=0.01, t_transient=20.0, t_measure=120.0,
                         n_traj=512, seed=12)
-        est = estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
+        est = spectrum_of(p, cfg, Y0_TERMS)
         sy, _, _ = single_mode_moments(spectral_stack(p, 0.0), p.gamma_a,
                                        math.pi / 2)
         w, val, err = est.nearest(0.0)
@@ -273,7 +287,7 @@ class TestPhysics:
         p = sym()
         cfg = SdeConfig(dt=0.005, t_transient=20.0, t_measure=80.0,
                         n_traj=256, seed=21, stepper="euler-maruyama")
-        est = estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
+        est = spectrum_of(p, cfg, Y0_TERMS)
         from opodimer.criteria import single_mode_moments, spectral_stack
         sy, _, _ = single_mode_moments(spectral_stack(p, 0.0), p.gamma_a,
                                        math.pi / 2)
@@ -296,10 +310,8 @@ class TestPhysics:
                           n_traj=n_traj, record_stride=2)
         cfg_c = SdeConfig(dt=2 * dt_f, t_transient=t_tr, t_measure=t_me,
                           n_traj=n_traj, record_stride=1)
-        est_f = estimate_output_spectrum(integrate(p, cfg_f, noise=z_f),
-                                         Y0_TERMS)
-        est_c = estimate_output_spectrum(integrate(p, cfg_c, noise=z_c),
-                                         Y0_TERMS)
+        est_f = spectrum_of(p, cfg_f, Y0_TERMS, noise=z_f)
+        est_c = spectrum_of(p, cfg_c, Y0_TERMS, noise=z_c)
         _, vf, ef = est_f.nearest(0.0)
         _, vc, ec = est_c.nearest(0.0)
         assert abs(vf - vc) < math.hypot(ef, ec)
@@ -313,7 +325,7 @@ class TestDivergence:
         noise = np.full((4, n_steps, 4), 1e5)
         cfg = SdeConfig(dt=dt, t_transient=t_tr, t_measure=t_me, n_traj=4)
         with pytest.raises(DivergenceDetectedError):
-            integrate(p, cfg, noise=noise)
+            collect(p, cfg, noise=noise)
 
     def test_partial_divergence_is_excluded_from_estimate(self):
         p = sym()
@@ -321,30 +333,35 @@ class TestDivergence:
         n_steps = round((t_tr + t_me) / dt)
         noise = np.random.default_rng(0).standard_normal((4, n_steps, 6))
         noise[:, :, 0] = 1e5
+        cfg = SdeConfig(dt=dt, t_transient=t_tr, t_measure=t_me, n_traj=6)
         with pytest.warns(RuntimeWarning, match="diverged"):
-            ens = integrate(p, SdeConfig(dt=dt, t_transient=t_tr,
-                                         t_measure=t_me, n_traj=6),
-                            noise=noise)
+            ens, states = collect(p, cfg, noise=noise)
         assert ens.n_diverged == 1
         assert ens.diverged[0] and not ens.diverged[1:].any()
-        # pathwise series: the per-slot sum over the live trajectories
+        # the estimate written out from the samples of the live trajectories:
+        # the pathwise per-slot sum, its transform, and the mean periodogram
         terms = [(1, 0.3, 1.0), (2, 0.3, -1.0)]
-        live = ens.states[:, :, 1:]
-        want = sum(w * (live[2 * m - 2] * np.exp(-1j * t)
-                        + live[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
-        assert np.allclose(ens.quadrature_series(terms), want, rtol=0.0,
-                           atol=1e-14 * np.abs(live).max())
-        with pytest.raises(ValueError, match="mode must be 1 or 2"):
-            ens.quadrature_series([(3, 0.0, 1.0)])  # a pump slot
-        est = estimate_output_spectrum(ens, Y0_TERMS)
+        live = states[:, :, 1:]
+        q = sum(w * (live[2 * m - 2] * np.exp(-1j * t)
+                     + live[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
+        n = ens.n_samples
+        F = np.fft.fft(q, axis=0) * ens.dt_sample
+        P = (F * F[-np.arange(n) % n]).real / (n * ens.dt_sample)
+        order = np.argsort(np.fft.fftfreq(n))
+        want = vacuum_baseline(terms, terms) + 2.0 * p.gamma_a * P.mean(axis=1)[order]
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            est = spectrum_of(p, cfg, terms, noise=noise)
         assert est.n_traj_used == 5
         assert np.isfinite(est.values).all()
+        assert np.allclose(est.values, want, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="mode must be 1 or 2"):
+            spectrum_of(p, cfg, [(3, 0.0, 1.0)], noise=noise)  # a pump slot
 
     def test_injected_noise_shape_checked(self):
         p = sym()
         cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=4.0, n_traj=4)
         with pytest.raises(ConfigError):
-            integrate(p, cfg, noise=np.zeros((4, 10, 4)))
+            collect(p, cfg, noise=np.zeros((4, 10, 4)))
 
 
 class TestEstimator:
@@ -353,13 +370,13 @@ class TestEstimator:
         cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=20.0, n_traj=4,
                         seed=2)
         with pytest.raises(InsufficientDataError):
-            estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
+            spectrum_of(p, cfg, Y0_TERMS)
 
     def test_frequency_axis_is_centered_and_ascending(self):
         p = sym(pump_fraction=0.0)
         cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=60.0, n_traj=4,
                         seed=2)
-        est = estimate_output_spectrum(integrate(p, cfg), Y0_TERMS)
+        est = spectrum_of(p, cfg, Y0_TERMS)
         assert (np.diff(est.omega) > 0).all()
         assert est.omega[0] < 0 < est.omega[-1]
         assert 0.0 in est.omega
@@ -376,13 +393,13 @@ def force_blocks(monkeypatch, cfg, n):
 STREAM_COMBOS = [Y0_TERMS, [(1, 0.3, 1.0), (2, 0.3, -1.0)]]
 
 
-def assert_streams_like_recorded(p, cfg, omegas, noise=None):
-    """stream_output_spectra equals, bit for bit, the estimate of the
-    recorded ensemble at the bins it kept."""
+def assert_streams_like_one_block(monkeypatch, p, cfg, omegas, noise=None):
+    """stream_output_spectra, over the blocks the caller set up, equals bit
+    for bit a one-block run that keeps every bin, at the bins it kept."""
     streamed = stream_output_spectra(p, cfg, STREAM_COMBOS, omegas, noise=noise)
-    ens = integrate(p, cfg, noise=noise)
-    for terms, got in zip(STREAM_COMBOS, streamed):
-        want = estimate_output_spectrum(ens, terms)
+    monkeypatch.setattr(sde, "_NOISE_BUDGET", 2 ** 40)
+    whole = stream_output_spectra(p, cfg, STREAM_COMBOS, noise=noise)
+    for got, want in zip(streamed, whole):
         keep = (slice(None) if omegas is None
                 else np.unique([np.argmin(np.abs(want.omega - w)) for w in omegas]))
         for field in ("omega", "values", "stderr"):
@@ -412,26 +429,28 @@ class TestStreaming:
                                                   injected):
         force_blocks(monkeypatch, self.CFG, 45)  # blocks of 45, 45 and 40
         noise = self.noise(3) if injected else None
-        assert_streams_like_recorded(sym(), self.CFG, omegas, noise)
+        assert_streams_like_one_block(monkeypatch, sym(), self.CFG, omegas, noise)
 
-    def test_equals_recorded_estimate_in_one_block(self):
-        assert_streams_like_recorded(sym(), self.CFG, (0.0, 1.5))
+    def test_equals_recorded_estimate_in_one_block(self, monkeypatch):
+        # a few bins kept against every bin, both in one block
+        assert_streams_like_one_block(monkeypatch, sym(), self.CFG, (0.0, 1.5))
 
     def test_diverged_trajectory_is_excluded(self, monkeypatch):
         force_blocks(monkeypatch, self.CFG, 50)
         noise = self.noise(0)
         noise[:, :, 60] = 1e5
         with pytest.warns(RuntimeWarning, match="diverged"):
-            assert_streams_like_recorded(sym(), self.CFG, (0.0, 2.0), noise)
+            est = spectrum_of(sym(), self.CFG, Y0_TERMS, noise=noise)
         with pytest.warns(RuntimeWarning, match="diverged"):
-            est = stream_output_spectra(sym(), self.CFG, [Y0_TERMS], noise=noise)[0]
+            assert_streams_like_one_block(monkeypatch, sym(), self.CFG, (0.0, 2.0),
+                                          noise)
         assert (est.n_traj_used, est.n_diverged) == (129, 1)
         assert np.isfinite(est.values).all()
 
     def test_memory_does_not_grow_with_the_ensemble(self, monkeypatch):
-        cfg = SdeConfig(dt=0.04, t_transient=0.0, t_measure=50.0, n_traj=8,
+        cfg = SdeConfig(dt=0.04, t_transient=0.0, t_measure=50.0, n_traj=64,
                         seed=2, stepper="euler-maruyama")
-        force_blocks(monkeypatch, cfg, 8)
+        force_blocks(monkeypatch, cfg, 64)
         omegas = (0.0, 1.0, 2.0)
 
         def peak(n_traj):
@@ -443,13 +462,15 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
 
-        peak(8)  # first-call allocations (FFT plans and the like)
-        small, big = peak(8), peak(32)
-        # the kept bins grow by n_combos x n_bins floats per trajectory; the
-        # recorded samples of the 24 extra trajectories alone would take
-        # 24 x 4 x 250 complex doubles = 375 KiB
-        bins = len(STREAM_COMBOS) * len(omegas) * 8 * 24
-        assert big - small <= bins + 64 * 1024
+        peak(64)  # first-call allocations (FFT plans and the like)
+        small = peak(64)
+        for big in (256, 576):
+            # the kept bins grow by n_combos x n_bins floats per trajectory;
+            # the recorded samples of each extra trajectory alone would take
+            # 4 x 250 complex doubles = 15.6 KiB, and a seed spawned for
+            # each trajectory up front about 370 B
+            bins = len(STREAM_COMBOS) * len(omegas) * 8 * (big - 64)
+            assert peak(big) - small <= bins + 64 * 1024, big
 
     def test_short_window_rejected_before_stepping(self, monkeypatch):
         def no_steps(*args, **kwargs):
@@ -466,11 +487,11 @@ class TestDump:
         p = sym()
         cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=8.0, n_traj=16,
                         seed=6, record="all")
-        ens = integrate(p, cfg)
+        _, want = collect(p, cfg)
         base = tmp_path / "dump.bin"
-        write_ensemble_dump(ens, base)
+        integrate_to_dump(p, cfg, base)
         states, sidecar = load_ensemble_dump(base)
-        assert np.array_equal(states, ens.states)
+        assert np.array_equal(states, want)
         assert sidecar["format"] == "opodimer-ensemble/1"
         assert sidecar["config"]["seed"] == 6
         assert sidecar["n_variables"] == 8
@@ -483,20 +504,21 @@ class TestDump:
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_streamed_dump_equals_recorded_dump(self, tmp_path, monkeypatch,
                                                 blocks):
+        # the dump of a run over `blocks` blocks holds the samples and the
+        # sidecar of a one-block run
         cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=8.0, n_traj=16,
                         seed=5, record="all")
+        p = sym()
+        ens, states = collect(p, cfg)  # 16 trajectories fit one block
+        integrate_to_dump(p, cfg, tmp_path / "r.bin")
         if blocks > 1:
             force_blocks(monkeypatch, cfg, 6)  # blocks of 6, 6 and 4
-        p = sym()
-        ens = integrate(p, cfg)
         streamed = integrate_to_dump(p, cfg, tmp_path / "s.bin")
-        write_ensemble_dump(ens, tmp_path / "r.bin")
-        payload = np.ascontiguousarray(ens.states.transpose(2, 1, 0)).astype("<c16")
+        payload = np.ascontiguousarray(states.transpose(2, 1, 0)).astype("<c16")
         assert (tmp_path / "s.bin").read_bytes() == payload.tobytes()
         assert (tmp_path / "r.bin").read_bytes() == payload.tobytes()
         assert ((tmp_path / "s.bin.json").read_text()
                 == (tmp_path / "r.bin.json").read_text())
-        assert streamed.states is None
         assert (streamed.n_traj, streamed.n_samples) == (ens.n_traj, ens.n_samples)
 
     def test_diverged_run_leaves_no_payload(self, tmp_path):
@@ -514,7 +536,16 @@ class TestDump:
         cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=8.0, n_traj=4,
                         seed=6)
         target = tmp_path / "d.bin"
-        write_ensemble_dump(integrate(p, cfg), target)
-        target.write_bytes(target.read_bytes()[:-16])
-        with pytest.raises(ConfigError):
-            load_ensemble_dump(target)
+        side = tmp_path / "d.bin.json"
+        integrate_to_dump(p, cfg, target)
+        payload, meta = target.read_bytes(), json.loads(side.read_text())
+        no_n_traj = {k: v for k, v in meta.items() if k != "n_traj"}
+        for data, text in ((payload[:-16], None),  # one sample short
+                           (payload[:-1], None),  # one byte short
+                           (None, json.dumps(no_n_traj)),
+                           (None, json.dumps(list(meta))),
+                           (None, json.dumps(meta)[:-1])):  # not valid JSON
+            target.write_bytes(payload if data is None else data)
+            side.write_text(json.dumps(meta) if text is None else text)
+            with pytest.raises(ConfigError):
+                load_ensemble_dump(target)
