@@ -21,7 +21,7 @@ from .linearized import (LinearModel, build_combined_model, build_linear_model,
                          finite_difference_jacobian, numeric_eigenvalues)
 from .model import (DerivedScales, SteadyState, SystemParams, derived_scales,
                     drift_rhs, stability_eigenvalues, steady_state,
-                    threshold_bisection)
+                    threshold_bisection, threshold_bisection_stack)
 from .sde import (SdeConfig, SpectrumEstimate, Stepper, TrajectoryEnsemble,
                   integrate, integrate_to_dump, load_ensemble_dump,
                   stream_output_spectra)
@@ -45,6 +45,7 @@ __all__ = [
     "load_ensemble_dump", "load_preset", "numeric_eigenvalues",
     "optimize_angle", "output_moment", "quadrature", "spectral_matrix",
     "spectral_stack", "stability_eigenvalues", "steady_state",
-    "stream_output_spectra", "threshold_bisection", "vacuum_baseline",
+    "stream_output_spectra", "threshold_bisection",
+    "threshold_bisection_stack", "vacuum_baseline",
     "witness_flags", "witness_table",
 ]

@@ -22,7 +22,8 @@ from .config import (PRESETS, RunConfig, _as_float, apply_overrides,
                      load_config_file, load_preset)
 from .errors import AboveThresholdError, OpodimerError
 from .linearized import _frozen, build_linear_model
-from .model import derived_scales, steady_state, stability_eigenvalues, threshold_bisection
+from .model import (derived_scales, stability_eigenvalues, steady_state,
+                    threshold_bisection_stack)
 
 CSV_SCHEMA = "opodimer-csv/1"
 
@@ -113,13 +114,14 @@ def cmd_stability(args, cfg: RunConfig) -> int:
         lead_cols = "pump_fraction,eps"
         patches = [{"pump_fraction": f} for f in spec.pump_fractions]
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
-    for patch in patches:
-        p = cfg.params.patched(patch, f"stability {spec.mode}").to_params()
+    ps = [cfg.params.patched(patch, f"stability {spec.mode}").to_params()
+          for patch in patches]
+    for patch, p, root in zip(patches, ps, threshold_bisection_stack(ps).tolist()):
         lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
                 else (patch["pump_fraction"], abs(p.eps1)))
         lines.append(",".join(_fmt(x) for x in (
             *lead, float(np.min(stability_eigenvalues(p).real)),
-            derived_scales(p).eps_crit, threshold_bisection(p))))
+            derived_scales(p).eps_crit, root)))
     _emit(lines, args.out)
     return 0
 

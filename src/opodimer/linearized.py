@@ -133,13 +133,18 @@ def build_combined_model(p: SystemParams, ss: SteadyState) -> LinearModel:
     return LinearModel(A=_frozen(A), B=_frozen(B), ordering=COMBINED_LABELS)
 
 
-def numeric_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of the drift matrix by the dense solver, sorted (Re, Im)."""
+def dense_eigvals(A) -> np.ndarray:
+    """np.linalg.eigvals of a matrix or a stack of them, unsorted; raises
+    ConvergenceFailureError where the solver fails."""
     try:
-        vals = np.linalg.eigvals(m.A)
+        return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
-    return sort_eigenvalues(vals)
+
+
+def numeric_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues of the drift matrix by the dense solver, sorted (Re, Im)."""
+    return sort_eigenvalues(dense_eigvals(m.A))
 
 
 def finite_difference_jacobian(p: SystemParams, x0=None) -> np.ndarray:

@@ -297,31 +297,51 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
 
 
 def threshold_bisection(p: SystemParams) -> float:
-    """Numeric threshold: equal real pump amplitude at which the slowest
-    drift eigenvalue crosses zero.
+    """Numeric threshold: the equal real pump amplitude at which the slowest
+    drift eigenvalue crosses zero; the pump fields of ``p`` are ignored.
 
-    Ignores the pump fields of ``p`` and scans amplitude on
-    [0, 10 * analytic eps_crit] with a bracketing root find on
-    min Re eig(A), to relative tolerance _BISECTION_RTOL. The eigenvalues
-    come from the dense solver on the assembled drift matrix, never from the
-    closed form, so this is an independent check of the analytic threshold.
-    Raises NoCrossingError when the bracket does not change sign.
+    At the alpha = 0 fixed point A is block diagonal. Its pump block does
+    not depend on the pump e, and its eigenvalues gamma_b + i(Delta_b +- J_b)
+    have real part gamma_b > 0, so min Re eig(A) changes sign where that of
+    the 4x4 signal block does; that block is A0 + e A1, as the steady pump
+    field is linear in e. Bisection on its dense eigenvalues, never the
+    closed form, checks the analytic threshold independently.
+    """
+    return float(threshold_bisection_stack([p])[0])
+
+
+def threshold_bisection_stack(ps: list) -> np.ndarray:
+    """threshold_bisection of each parameter set in ps, bisected all at once
+    on [0, hi0 = 10 * analytic eps_crit] with one stacked eigvals per step;
+    each row stops on its own once hi - lo <= 2 (1e-12 hi0 + _BISECTION_RTOL
+    lo) and returns its midpoint. Raises NoCrossingError naming the first
+    row whose bracket does not change sign.
     """
     from . import linearized  # deferred to break the module cycle
 
-    scales = derived_scales(p)
-    hi = 10.0 * scales.eps_crit
+    def signal_block(p: SystemParams, e: complex) -> np.ndarray:
+        q = replace(p, eps1=e, eps2=e)
+        return linearized.build_linear_model(q, _unchecked_state(q)).A[:4, :4]
 
-    def slowest(e: float) -> float:
-        q = replace(p, eps1=complex(e), eps2=complex(e))
-        m = linearized.build_linear_model(q, _unchecked_state(q))
-        return float(np.min(linearized.numeric_eigenvalues(m).real))
+    A0 = np.array([signal_block(p, 0j) for p in ps]).reshape(-1, 4, 4)
+    A1 = np.array([signal_block(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
+    hi0 = np.array([10.0 * derived_scales(p).eps_crit for p in ps])
 
-    f_lo, f_hi = slowest(0.0), slowest(hi)
-    if not (f_lo > 0.0 > f_hi):
+    def slowest(rows, e: np.ndarray) -> np.ndarray:
+        A = A0[rows] + e[:, None, None] * A1[rows]
+        return linearized.dense_eigvals(A).real.min(axis=1)
+
+    lo, hi = np.zeros_like(hi0), hi0.copy()
+    f_lo, f_hi = slowest(slice(None), lo), slowest(slice(None), hi)
+    crossing = (f_lo > 0.0) & (f_hi < 0.0)
+    if not crossing.all():
+        i = int(np.argmin(crossing))
         raise NoCrossingError(
-            f"min Re eig does not change sign on [0, {hi:.6g}]: "
-            f"endpoints {f_lo:.6g}, {f_hi:.6g}")
-    from scipy.optimize import brentq  # deferred: most of the package import time
-    root = brentq(slowest, 0.0, hi, rtol=_BISECTION_RTOL, xtol=1e-12 * hi)
-    return float(root)
+            f"row {i}: min Re eig does not change sign on [0, {hi[i]:.6g}]: "
+            f"endpoints {f_lo[i]:.6g}, {f_hi[i]:.6g}")
+    while (rows := np.flatnonzero(
+            hi - lo > 2.0 * (1e-12 * hi0 + _BISECTION_RTOL * lo))).size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        stable = slowest(rows, mid) > 0.0
+        lo[rows[stable]], hi[rows[~stable]] = mid[stable], mid[~stable]
+    return 0.5 * (lo + hi)

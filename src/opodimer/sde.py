@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -155,6 +156,14 @@ class SpectrumEstimate:
         return float(self.omega[i]), float(self.values[i]), float(self.stderr[i])
 
 
+def _warn(message: str) -> None:
+    """RuntimeWarning attributed to the first frame outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
               noise: np.ndarray = None) -> TrajectoryEnsemble:
     """Integrate the positive-P equations, handing strided samples to consume.
@@ -198,9 +207,8 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
             f"dt = {cfg.dt:g} too coarse: dt * max|eigenvalue| = "
             f"{cfg.dt * rate:.3g} >= 0.1")
     if not _model._is_below_threshold(p):
-        warnings.warn("integrating at or above threshold; positive-P "
-                      "trajectories are expected to spike", RuntimeWarning,
-                      stacklevel=2)
+        _warn("integrating at or above threshold; positive-P trajectories "
+              "are expected to spike")
     n_tr, n_me, n_rec = cfg.sample_counts()
     if n_me < cfg.record_stride:
         raise ConfigError("t_measure shorter than one recording stride")
@@ -303,8 +311,8 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         raise DivergenceDetectedError(
             f"every one of the {cfg.n_traj} trajectories diverged")
     if n_div:
-        warnings.warn(f"{n_div} of {cfg.n_traj} trajectories diverged and are "
-                      "excluded from statistics", RuntimeWarning, stacklevel=2)
+        _warn(f"{n_div} of {cfg.n_traj} trajectories diverged and are "
+              "excluded from statistics")
     times = np.arange(n_tr, n_steps, cfg.record_stride) * cfg.dt
     return TrajectoryEnsemble(times=_frozen(times), params=p, config=cfg,
                               diverged=_frozen(diverged))

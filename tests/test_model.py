@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from opodimer import model
-from opodimer.errors import AboveThresholdError, ConvergenceFailureError
+from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
+                             NoCrossingError)
 from opodimer.model import (SteadyState, SystemParams, derived_scales,
                             drift_rhs, sort_eigenvalues, stability_eigenvalues,
-                            steady_state, threshold_bisection)
+                            steady_state, threshold_bisection,
+                            threshold_bisection_stack)
 
 
 def sym(**kw):
@@ -194,8 +196,83 @@ class TestThresholdBisection:
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
         assert threshold_bisection(p) == pytest.approx(100.0, rel=1e-8)
 
-    def test_package_import_defers_the_root_finder(self):
-        code = "import sys, opodimer; assert 'scipy.optimize' not in sys.modules"
+    def test_runs_without_scipy(self):
+        # scipy is a test dependency only: with every scipy import blocked,
+        # the package imports and both stability modes run to exit 0
+        code = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "import opodimer",
+            "from opodimer import cli",
+            "grid = ['stability', '--set', 'stability.J_a=[0, 2]',",
+            "        '--set', 'stability.J_b=[1]']",
+            "scan = ['stability', '--set', 'stability.mode=pump-scan',",
+            "        '--set', 'stability.pump_fractions=[0.2, 0.9]']",
+            "sys.exit(cli.main(grid) or cli.main(scan))",
+        ])
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True)
         assert r.returncode == 0, r.stderr
+        assert r.stdout.count("eps_crit_bisect") == 2
+
+
+# One row of each kind: resonant, Delta tracking J, Delta = -3 (opposite
+# signs of coupling and detuning), Delta = -J, and unequal J_a / J_b.
+STACK_ROWS = (
+    dict(J_a=1.0, J_b=1.0),
+    dict(J_a=10.0, J_b=1.0, Delta_a=10.0, Delta_b=1.0),
+    dict(J_a=3.0, J_b=0.5, Delta_a=-3.0, Delta_b=-3.0),
+    dict(J_a=2.0, J_b=4.0, Delta_a=-2.0, Delta_b=-4.0),
+    dict(J_a=7.5, J_b=0.0),
+)
+
+
+def scale_eps_crit(monkeypatch, target, factor):
+    """Make derived_scales report factor * eps_crit for target alone."""
+    real = model.derived_scales
+
+    def scales(p):
+        s = real(p)
+        return model.DerivedScales(factor * s.eps_crit, 0.0) if p == target else s
+    monkeypatch.setattr(model, "derived_scales", scales)
+
+
+class TestThresholdStack:
+    def test_rows_do_not_depend_on_the_stack(self):
+        ps = [sym(**kw) for kw in STACK_ROWS]
+        stacked = threshold_bisection_stack(ps)
+        alone = [threshold_bisection(p) for p in ps]
+        assert stacked.tolist() == alone
+        rev = threshold_bisection_stack(ps[::-1] + ps[:2])
+        assert rev.tolist() == alone[::-1] + alone[:2]
+        for p, root in zip(ps, alone):
+            assert root == pytest.approx(derived_scales(p).eps_crit, rel=1e-10)
+
+    def test_rows_stop_on_their_own(self, monkeypatch):
+        # a row with a 1000 times wider bracket takes more steps; the other
+        # rows must not take them too
+        ps = [sym(**kw) for kw in STACK_ROWS]
+        alone = [threshold_bisection(p) for p in ps]
+        scale_eps_crit(monkeypatch, ps[0], 1e3)
+        assert threshold_bisection_stack(ps).tolist()[1:] == alone[1:]
+
+    def test_signal_block_root_is_the_full_drift_threshold(self):
+        # the 8x8 drift matrix, pump block included, turns unstable at the
+        # root that the 4x4 signal block gives: by stability_eigenvalues
+        # (closed form on the resonant rows) and by the dense solver
+        from opodimer.linearized import build_linear_model, numeric_eigenvalues
+        for kw in STACK_ROWS:
+            root = threshold_bisection(sym(**kw))
+            for f, sign in ((1.0 - 1e-8, 1.0), (1.0 + 1e-8, -1.0)):
+                q = sym(**kw, pump_fraction=None, eps=root * f)
+                dense = build_linear_model(q, model._unchecked_state(q))
+                for eigs in (stability_eigenvalues(q), numeric_eigenvalues(dense)):
+                    assert sign * float(eigs.real.min()) > 0.0, (kw, f)
+
+    def test_bad_row_names_its_bracket(self, monkeypatch):
+        ps = [sym(**kw) for kw in STACK_ROWS]
+        scale_eps_crit(monkeypatch, ps[2], 1e-6 / derived_scales(ps[2]).eps_crit)
+        with pytest.raises(NoCrossingError,
+                           match=r"row 2: .* on \[0, 1e-05\]"):
+            threshold_bisection_stack(ps)
+        threshold_bisection_stack(ps[:2] + ps[3:])  # the other rows cross

@@ -364,6 +364,29 @@ class TestDivergence:
             collect(p, cfg, noise=np.zeros((4, 10, 4)))
 
 
+class TestWarningsPointAtTheCaller:
+    # integrate warns from inside the package; filters and -W error must see
+    # the line that called into it, here in this file
+    CFG = SdeConfig(dt=0.01, t_transient=0.0, t_measure=50.0, n_traj=3, seed=7)
+
+    @pytest.mark.parametrize("entry", ["stream_output_spectra",
+                                       "integrate_to_dump"])
+    @pytest.mark.parametrize("cause", ["threshold", "diverged"])
+    def test_warning_names_this_file(self, tmp_path, entry, cause):
+        if cause == "threshold":
+            p, noise = sym(pump_fraction=1.01), None
+        else:
+            p = sym()
+            noise = np.random.default_rng(1).standard_normal((4, 5000, 3))
+            noise[:, :, 0] = 1e5
+        with pytest.warns(RuntimeWarning, match=cause) as rec:
+            if entry == "stream_output_spectra":
+                stream_output_spectra(p, self.CFG, [Y0_TERMS], noise=noise)
+            else:
+                integrate_to_dump(p, self.CFG, tmp_path / "d.bin", noise=noise)
+        assert [w.filename for w in rec] == [__file__] * len(rec)
+
+
 class TestEstimator:
     def test_short_window_rejected(self):
         p = sym()
