@@ -19,12 +19,11 @@ from .errors import (AboveThresholdError, ConfigError, ConvergenceFailureError,
                      NoCrossingError, OpodimerError, SingularAtFrequencyError)
 from .linearized import (LinearModel, build_combined_model, build_linear_model,
                          finite_difference_jacobian, numeric_eigenvalues)
-from .model import (DerivedScales, SteadyState, SystemParams, derived_scales,
-                    drift_rhs, stability_eigenvalues, steady_state,
-                    threshold_bisection, threshold_bisection_stack)
-from .sde import (SdeConfig, SpectrumEstimate, Stepper, TrajectoryEnsemble,
-                  integrate, integrate_to_dump, load_ensemble_dump,
-                  stream_output_spectra)
+from .model import (SteadyState, SystemParams, critical_pump, drift_rhs,
+                    stability_eigenvalues, steady_state,
+                    threshold_bisection_stack)
+from .sde import (SdeConfig, SpectrumEstimate, Stepper, integrate,
+                  integrate_to_dump, load_ensemble_dump, stream_output_spectra)
 from .spectrum import (SpectralMatrix, analytic_combined, analytic_variances,
                        output_moment, spectral_matrix, vacuum_baseline)
 
@@ -32,20 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AboveThresholdError", "ConfigError", "ConvergenceFailureError",
-    "DegenerateVarianceError", "DerivedScales",
-    "DetuningMismatchError", "DivergenceDetectedError", "DomainError",
-    "InsufficientDataError", "LinearModel", "NoCrossingError", "OpodimerError",
-    "RunConfig", "SdeConfig", "SingularAtFrequencyError",
-    "SpectralMatrix", "SpectrumEstimate", "SteadyState", "Stepper",
-    "SystemParams", "TrajectoryEnsemble", "analytic_combined",
-    "analytic_variances", "build_combined_model", "build_linear_model",
-    "combined_variances", "derived_scales", "drift_rhs", "duan_sum",
-    "epr_product", "finite_difference_jacobian",
-    "integrate", "integrate_to_dump", "load_config_file",
-    "load_ensemble_dump", "load_preset", "numeric_eigenvalues",
-    "optimize_angle", "output_moment", "quadrature", "spectral_matrix",
-    "spectral_stack", "stability_eigenvalues", "steady_state",
-    "stream_output_spectra", "threshold_bisection",
-    "threshold_bisection_stack", "vacuum_baseline",
-    "witness_flags", "witness_table",
+    "DegenerateVarianceError", "DetuningMismatchError",
+    "DivergenceDetectedError", "DomainError", "InsufficientDataError",
+    "LinearModel", "NoCrossingError", "OpodimerError", "RunConfig",
+    "SdeConfig", "SingularAtFrequencyError", "SpectralMatrix",
+    "SpectrumEstimate", "SteadyState", "Stepper", "SystemParams",
+    "analytic_combined", "analytic_variances", "build_combined_model",
+    "build_linear_model", "combined_variances", "critical_pump", "drift_rhs",
+    "duan_sum", "epr_product", "finite_difference_jacobian", "integrate",
+    "integrate_to_dump", "load_config_file", "load_ensemble_dump",
+    "load_preset", "numeric_eigenvalues", "optimize_angle", "output_moment",
+    "quadrature", "spectral_matrix", "spectral_stack", "stability_eigenvalues",
+    "steady_state", "stream_output_spectra", "threshold_bisection_stack",
+    "vacuum_baseline", "witness_flags", "witness_table",
 ]

@@ -22,7 +22,7 @@ from .config import (PRESETS, RunConfig, _as_float, apply_overrides,
                      load_config_file, load_preset)
 from .errors import AboveThresholdError, OpodimerError
 from .linearized import _frozen, build_linear_model
-from .model import (derived_scales, stability_eigenvalues, steady_state,
+from .model import (critical_pump, stability_eigenvalues, steady_state,
                     threshold_bisection_stack)
 
 CSV_SCHEMA = "opodimer-csv/1"
@@ -74,14 +74,13 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     rows = []
     for label, pspec, tspec in variants:
         p = pspec.to_params()
-        scales = derived_scales(p)
         theta = _resolve_theta(p, tspec, cfg)
         name = label if label is not None else "-"
         lines.append(f"# variant {name}: params="
                      + json.dumps(pspec.to_dict(), sort_keys=True,
                                   separators=(",", ":"))
                      + f" theta_deg={math.degrees(theta):.12g}"
-                     + f" eps_crit={scales.eps_crit:.12g}")
+                     + f" eps_crit={critical_pump(p):.12g}")
         S = criteria.spectral_stack(p, cfg.sweep.omegas())
         n = len(S.omega)
         table = {"omega": S.omega, "theta_deg": [math.degrees(theta)] * n,
@@ -121,7 +120,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
                 else (patch["pump_fraction"], abs(p.eps1)))
         lines.append(",".join(_fmt(x) for x in (
             *lead, float(np.min(stability_eigenvalues(p).real)),
-            derived_scales(p).eps_crit, root)))
+            critical_pump(p), root)))
     _emit(lines, args.out)
     return 0
 
@@ -152,7 +151,8 @@ _VERIFY_COMBOS = {"X1": "X1", "Y1": "Y1", "Xminus": "Xm", "Yplus": "Yp"}
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
-    model = build_linear_model(p, steady_state(p))
+    steady_state(p)  # raises AboveThresholdError at or above threshold
+    model = build_linear_model(p)
     if args.negative_control:
         A = np.array(model.A)
         for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
@@ -191,10 +191,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_sde_dump(args, cfg: RunConfig) -> int:
     p = cfg.params.to_params()
     path = Path(args.out)
-    ens = sde.integrate_to_dump(
-        p, dataclasses.replace(cfg.sde, seed=cfg.seed, record="all"), path)
-    print(f"wrote {ens.n_traj} trajectories x {ens.n_samples} samples "
-          f"({ens.n_diverged} diverged) to {path} (+ .json sidecar)")
+    sde_cfg = dataclasses.replace(cfg.sde, seed=cfg.seed, record="all")
+    diverged = sde.integrate_to_dump(p, sde_cfg, path)
+    print(f"wrote {sde_cfg.n_traj} trajectories x {sde_cfg.sample_counts()[2]} "
+          f"samples ({int(diverged.sum())} diverged) to {path} (+ .json sidecar)")
     return 0
 
 

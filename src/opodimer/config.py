@@ -9,6 +9,7 @@ pumps), or the eps1/eps2 pair.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -191,6 +192,11 @@ class SweepSpec:
     omega_start: float = -20.0
     omega_stop: float = 20.0
     omega_points: int = 401
+
+    def __post_init__(self):
+        if not math.isfinite(self.omega_stop - self.omega_start):
+            raise ConfigError(
+                "sweep.omega_stop - sweep.omega_start overflows a float")
 
     def omegas(self) -> np.ndarray:
         return np.linspace(self.omega_start, self.omega_stop, self.omega_points)

@@ -51,7 +51,8 @@ def quadrature(name: str, theta=0.0) -> list:
 def spectral_stack(p: SystemParams, omegas) -> SpectralMatrix:
     """S(omega) of the linearized model at p's steady state, one stacked
     solve over every frequency of omegas."""
-    return spectral_matrix(build_linear_model(p, steady_state(p)), omegas)
+    steady_state(p)  # raises AboveThresholdError at or above threshold
+    return spectral_matrix(build_linear_model(p), omegas)
 
 
 def single_mode_moments(S: SpectralMatrix, gamma_a: float, theta=0.0) -> tuple:

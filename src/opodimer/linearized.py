@@ -19,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailureError, DetuningMismatchError
-from .model import (SteadyState, SystemParams, _unchecked_state, drift_rhs,
-                    sort_eigenvalues)
+from .model import SystemParams, _unchecked_state, drift_rhs, sort_eigenvalues
 
 STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
                 "beta1", "beta1+", "beta2", "beta2+")
-
-COMBINED_LABELS = ("A_plus", "A_plus+", "A_minus", "A_minus+")
 
 _DETUNING_TOL = 1e-12
 _FD_STEP = 1e-6
@@ -52,37 +49,37 @@ def require_combined_manifold(p: SystemParams, what: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Fluctuation model around one steady state.
+    """Fluctuation model around the alpha = 0 fixed point.
 
     A is the complex drift matrix; B is the noise matrix. The full model is
     8x8 in STATE_LABELS ordering, with B nonzero only in its first four
     diagonal entries (principal square roots of the complex pump-field
     products, so the entries are real exactly when the intracavity pump
-    fields are real and nonnegative). The combined model is 4x4 in
-    COMBINED_LABELS ordering [A_plus, A_plus+, A_minus, A_minus+] with
+    fields are real and nonnegative). The combined model is 4x4 in the
+    ordering [A_plus, A_plus+, A_minus, A_minus+] with
     A_pm = alpha1 +- alpha2 (unnormalized, so each combined mode carries a
     vacuum variance of 2); its plus and minus 2x2 blocks do not couple.
     """
 
     A: np.ndarray
     B: np.ndarray
-    ordering: tuple = STATE_LABELS
 
     def diffusion(self) -> np.ndarray:
         """B B^T, the diffusion matrix of the fluctuation equation."""
         return self.B @ self.B.T
 
 
-def build_linear_model(p: SystemParams, ss: SteadyState) -> LinearModel:
-    """Assemble A and B at the given steady state.
+def build_linear_model(p: SystemParams) -> LinearModel:
+    """Assemble A and B at p's alpha = 0 fixed point.
 
     The alpha-beta coupling blocks are proportional to the steady alpha
     fields and therefore vanish below threshold; they are kept out of the
     matrix rather than written as zero blocks. Detunings enter only on the
     diagonal as gamma +- i*Delta. The matrix itself is well defined at the
     alpha = 0 fixed point on either side of threshold; stability is the
-    caller's concern.
+    caller's concern (steady_state gates it).
     """
+    ss = _unchecked_state(p)
     m1 = p.kappa * ss.beta1_ss
     m2 = p.kappa * ss.beta2_ss
     ca = p.gamma_a + 1j * p.Delta_a
@@ -105,15 +102,15 @@ def build_linear_model(p: SystemParams, ss: SteadyState) -> LinearModel:
     return LinearModel(A=_frozen(A), B=_frozen(B))
 
 
-def build_combined_model(p: SystemParams, ss: SteadyState) -> LinearModel:
-    """Assemble the 4x4 sum/difference model.
+def build_combined_model(p: SystemParams) -> LinearModel:
+    """Assemble the 4x4 sum/difference model at p's alpha = 0 fixed point.
 
     Valid only on the Delta_a = J_a, Delta_b = J_b manifold with equal real
     pumps, where the steady pump field is real and the combined modes
-    decouple exactly.
+    decouple exactly. Like build_linear_model it does not gate stability.
     """
     require_combined_manifold(p, "combined modes")
-    m = p.kappa * ss.beta1_ss.real
+    m = p.kappa * _unchecked_state(p).beta1_ss.real
     ga, ja = p.gamma_a, 1j * p.J_a
     A = np.array([
         [ga, -m, 0, 0],
@@ -130,7 +127,7 @@ def build_combined_model(p: SystemParams, ss: SteadyState) -> LinearModel:
         [1, 0, -1, 0],
         [0, 1, 0, -1],
     ], dtype=complex)
-    return LinearModel(A=_frozen(A), B=_frozen(B), ordering=COMBINED_LABELS)
+    return LinearModel(A=_frozen(A), B=_frozen(B))
 
 
 def dense_eigvals(A) -> np.ndarray:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AboveThresholdError, ConvergenceFailureError, NoCrossingError
+from .errors import (AboveThresholdError, ConvergenceFailureError, DomainError,
+                     NoCrossingError)
 
 # Relative guard band around |eps| = eps_crit: exactly-critical pumps are
 # classified as at-or-above so the linearized analysis never runs on a
@@ -82,7 +83,7 @@ class SystemParams:
         if eps is not None and pump_fraction is not None:
             raise ValueError("give eps or pump_fraction, not both")
         if pump_fraction is not None:
-            eps = pump_fraction * derived_scales(cls(**rates)).eps_crit
+            eps = pump_fraction * critical_pump(cls(**rates))
         elif eps is None:
             eps = 0.0
         return cls(eps1=complex(eps), eps2=complex(eps), **rates)
@@ -94,15 +95,6 @@ class SystemParams:
     @property
     def resonant(self) -> bool:
         return self.Delta_a == 0.0 and self.Delta_b == 0.0
-
-
-@dataclass(frozen=True)
-class DerivedScales:
-    """The threshold location for one parameter set, and the pump's share
-    of it."""
-
-    eps_crit: float
-    pump_fraction: float
 
 
 @dataclass(frozen=True)
@@ -125,8 +117,8 @@ class SteadyState:
         ], dtype=complex)
 
 
-def derived_scales(p: SystemParams) -> DerivedScales:
-    """Threshold pump amplitude and the pump's fraction of it.
+def critical_pump(p: SystemParams) -> float:
+    """Threshold amplitude eps_crit of equal pumps.
 
     eps_crit = sqrt([gamma_a^2 + d_a^2][gamma_b^2 + (J_b - Delta_b)^2]) / kappa
     with d_a = min(|J_a - Delta_a|, |J_a + Delta_a|): equal pumps drive only
@@ -135,15 +127,20 @@ def derived_scales(p: SystemParams) -> DerivedScales:
     resonance oscillates first. This reduces to
     sqrt([gamma_a^2 + J_a^2][gamma_b^2 + J_b^2]) / kappa on resonance and to
     gamma_a * gamma_b / kappa on the Delta = J manifold, and holds for either
-    sign of coupling and detuning.
+    sign of coupling and detuning. Raises DomainError when eps_crit is not
+    a finite float.
     """
     d_a = min(abs(p.J_a - p.Delta_a), abs(p.J_a + p.Delta_a))
-    eps_crit = math.sqrt(
-        (p.gamma_a ** 2 + d_a ** 2)
-        * (p.gamma_b ** 2 + (p.J_b - p.Delta_b) ** 2)
-    ) / p.kappa
-    frac = max(abs(p.eps1), abs(p.eps2)) / eps_crit
-    return DerivedScales(eps_crit=eps_crit, pump_fraction=frac)
+    try:
+        eps_crit = math.sqrt(
+            (p.gamma_a ** 2 + d_a ** 2)
+            * (p.gamma_b ** 2 + (p.J_b - p.Delta_b) ** 2)
+        ) / p.kappa
+    except OverflowError:  # a float ** 2 past the float range
+        eps_crit = math.inf
+    if not math.isfinite(eps_crit):
+        raise DomainError(f"critical pump overflows a float at {p}")
+    return eps_crit
 
 
 def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
@@ -220,7 +217,7 @@ def _is_below_threshold(p: SystemParams) -> bool:
     if float(np.min(eigs.real)) <= 0.0:
         return False
     return not p.equal_pumps or (
-        derived_scales(p).pump_fraction < 1.0 - THRESHOLD_GUARD)
+        max(abs(p.eps1), abs(p.eps2)) / critical_pump(p) < 1.0 - THRESHOLD_GUARD)
 
 
 def steady_state(p: SystemParams) -> SteadyState:
@@ -233,7 +230,7 @@ def steady_state(p: SystemParams) -> SteadyState:
     fluctuation analysis built on this state would be meaningless there.
     """
     if not _is_below_threshold(p):
-        eps_crit = derived_scales(p).eps_crit
+        eps_crit = critical_pump(p)
         raise AboveThresholdError(
             f"pump amplitude {max(abs(p.eps1), abs(p.eps2)):.8g} is not below "
             f"threshold: eps_crit = {eps_crit:.8g}", eps_crit=eps_crit)
@@ -292,13 +289,13 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
         return sort_eigenvalues(lam + lam)
     from . import linearized  # deferred to break the module cycle
 
-    m = linearized.build_linear_model(p, _unchecked_state(p))
-    return linearized.numeric_eigenvalues(m)
+    return linearized.numeric_eigenvalues(linearized.build_linear_model(p))
 
 
-def threshold_bisection(p: SystemParams) -> float:
-    """Numeric threshold: the equal real pump amplitude at which the slowest
-    drift eigenvalue crosses zero; the pump fields of ``p`` are ignored.
+def threshold_bisection_stack(ps: list) -> np.ndarray:
+    """Numeric threshold of each parameter set in ps: the equal real pump
+    amplitude at which the slowest drift eigenvalue crosses zero; the pump
+    fields of each set are ignored.
 
     At the alpha = 0 fixed point A is block diagonal. Its pump block does
     not depend on the pump e, and its eigenvalues gamma_b + i(Delta_b +- J_b)
@@ -306,26 +303,21 @@ def threshold_bisection(p: SystemParams) -> float:
     the 4x4 signal block does; that block is A0 + e A1, as the steady pump
     field is linear in e. Bisection on its dense eigenvalues, never the
     closed form, checks the analytic threshold independently.
-    """
-    return float(threshold_bisection_stack([p])[0])
 
-
-def threshold_bisection_stack(ps: list) -> np.ndarray:
-    """threshold_bisection of each parameter set in ps, bisected all at once
-    on [0, hi0 = 10 * analytic eps_crit] with one stacked eigvals per step;
-    each row stops on its own once hi - lo <= 2 (1e-12 hi0 + _BISECTION_RTOL
-    lo) and returns its midpoint. Raises NoCrossingError naming the first
-    row whose bracket does not change sign.
+    All rows are bisected at once on [0, hi0 = 10 * critical_pump] with one
+    stacked eigvals per step; each row stops on its own once hi - lo <=
+    2 (1e-12 hi0 + _BISECTION_RTOL lo) and returns its midpoint, so a row's
+    root does not depend on the other rows. Raises NoCrossingError naming
+    the first row whose bracket does not change sign.
     """
     from . import linearized  # deferred to break the module cycle
 
     def signal_block(p: SystemParams, e: complex) -> np.ndarray:
-        q = replace(p, eps1=e, eps2=e)
-        return linearized.build_linear_model(q, _unchecked_state(q)).A[:4, :4]
+        return linearized.build_linear_model(replace(p, eps1=e, eps2=e)).A[:4, :4]
 
     A0 = np.array([signal_block(p, 0j) for p in ps]).reshape(-1, 4, 4)
     A1 = np.array([signal_block(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
-    hi0 = np.array([10.0 * derived_scales(p).eps_crit for p in ps])
+    hi0 = np.array([10.0 * critical_pump(p) for p in ps])
 
     def slowest(rows, e: np.ndarray) -> np.ndarray:
         A = A0[rows] + e[:, None, None] * A1[rows]

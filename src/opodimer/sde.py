@@ -85,6 +85,13 @@ class SdeConfig:
         if self.record not in ("alpha", "all"):
             raise ConfigError(
                 f'record must be "alpha" or "all", got {self.record!r}')
+        # round() fails on an infinite ratio; numpy indexes below sys.maxsize
+        if not (self.t_transient + self.t_measure) / self.dt < sys.maxsize:
+            raise ConfigError(f"t_transient + t_measure at dt = {self.dt!r} "
+                              f"is more than {sys.maxsize} steps")
+        if 8 * 16 * (n_rec := self.sample_counts()[2]) > sys.maxsize:
+            raise ConfigError(f"{n_rec} samples of 8 complex doubles per "
+                              f"trajectory pass {sys.maxsize} bytes")
 
     @property
     def n_vars(self) -> int:
@@ -96,35 +103,10 @@ class SdeConfig:
         n_me = round(self.t_measure / self.dt)
         return round(self.t_transient / self.dt), n_me, -(-n_me // self.record_stride)
 
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryEnsemble:
-    """What an integration run leaves once its samples went to the consumer:
-    the sampling instants, the inputs, and the diverged mask, which marks
-    trajectories that crossed the divergence threshold at any sampling
-    instant and must be excluded from statistics.
-    """
-
-    times: np.ndarray
-    params: _model.SystemParams
-    config: SdeConfig
-    diverged: np.ndarray
-
-    @property
-    def n_traj(self) -> int:
-        return self.diverged.size
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
-
-    @property
-    def n_diverged(self) -> int:
-        return int(self.diverged.sum())
-
     @property
     def dt_sample(self) -> float:
-        return self.config.dt * self.config.record_stride
+        """Time between recorded samples."""
+        return self.dt * self.record_stride
 
 
 def _project(c, states) -> np.ndarray:
@@ -165,8 +147,9 @@ def _warn(message: str) -> None:
 
 
 def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
-              noise: np.ndarray = None) -> TrajectoryEnsemble:
-    """Integrate the positive-P equations, handing strided samples to consume.
+              noise: np.ndarray = None) -> np.ndarray:
+    """Integrate the positive-P equations, handing strided samples to consume,
+    and return the read-only diverged mask of the n_traj trajectories.
 
     Each finished block of trajectories is handed over as consume(rec,
     alive): rec its (n_vars, n_samples, n) samples, n_vars = 4 for the
@@ -229,19 +212,19 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
     drift = _model.drift_rhs
     midpoint = cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT
 
-    def run_block(rec, alive, gens, z):
+    def run_block(rec, alive, z):
         # Step one block of trajectories from x0, writing its samples into
-        # rec (n_vars, n_rec, n) and clearing alive where they diverge.
+        # rec (n_vars, n_rec, n) and clearing alive where they diverge; the
+        # increments come from z, the block's injected noise, if given.
         n = alive.size
+        gens = () if z is not None else [
+            np.random.Generator(np.random.Philox(s)) for s in root.spawn(n)]
         x = x0.repeat(n, axis=1)
         xm, d = np.empty_like(x), np.empty_like(x)
         nz = np.zeros((8, n), dtype=complex)  # the pump rows carry no noise
         nz_sig = nz[:4]
         mag, peak, ok = np.empty((8, n)), np.empty(n), np.empty(n, dtype=bool)
-        if gens is None:
-            dw = np.empty((4, n))
-        else:
-            chunk = np.empty((n_chunk, 4, n))
+        chunk = np.empty((n_chunk, 4, n))
 
         def check():
             np.abs(x, out=mag)
@@ -264,16 +247,15 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
                 rec[:, j] = x[:n_vars]
                 check()
                 j += 1
-            if gens is None:
-                np.multiply(z[:, step], sqdt, out=dw)
-            else:
-                ci = step % _NOISE_CHUNK
-                if ci == 0:
-                    m = min(_NOISE_CHUNK, n_steps - step)
-                    for t, gen in enumerate(gens):
-                        chunk[:m, :, t] = gen.standard_normal((4, m)).T
-                    np.multiply(chunk[:m], sqdt, out=chunk[:m])
-                dw = chunk[ci]
+            ci = step % _NOISE_CHUNK
+            if ci == 0:
+                m = min(_NOISE_CHUNK, n_steps - step)
+                if z is not None:
+                    chunk[:m] = z[:, step:step + m].transpose(1, 0, 2)
+                for t, gen in enumerate(gens):
+                    chunk[:m, :, t] = gen.standard_normal((4, m)).T
+                np.multiply(chunk[:m], sqdt, out=chunk[:m])
+            dw = chunk[ci]
             if midpoint:
                 y = x
                 for _ in range(_MIDPOINT_ITERATIONS):
@@ -298,14 +280,10 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         for lo in range(0, cfg.n_traj, block):
             sl = slice(lo, lo + block)
             out = rec[:, :, :alive[sl].size]
-            run_block(out, alive[sl],
-                      None if noise is not None else
-                      [np.random.Generator(np.random.Philox(s))
-                       for s in root.spawn(out.shape[2])],
-                      None if noise is None else noise[:, :, sl])
+            run_block(out, alive[sl], None if noise is None else noise[:, :, sl])
             consume(out, alive[sl])
 
-    diverged = ~alive
+    diverged = _frozen(~alive)
     n_div = int(diverged.sum())
     if n_div == cfg.n_traj:
         raise DivergenceDetectedError(
@@ -313,9 +291,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
     if n_div:
         _warn(f"{n_div} of {cfg.n_traj} trajectories diverged and are "
               "excluded from statistics")
-    times = np.arange(n_tr, n_steps, cfg.record_stride) * cfg.dt
-    return TrajectoryEnsemble(times=_frozen(times), params=p, config=cfg,
-                              diverged=_frozen(diverged))
+    return diverged
 
 
 class _Periodograms:
@@ -337,7 +313,7 @@ class _Periodograms:
                 "be dominated by window leakage")
         n_rec = cfg.sample_counts()[2]
         self.params, self.combos = p, combos
-        self.dt_s = cfg.dt * cfg.record_stride
+        self.dt_s = cfg.dt_sample
         self.span = n_rec * self.dt_s
         omega = 2.0 * math.pi * np.fft.fftfreq(n_rec, self.dt_s)
         bins = np.argsort(omega)
@@ -411,9 +387,9 @@ def stream_output_spectra(p: _model.SystemParams, cfg: SdeConfig, combos,
 
 
 def integrate_to_dump(p: _model.SystemParams, cfg: SdeConfig, path,
-                      noise: np.ndarray = None) -> TrajectoryEnsemble:
+                      noise: np.ndarray = None) -> np.ndarray:
     """integrate, writing raw samples as little-endian complex doubles plus
-    a JSON sidecar, and return the ensemble.
+    a JSON sidecar, and return the diverged mask.
 
     Layout is trajectory-major: all samples of trajectory 0, then 1, ...;
     each sample is n_variables complex doubles in the state ordering. Each
@@ -433,29 +409,30 @@ def integrate_to_dump(p: _model.SystemParams, cfg: SdeConfig, path,
 
     try:
         with part.open("wb") as f:
-            ens = integrate(p, cfg, write, noise)
+            diverged = integrate(p, cfg, write, noise)
         part.replace(path)
     finally:
         part.unlink(missing_ok=True)
     params = asdict(p)
+    n_tr, _, n_rec = cfg.sample_counts()
     sidecar = {
         "format": DUMP_FORMAT,
         "dtype": "complex128-le",
         "order": ["trajectory", "sample", "variable"],
-        "n_traj": ens.n_traj,
-        "n_samples": ens.n_samples,
+        "n_traj": cfg.n_traj,
+        "n_samples": n_rec,
         "n_variables": cfg.n_vars,
         "variables": list(STATE_LABELS[:cfg.n_vars]),
-        "t_first_sample": float(ens.times[0]),
-        "dt_sample": ens.dt_sample,
+        "t_first_sample": n_tr * cfg.dt,
+        "dt_sample": cfg.dt_sample,
         "params": params | {k: [params[k].real, params[k].imag]
                             for k in ("eps1", "eps2")},
         "config": asdict(cfg) | {"stepper": cfg.stepper.value},
-        "diverged_indices": np.flatnonzero(ens.diverged).tolist(),
+        "diverged_indices": np.flatnonzero(diverged).tolist(),
     }
     Path(str(path) + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    return ens
+    return diverged
 
 
 def load_ensemble_dump(path) -> tuple:

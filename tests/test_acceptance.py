@@ -19,9 +19,9 @@ from opodimer.criteria import (combined_variances, duan_sum, epr_product,
 from opodimer.linearized import (build_linear_model,
                                  finite_difference_jacobian,
                                  numeric_eigenvalues)
-from opodimer.model import (SystemParams, derived_scales, sort_eigenvalues,
+from opodimer.model import (SystemParams, critical_pump, sort_eigenvalues,
                             stability_eigenvalues, steady_state,
-                            threshold_bisection)
+                            threshold_bisection_stack)
 from opodimer.spectrum import (analytic_combined, analytic_variances,
                                output_moment, spectral_matrix)
 
@@ -50,7 +50,7 @@ def _random_resonant(rng):
 
 
 def _numeric_moments(p, omega):
-    S = spectral_matrix(build_linear_model(p, steady_state(p)), omega)
+    S = spectral_matrix(build_linear_model(p), omega)
     qx1, qy1 = [(1, 0.0, 1.0)], [(1, math.pi / 2, 1.0)]
     qx2, qy2 = [(2, 0.0, 1.0)], [(2, math.pi / 2, 1.0)]
     ga = p.gamma_a
@@ -188,17 +188,18 @@ def test_criterion_06_threshold_bisection_matches_analytic():
     for ja in grid:
         for jb in grid:
             res = sym(J_a=ja, J_b=jb)
-            assert threshold_bisection(res) == pytest.approx(
-                derived_scales(res).eps_crit, rel=1e-6)
+            assert threshold_bisection_stack([res])[0] == pytest.approx(
+                critical_pump(res), rel=1e-6)
             det = sym(J_a=ja, J_b=jb, Delta_a=ja, Delta_b=jb)
-            crit = derived_scales(det).eps_crit
-            assert threshold_bisection(det) == pytest.approx(crit, rel=1e-6)
+            crit = critical_pump(det)
+            assert threshold_bisection_stack([det])[0] == pytest.approx(
+                crit, rel=1e-6)
             detuned_values.append(crit)
             # coupling and detuning of opposite sign, on and off Delta = -J
             for da, db in ((-ja, -jb), (-3.0, -3.0)):
                 opp = sym(J_a=ja, J_b=jb, Delta_a=da, Delta_b=db)
-                assert threshold_bisection(opp) == pytest.approx(
-                    derived_scales(opp).eps_crit, rel=1e-6)
+                assert threshold_bisection_stack([opp])[0] == pytest.approx(
+                    critical_pump(opp), rel=1e-6)
     assert np.allclose(detuned_values, detuned_values[0], rtol=1e-12)
     _pass(6, f"5x5 grid, resonant, matched-detuning and opposite-sign "
              f"detuning; detuned threshold constant at {detuned_values[0]:g}")
@@ -210,7 +211,7 @@ def test_criterion_07_eigenvalue_oracle():
         p = _random_resonant(rng)
         analytic = stability_eigenvalues(p)
         numeric = sort_eigenvalues(
-            numeric_eigenvalues(build_linear_model(p, steady_state(p))))
+            numeric_eigenvalues(build_linear_model(p)))
         assert np.allclose(analytic, numeric, atol=1e-10, rtol=0.0)
     _pass(7, "100 random sets, sorted spectra agree to 1e-10 absolute")
 
@@ -229,11 +230,11 @@ def test_criterion_08_jacobian_negates_drift_matrix():
             kw["Delta_b"] = rng.uniform(-3.0, 3.0)
         p = SystemParams.symmetric(**kw)
         try:
-            model = build_linear_model(p, steady_state(p))
+            steady_state(p)
         except Exception:
             continue
         jac = finite_difference_jacobian(p)
-        assert np.allclose(jac, -model.A, atol=1e-6)
+        assert np.allclose(jac, -build_linear_model(p).A, atol=1e-6)
     _pass(8, "finite-difference Jacobian equals -A to 1e-6, detunings "
              "included")
 

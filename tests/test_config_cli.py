@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from opodimer import cli, sde
 from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
 from opodimer.errors import ConfigError
@@ -235,6 +236,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["sweep.omega_points=many"])
 
+    def test_sweep_span_must_be_finite(self):
+        with pytest.raises(ConfigError, match="overflows"):
+            apply_overrides(RunConfig(), ["sweep.omega_start=-1e308",
+                                          "sweep.omega_stop=1e308"])
+
 
 class TestSpectrumCommand:
     def test_csv_contract(self, tmp_path):
@@ -328,10 +334,25 @@ class TestSpectrumCommand:
                      # a label is a CSV field and part of a comment line
                      ("spectrum", "--set", 'vary=[{"label":"a,b"}]'),
                      ("spectrum", "--set", 'vary=[{"label":"a\\nb"}]'),
-                     ("spectrum", "--set", 'vary=[{"label":"a\\rb"}]')):
+                     ("spectrum", "--set", 'vary=[{"label":"a\\rb"}]'),
+                     # linspace over this span overflows
+                     ("spectrum", "--set", "sweep.omega_start=-1e308",
+                      "--set", "sweep.omega_stop=1e308")):
             r = run_cli(*args, config=DRIVEN, tmp_path=tmp_path)
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr, args
+        # a critical pump past the float range: a square that overflows,
+        # and a product of two finite squares
+        for args in (("spectrum", "--set", "params.J_a=1e200",
+                      "--set", "sweep.omega_points=3"),
+                     ("stability", "--set", "stability.J_a=[1e200]",
+                      "--set", "stability.J_b=[0]"),
+                     ("spectrum", "--set", "params.J_a=1e150",
+                      "--set", "params.J_b=1e150", "--set", "sweep.omega_points=3")):
+            r = run_cli(*args)
+            assert r.returncode == 1, args
+            assert r.stderr.startswith("opodimer: error: critical pump"), args
+            assert len(r.stderr.splitlines()) == 1, args
         # a sweep too large to allocate, and one too large to index
         for n in ("100000000000", "4611686018427387904"):
             r = run_cli("spectrum", "--preset", "fig1",
@@ -509,6 +530,29 @@ class TestSdeDumpCommand:
         r = run_cli("sde-dump", config=DRIVEN, tmp_path=tmp_path)
         assert r.returncode == 1
 
+
+
+class TestSdeStepLimits:
+    # step counts or record buffers past sys.maxsize, once numpy errors or,
+    # for the last, a run of 1e302 steps
+    @pytest.mark.parametrize("args", [
+        ("verify", "--set", "sde.dt=1e-300"),
+        ("verify", "--set", "sde.t_measure=1e300", "--set", "sde.dt=1e-10"),
+        ("sde-dump", "--set", "sde.t_transient=1e300", "--set", "sde.dt=1e-10"),
+        ("sde-dump", "--set", "sde.dt=5e-17", "--set", "sde.n_traj=2"),
+        ("verify", "--set", "sde.t_transient=1e300", "--set", "sde.n_traj=2"),
+    ])
+    def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys, args):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(sde, "integrate", no_steps)
+        out = tmp_path / "x.bin"
+        assert cli.main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("opodimer: error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestOutPath:

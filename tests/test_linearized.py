@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from opodimer.errors import DetuningMismatchError
-from opodimer.linearized import (COMBINED_LABELS, STATE_LABELS,
-                                 build_combined_model, build_linear_model,
+from opodimer.linearized import (build_combined_model, build_linear_model,
                                  finite_difference_jacobian,
                                  numeric_eigenvalues)
 from opodimer.model import (SystemParams, sort_eigenvalues,
@@ -22,7 +21,8 @@ def sym(**kw):
 
 
 def model_for(p):
-    return build_linear_model(p, steady_state(p))
+    steady_state(p)  # raises AboveThresholdError at or above threshold
+    return build_linear_model(p)
 
 
 class TestDriftMatrix:
@@ -60,7 +60,6 @@ class TestDriftMatrix:
         assert D[1, 1] == pytest.approx(np.conj(p.kappa * ss.beta1_ss),
                                         rel=1e-14)
         assert np.count_nonzero(D[4:, :]) == 0
-        assert m.ordering == STATE_LABELS
 
     def test_arrays_read_only(self):
         m = model_for(sym())
@@ -73,16 +72,15 @@ class TestDriftMatrix:
 class TestCombinedModel:
     def test_requires_matched_detunings(self):
         with pytest.raises(DetuningMismatchError):
-            build_combined_model(sym(), steady_state(sym()))
+            build_combined_model(sym())
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
-        m = build_combined_model(p, steady_state(p))
+        m = build_combined_model(p)
         assert m.A.shape == (4, 4)
-        assert m.ordering == COMBINED_LABELS
 
     def test_block_structure_and_diffusion(self):
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
         ss = steady_state(p)
-        m = build_combined_model(p, ss)
+        m = build_combined_model(p)
         ke = p.kappa * ss.beta1_ss.real
         ga, ja = p.gamma_a, p.J_a
         want = np.array([
@@ -96,7 +94,7 @@ class TestCombinedModel:
     def test_eigenvalues_split_into_sum_and_difference_pairs(self):
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
         ss = steady_state(p)
-        m = build_combined_model(p, ss)
+        m = build_combined_model(p)
         ke = p.kappa * ss.beta1_ss.real
         ga, ja = p.gamma_a, p.J_a
         want = sort_eigenvalues(np.array(

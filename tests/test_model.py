@@ -7,11 +7,10 @@ import pytest
 
 from opodimer import model
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
-                             NoCrossingError)
-from opodimer.model import (SteadyState, SystemParams, derived_scales,
+                             DomainError, NoCrossingError)
+from opodimer.model import (SteadyState, SystemParams, critical_pump,
                             drift_rhs, sort_eigenvalues, stability_eigenvalues,
-                            steady_state, threshold_bisection,
-                            threshold_bisection_stack)
+                            steady_state, threshold_bisection_stack)
 
 
 def sym(**kw):
@@ -62,26 +61,30 @@ class TestParams:
 class TestDerivedScales:
     def test_resonant_coupled_threshold(self):
         # gamma_tilde = sqrt(1 + 1) each, eps_crit = 2/0.01
-        s = derived_scales(sym())
-        assert s.eps_crit == pytest.approx(200.0, rel=1e-14)
-        assert s.pump_fraction == pytest.approx(0.5, rel=1e-14)
+        assert critical_pump(sym()) == pytest.approx(200.0, rel=1e-14)
 
     def test_uncoupled_threshold(self):
-        s = derived_scales(sym(J_a=0.0, J_b=0.0))
-        assert s.eps_crit == pytest.approx(100.0, rel=1e-14)
+        crit = critical_pump(sym(J_a=0.0, J_b=0.0))
+        assert crit == pytest.approx(100.0, rel=1e-14)
 
     def test_tracked_detuning_threshold_independent_of_coupling(self):
         for ja in (1.0, 5.0, 10.0, 20.0):
-            s = derived_scales(sym(J_a=ja, Delta_a=ja, J_b=1.0, Delta_b=1.0))
-            assert s.eps_crit == pytest.approx(100.0, rel=1e-14)
+            crit = critical_pump(sym(J_a=ja, Delta_a=ja, J_b=1.0, Delta_b=1.0))
+            assert crit == pytest.approx(100.0, rel=1e-14)
 
     def test_opposite_sign_coupling_and_detuning(self):
         # the difference signal supermode sits at detuning Delta_a + J_a = 0:
         # eps_crit = sqrt(1 + 3^2) * 1 / 0.01, not sqrt(1 + 6^2) * sqrt(1 + 3^2) / 0.01
         p = sym(J_a=3.0, Delta_a=-3.0, J_b=0.0, Delta_b=-3.0)
-        crit = derived_scales(p).eps_crit
+        crit = critical_pump(p)
         assert crit == pytest.approx(316.2277660168380, rel=1e-14)
-        assert threshold_bisection(p) == pytest.approx(crit, rel=1e-8)
+        assert threshold_bisection_stack([p])[0] == pytest.approx(crit, rel=1e-8)
+
+    def test_overflow_is_a_domain_error(self):
+        # a square past the float range, and a product of two finite ones
+        for kw in (dict(J_a=1e200), dict(J_a=1e150, J_b=1e150)):
+            with pytest.raises(DomainError):
+                critical_pump(SystemParams(**kw))
 
 
 class TestSteadyState:
@@ -177,7 +180,7 @@ class TestEigenvalues:
                              (5.0, 0.5, 0.9)):
             p = sym(J_a=ja, J_b=jb, pump_fraction=frac)
             analytic = stability_eigenvalues(p)
-            numeric = numeric_eigenvalues(build_linear_model(p, steady_state(p)))
+            numeric = numeric_eigenvalues(build_linear_model(p))
             assert np.allclose(analytic, numeric, atol=1e-10)
 
     def test_min_real_part_crosses_zero_at_threshold(self):
@@ -190,11 +193,11 @@ class TestEigenvalues:
 class TestThresholdBisection:
     def test_matches_analytic_resonant(self):
         p = sym()
-        assert threshold_bisection(p) == pytest.approx(200.0, rel=1e-8)
+        assert threshold_bisection_stack([p])[0] == pytest.approx(200.0, rel=1e-8)
 
     def test_matches_analytic_detuned(self):
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
-        assert threshold_bisection(p) == pytest.approx(100.0, rel=1e-8)
+        assert threshold_bisection_stack([p])[0] == pytest.approx(100.0, rel=1e-8)
 
     def test_runs_without_scipy(self):
         # scipy is a test dependency only: with every scipy import blocked,
@@ -228,31 +231,30 @@ STACK_ROWS = (
 
 
 def scale_eps_crit(monkeypatch, target, factor):
-    """Make derived_scales report factor * eps_crit for target alone."""
-    real = model.derived_scales
+    """Make critical_pump report factor * eps_crit for target alone."""
+    real = model.critical_pump
 
-    def scales(p):
-        s = real(p)
-        return model.DerivedScales(factor * s.eps_crit, 0.0) if p == target else s
-    monkeypatch.setattr(model, "derived_scales", scales)
+    def scaled(p):
+        return factor * real(p) if p == target else real(p)
+    monkeypatch.setattr(model, "critical_pump", scaled)
 
 
 class TestThresholdStack:
     def test_rows_do_not_depend_on_the_stack(self):
         ps = [sym(**kw) for kw in STACK_ROWS]
         stacked = threshold_bisection_stack(ps)
-        alone = [threshold_bisection(p) for p in ps]
+        alone = [threshold_bisection_stack([p])[0] for p in ps]
         assert stacked.tolist() == alone
         rev = threshold_bisection_stack(ps[::-1] + ps[:2])
         assert rev.tolist() == alone[::-1] + alone[:2]
         for p, root in zip(ps, alone):
-            assert root == pytest.approx(derived_scales(p).eps_crit, rel=1e-10)
+            assert root == pytest.approx(critical_pump(p), rel=1e-10)
 
     def test_rows_stop_on_their_own(self, monkeypatch):
         # a row with a 1000 times wider bracket takes more steps; the other
         # rows must not take them too
         ps = [sym(**kw) for kw in STACK_ROWS]
-        alone = [threshold_bisection(p) for p in ps]
+        alone = [threshold_bisection_stack([p])[0] for p in ps]
         scale_eps_crit(monkeypatch, ps[0], 1e3)
         assert threshold_bisection_stack(ps).tolist()[1:] == alone[1:]
 
@@ -262,16 +264,16 @@ class TestThresholdStack:
         # (closed form on the resonant rows) and by the dense solver
         from opodimer.linearized import build_linear_model, numeric_eigenvalues
         for kw in STACK_ROWS:
-            root = threshold_bisection(sym(**kw))
+            root = threshold_bisection_stack([sym(**kw)])[0]
             for f, sign in ((1.0 - 1e-8, 1.0), (1.0 + 1e-8, -1.0)):
                 q = sym(**kw, pump_fraction=None, eps=root * f)
-                dense = build_linear_model(q, model._unchecked_state(q))
+                dense = build_linear_model(q)
                 for eigs in (stability_eigenvalues(q), numeric_eigenvalues(dense)):
                     assert sign * float(eigs.real.min()) > 0.0, (kw, f)
 
     def test_bad_row_names_its_bracket(self, monkeypatch):
         ps = [sym(**kw) for kw in STACK_ROWS]
-        scale_eps_crit(monkeypatch, ps[2], 1e-6 / derived_scales(ps[2]).eps_crit)
+        scale_eps_crit(monkeypatch, ps[2], 1e-6 / critical_pump(ps[2]))
         with pytest.raises(NoCrossingError,
                            match=r"row 2: .* on \[0, 1e-05\]"):
             threshold_bisection_stack(ps)

@@ -28,11 +28,11 @@ Y0_TERMS = [(1, math.pi / 2, 1.0)]
 
 
 def collect(p, cfg, noise=None):
-    """integrate with a consumer that keeps every block: (ensemble, states),
-    states of shape (n_vars, n_samples, n_traj)."""
+    """integrate with a consumer that keeps every block: (diverged mask,
+    states), states of shape (n_vars, n_samples, n_traj)."""
     blocks = []
-    ens = integrate(p, cfg, lambda rec, alive: blocks.append(rec.copy()), noise)
-    return ens, np.concatenate(blocks, axis=2)
+    diverged = integrate(p, cfg, lambda rec, alive: blocks.append(rec.copy()), noise)
+    return diverged, np.concatenate(blocks, axis=2)
 
 
 def spectrum_of(p, cfg, terms, noise=None):
@@ -45,7 +45,11 @@ class TestConfigValidation:
         for kw in (dict(dt=0.0), dict(dt=-1.0), dict(t_measure=0.0),
                    dict(n_traj=1), dict(n_traj=2.5), dict(record_stride=0),
                    dict(stepper="heun"), dict(record="beta_only"),
-                   dict(t_transient=-0.1), dict(seed=-1)):
+                   dict(t_transient=-0.1), dict(seed=-1),
+                   # more steps than sys.maxsize, or a ratio past the float
+                   # range; a record of 8 x 8e17 complex doubles
+                   dict(dt=1e-300), dict(t_transient=1e300),
+                   dict(t_measure=1e300, dt=1e-10), dict(dt=5e-17)):
             with pytest.raises(ConfigError):
                 SdeConfig(**kw)
 
@@ -130,7 +134,7 @@ def reference_integrate(p, cfg, z):
     x[6], x[7] = ss.beta2_ss, np.conj(ss.beta2_ss)
     thresh = 1e6 * max(1.0, abs(ss.beta1_ss), abs(ss.beta2_ss))
     alive = np.ones(cfg.n_traj, dtype=bool)
-    times, rec = [], []
+    rec = []
 
     def noise(y, dw):
         out = np.zeros_like(y)
@@ -141,7 +145,6 @@ def reference_integrate(p, cfg, z):
     for step in range(n_steps):
         if step >= n_tr and (step - n_tr) % cfg.record_stride == 0:
             rec.append(x[:n_vars].copy())
-            times.append(step * cfg.dt)
             peak = np.max(np.abs(x), axis=0)
             alive &= np.isfinite(peak) & (peak <= thresh)
         dw = z[:, step, :] * math.sqrt(cfg.dt)
@@ -154,14 +157,13 @@ def reference_integrate(p, cfg, z):
             x = x + row_drift(p, x) * cfg.dt + noise(x, dw)
     peak = np.max(np.abs(x), axis=0)
     alive &= np.isfinite(peak) & (peak <= thresh)
-    return np.array(times), np.stack(rec, axis=1), ~alive
+    return np.stack(rec, axis=1), ~alive
 
 
 def assert_same_run(run, ref):
-    (ens, states), (times, ref_states, diverged) = run, ref
+    (diverged, states), (ref_states, ref_diverged) = run, ref
     assert np.array_equal(states.view(float), ref_states.view(float))
-    assert np.array_equal(ens.times, times)
-    assert np.array_equal(ens.diverged, diverged)
+    assert np.array_equal(diverged, ref_diverged)
 
 
 POINTS = {
@@ -244,7 +246,7 @@ class TestPhysics:
         # compare against the stationary second moment of the linear model.
         p = sym()
         st = steady_state(p)
-        model = build_linear_model(p, st)
+        model = build_linear_model(p)
         m2 = scipy.linalg.solve_sylvester(model.A, model.A.T,
                                           model.diffusion())
         corr = (p.eps1 - p.kappa * m2[0, 0] / 2.0) / \
@@ -252,11 +254,11 @@ class TestPhysics:
         cfg = SdeConfig(dt=0.04, t_transient=12.0, t_measure=3.0,
                         n_traj=10000, seed=5, record="all")
         last = []  # beta1 at the last sampling instant, block by block
-        ens = integrate(p, cfg, lambda rec, alive: last.append(rec[4, -1].copy()))
+        integrate(p, cfg, lambda rec, alive: last.append(rec[4, -1].copy()))
         beta = np.concatenate(last)
         mean = beta.mean()
-        err_re = beta.real.std(ddof=1) / math.sqrt(ens.n_traj)
-        err_im = beta.imag.std(ddof=1) / math.sqrt(ens.n_traj)
+        err_re = beta.real.std(ddof=1) / math.sqrt(cfg.n_traj)
+        err_im = beta.imag.std(ddof=1) / math.sqrt(cfg.n_traj)
         assert abs(mean.real - corr.real) < 3 * err_re
         assert abs(mean.imag - corr.imag) < 3 * err_im
         # and the correction itself is tiny at this pump strength
@@ -335,18 +337,18 @@ class TestDivergence:
         noise[:, :, 0] = 1e5
         cfg = SdeConfig(dt=dt, t_transient=t_tr, t_measure=t_me, n_traj=6)
         with pytest.warns(RuntimeWarning, match="diverged"):
-            ens, states = collect(p, cfg, noise=noise)
-        assert ens.n_diverged == 1
-        assert ens.diverged[0] and not ens.diverged[1:].any()
+            diverged, states = collect(p, cfg, noise=noise)
+        assert diverged.sum() == 1
+        assert diverged[0] and not diverged[1:].any()
         # the estimate written out from the samples of the live trajectories:
         # the pathwise per-slot sum, its transform, and the mean periodogram
         terms = [(1, 0.3, 1.0), (2, 0.3, -1.0)]
         live = states[:, :, 1:]
         q = sum(w * (live[2 * m - 2] * np.exp(-1j * t)
                      + live[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
-        n = ens.n_samples
-        F = np.fft.fft(q, axis=0) * ens.dt_sample
-        P = (F * F[-np.arange(n) % n]).real / (n * ens.dt_sample)
+        n = cfg.sample_counts()[2]
+        F = np.fft.fft(q, axis=0) * cfg.dt_sample
+        P = (F * F[-np.arange(n) % n]).real / (n * cfg.dt_sample)
         order = np.argsort(np.fft.fftfreq(n))
         want = vacuum_baseline(terms, terms) + 2.0 * p.gamma_a * P.mean(axis=1)[order]
         with pytest.warns(RuntimeWarning, match="diverged"):
@@ -356,6 +358,17 @@ class TestDivergence:
         assert np.allclose(est.values, want, rtol=1e-12, atol=1e-12)
         with pytest.raises(ValueError, match="mode must be 1 or 2"):
             spectrum_of(p, cfg, [(3, 0.0, 1.0)], noise=noise)  # a pump slot
+
+    def test_returns_read_only_mask(self):
+        cfg = SdeConfig(dt=0.02, t_transient=0.0, t_measure=2.0, n_traj=3)
+        noise = np.random.default_rng(0).standard_normal((4, 100, 3))
+        noise[:, :, 1] = 1e5
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            diverged = integrate(sym(), cfg, lambda rec, alive: None, noise)
+        assert diverged.dtype == bool
+        assert diverged.tolist() == [False, True, False]
+        with pytest.raises(ValueError):
+            diverged[0] = True
 
     def test_injected_noise_shape_checked(self):
         p = sym()
@@ -520,9 +533,20 @@ class TestDump:
         assert sidecar["n_variables"] == 8
         assert sidecar["variables"][4] == "beta1"
         assert sidecar["diverged_indices"] == []
+        assert (sidecar["n_traj"], sidecar["n_samples"]) == (16, 80)
         # sidecar lives beside the payload
         meta = json.loads((tmp_path / "dump.bin.json").read_text())
         assert meta == sidecar
+
+    def test_sidecar_sampling_grid(self, tmp_path):
+        # n_tr = round(1 / 0.03) = 33 steps, then ceil(267 / 3) samples
+        cfg = SdeConfig(dt=0.03, t_transient=1.0, t_measure=8.0, n_traj=4,
+                        seed=6, record_stride=3)
+        integrate_to_dump(sym(), cfg, tmp_path / "d.bin")
+        _, sidecar = load_ensemble_dump(tmp_path / "d.bin")
+        assert sidecar["n_samples"] == 89
+        assert sidecar["t_first_sample"] == 0.99
+        assert sidecar["dt_sample"] == 0.09
 
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_streamed_dump_equals_recorded_dump(self, tmp_path, monkeypatch,
@@ -532,7 +556,7 @@ class TestDump:
         cfg = SdeConfig(dt=0.02, t_transient=1.0, t_measure=8.0, n_traj=16,
                         seed=5, record="all")
         p = sym()
-        ens, states = collect(p, cfg)  # 16 trajectories fit one block
+        diverged, states = collect(p, cfg)  # 16 trajectories fit one block
         integrate_to_dump(p, cfg, tmp_path / "r.bin")
         if blocks > 1:
             force_blocks(monkeypatch, cfg, 6)  # blocks of 6, 6 and 4
@@ -542,7 +566,8 @@ class TestDump:
         assert (tmp_path / "r.bin").read_bytes() == payload.tobytes()
         assert ((tmp_path / "s.bin.json").read_text()
                 == (tmp_path / "r.bin.json").read_text())
-        assert (streamed.n_traj, streamed.n_samples) == (ens.n_traj, ens.n_samples)
+        assert streamed.shape == (cfg.n_traj,)
+        assert np.array_equal(streamed, diverged)
 
     def test_diverged_run_leaves_no_payload(self, tmp_path):
         cfg = SdeConfig(dt=0.02, t_transient=0.0, t_measure=2.0, n_traj=3)

@@ -8,7 +8,7 @@ from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
 from opodimer.linearized import build_combined_model, build_linear_model
-from opodimer.model import SystemParams, _unchecked_state, steady_state
+from opodimer.model import SystemParams, steady_state
 from opodimer.spectrum import (SpectralMatrix, analytic_combined,
                                analytic_variances, output_moment,
                                spectral_matrix, vacuum_baseline)
@@ -26,7 +26,8 @@ def sym(**kw):
 
 
 def model_for(p):
-    return build_linear_model(p, steady_state(p))
+    steady_state(p)  # raises AboveThresholdError at or above threshold
+    return build_linear_model(p)
 
 
 def numeric_moments(p, omega, theta=0.0):
@@ -83,7 +84,7 @@ class TestSpectralMatrix:
 
     def test_singular_at_threshold(self):
         p = sym(pump_fraction=1.0)
-        m = build_linear_model(p, _unchecked_state(p))
+        m = build_linear_model(p)
         with pytest.raises(SingularAtFrequencyError):
             spectral_matrix(m, 0.0)
         # away from the critical frequency the matrix is fine
@@ -110,7 +111,7 @@ class TestSpectralMatrix:
 
     def test_singular_frequency_in_stack_is_named(self):
         p = sym(pump_fraction=1.0)
-        m = build_linear_model(p, _unchecked_state(p))
+        m = build_linear_model(p)
         with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
             spectral_matrix(m, [2.0, -1.5, 0.0, 3.0])
         with pytest.raises(ValueError, match="must be finite"):
@@ -216,7 +217,7 @@ class TestCombined:
 
     def test_matches_four_dim_pipeline(self):
         p = self.detuned()
-        m4 = build_combined_model(p, steady_state(p))
+        m4 = build_combined_model(p)
         for w in (0.0, 1.1, 6.61, 20.0, -20.0):
             S4 = spectral_matrix(m4, w)
             a = analytic_combined(p, w)
@@ -245,6 +246,4 @@ class TestCombined:
         with pytest.raises(DetuningMismatchError):
             analytic_combined(sym(), 0.0)
         with pytest.raises(DetuningMismatchError):
-            build_combined_model(sym(J_a=10.0, Delta_a=9.9, Delta_b=1.0),
-                                 steady_state(sym(J_a=10.0, Delta_a=9.9,
-                                                  Delta_b=1.0)))
+            build_combined_model(sym(J_a=10.0, Delta_a=9.9, Delta_b=1.0))
