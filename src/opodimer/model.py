@@ -143,56 +143,83 @@ def critical_pump(p: SystemParams) -> float:
     return eps_crit
 
 
-def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
-    """Deterministic part of the doubled-phase-space equations of motion.
-
-    Accepts a state of shape (8,) or a stack of shape (8, n); returns the
-    time derivative with the same shape, written into ``out`` when given
-    (C-contiguous, of x's shape, not overlapping x). Row by row:
+def drift_kernel(p: SystemParams, n: int):
+    """The drift of p on (8, n) stacks, as f(x, out) -> out: the one home of
+    the doubled-phase-space equations of motion. Row by row:
 
         out[0] = -ca a1 + k a1+ b1 + i J_a a2      (ca = gamma_a + i Delta_a)
         out[1] = -ca* a1+ + k a1 b1+ - i J_a a2+
         out[4] = eps1 - cb b1 - k/2 a1 a1 + i J_b b2   (cb = gamma_b + i Delta_b)
         out[5] = eps1* - cb* b1+ - k/2 a1+ a1+ - i J_b b2+
 
-    and rows 2, 3, 6, 7 with cavities 1 and 2 swapped. The four signal rows
-    and the four pump rows are each computed as one (4, n) block: the
-    partner rows (a1 <-> a1+) are the view reshape(2, 2, n)[:, ::-1], the
-    other cavity's rows the view reshape(2, 2, n)[::-1]; steps that both
-    blocks share run once over all 8 rows. Each element goes through the
+    and rows 2, 3, 6, 7 with cavities 1 and 2 swapped. f takes complex
+    (8, n) arrays, C-contiguous for the flat loops, and checks neither; out
+    must not overlap x.
+
+    The own, pump and cross-cavity coefficients and a sign mask are laid
+    out at full width once, so the ufuncs that read them are flat loops; the
+    partner rows (a1 <-> a1+) are the view reshape(2, 2, n)[:, ::-1] of the
+    signal rows, the other cavity's rows the view reshape(2, 2, 2, n)[:, ::-1]
+    of all 8. The cross-cavity term is added once over all 8 rows after an
+    XOR with the mask flips the sign bits of its '+' rows: x - y is exactly
+    x + (-y), while folding the sign into the coefficient is not ((-c) y and
+    -(c y) can differ in the sign of a zero). Each element goes through the
     operations of the row formulas above in their order.
+    """
+    ca = p.gamma_a + 1j * p.Delta_a
+    cb = p.gamma_b + 1j * p.Delta_b
+    cac, cbc = ca.conjugate(), cb.conjugate()
+
+    def full(*c):
+        return np.repeat(np.array(c)[:, None], n, axis=1)
+
+    own = full(-ca, -cac, -ca, -cac, cb, cbc, cb, cbc)
+    eps = full(p.eps1, p.eps1.conjugate(), p.eps2, p.eps2.conjugate())
+    cross = full(*[1j * p.J_a] * 4, *[1j * p.J_b] * 4).reshape(2, 2, 2, n)
+    k, half_k = p.kappa, 0.5 * p.kappa
+    w = np.empty((8, n), dtype=complex)
+    ws, ws2, w4 = w[:4], w[:4].reshape(2, 2, n), w.reshape(2, 2, 2, n)
+    bits = w.view(np.uint64)
+    plus_sign = np.zeros_like(bits)
+    plus_sign[1::2] = 1 << 63  # the sign bits of the '+' rows
+
+    def f(x, out):
+        a, da, db = x[:4], out[:4], out[4:]
+        np.multiply(own, x, out=out)                    # -ca a1; cb b1
+        np.subtract(eps, db, out=db)                    # eps1 - cb b1
+        np.multiply(k, a.reshape(2, 2, n)[:, ::-1], out=ws2)
+        np.multiply(ws, x[4:], out=ws)
+        np.add(da, ws, out=da)                          # + k a1+ b1
+        np.multiply(half_k, a, out=ws)
+        np.multiply(ws, a, out=ws)
+        np.subtract(db, ws, out=db)                     # - k/2 a1 a1
+        np.multiply(cross, x.reshape(2, 2, 2, n)[:, ::-1], out=w4)
+        np.bitwise_xor(bits, plus_sign, out=bits)       # -(i J a2+)
+        np.add(out, w, out=out)                         # + i J a2
+        return out
+
+    return f
+
+
+def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
+    """Deterministic part of the equations of motion: builds
+    drift_kernel(p, n) for x and runs it once.
+
+    Accepts a state of shape (8,) or a stack of shape (8, n); returns the
+    time derivative with the same shape, written into out when given. Raises
+    ValueError when out is not a C-contiguous complex128 array of x's shape
+    or overlaps x.
     """
     x = np.asarray(x, dtype=complex)
     if out is None:
         out = np.empty(x.shape, dtype=complex)
-    xs, outs = x.reshape(8, -1), out.reshape(8, -1)
-    if not outs.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    n = xs.shape[1]
-    a, b = xs[:4], xs[4:]
-    da, db = outs[:4], outs[4:]
-    w = np.empty((8, n), dtype=complex)
-    ws = w[:4]
-    ca = p.gamma_a + 1j * p.Delta_a
-    cb = p.gamma_b + 1j * p.Delta_b
-    cac, cbc = ca.conjugate(), cb.conjugate()
-    c = np.array([-ca, -cac, -ca, -cac, cb, cbc, cb, cbc,
-                  p.eps1, p.eps1.conjugate(), p.eps2, p.eps2.conjugate(),
-                  1j * p.J_a, 1j * p.J_b])
-    own, eps, cross = c[:8, None], c[8:12, None], c[12:, None, None, None]
-    k = p.kappa
-    np.multiply(own, xs, out=outs)                  # -ca a1; cb b1
-    np.subtract(eps, db, out=db)                    # eps1 - cb b1
-    np.multiply(k, a.reshape(2, 2, n)[:, ::-1], out=ws.reshape(2, 2, n))
-    np.multiply(ws, b, out=ws)
-    np.add(da, ws, out=da)                          # + k a1+ b1
-    np.multiply(0.5 * k, a, out=ws)
-    np.multiply(ws, a, out=ws)
-    np.subtract(db, ws, out=db)                     # - k/2 a1 a1
-    w4, out4 = w.reshape(2, 2, 2, n), outs.reshape(2, 2, 2, n)
-    np.multiply(cross, xs.reshape(2, 2, 2, n)[:, ::-1], out=w4)
-    np.add(out4[:, :, 0], w4[:, :, 0], out=out4[:, :, 0])       # + i J a2
-    np.subtract(out4[:, :, 1], w4[:, :, 1], out=out4[:, :, 1])  # - i J a2+
+    elif (not isinstance(out, np.ndarray) or out.shape != x.shape
+          or out.dtype != complex or not out.flags.c_contiguous
+          or np.shares_memory(out, x)):
+        raise ValueError("out must be a C-contiguous complex128 array of x's "
+                         "shape that does not overlap x")
+    xs = x.reshape(8, -1)
+    drift_kernel(p, xs.shape[1])(xs, out.reshape(8, -1))
     return out
 
 

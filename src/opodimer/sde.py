@@ -31,9 +31,10 @@ _MIN_MEASURE_PERIODS = 50.0
 _N_BATCHES = 16
 # Bytes of the noise buffer (chunk x 4 x block doubles) of one trajectory
 # block plus its record buffer (n_vars x n_samples x block complex doubles).
-# Every block step carries a fixed numpy dispatch cost (about 0.17 ms on a
-# 2-core Xeon), so blocks of 512 made a 4096-trajectory run about 17% slower
-# than blocks of 2048.
+# Every block step carries a fixed numpy dispatch cost (about 0.11 ms on a
+# 2-core Xeon). On the benchmark's 4096-trajectory ensemble this budget's
+# blocks of 1376 took 13.6 s, blocks of 512 16.0 s and blocks of 2048
+# 17.1 s (medians of 3 runs).
 _NOISE_BUDGET = 128 * 2 ** 20
 
 DUMP_FORMAT = "opodimer-ensemble/1"
@@ -209,7 +210,6 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
     n_vars = cfg.n_vars
     n_chunk = min(_NOISE_CHUNK, n_steps)
     kappa, dt, sqdt = p.kappa, cfg.dt, math.sqrt(cfg.dt)
-    drift = _model.drift_rhs
     midpoint = cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT
 
     def run_block(rec, alive, z):
@@ -217,6 +217,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         # rec (n_vars, n_rec, n) and clearing alive where they diverge; the
         # increments come from z, the block's injected noise, if given.
         n = alive.size
+        drift = _model.drift_kernel(p, n)
         gens = () if z is not None else [
             np.random.Generator(np.random.Philox(s)) for s in root.spawn(n)]
         x = x0.repeat(n, axis=1)
@@ -235,7 +236,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         def drift_and_noise(y):
             # d = drift(y) * dt; nz = sqrt(kappa * beta) * dw, with dw this
             # step's increments scaled by sqrt(dt)
-            drift(p, y, out=d)
+            drift(y, d)
             np.multiply(kappa, y[4:], out=nz_sig)
             np.sqrt(nz_sig, out=nz_sig)
             np.multiply(nz_sig, dw, out=nz_sig)
