@@ -156,15 +156,15 @@ def drift_kernel(p: SystemParams, n: int):
     (8, n) arrays, C-contiguous for the flat loops, and checks neither; out
     must not overlap x.
 
-    The own, pump and cross-cavity coefficients and a sign mask are laid
-    out at full width once, so the ufuncs that read them are flat loops; the
-    partner rows (a1 <-> a1+) are the view reshape(2, 2, n)[:, ::-1] of the
-    signal rows, the other cavity's rows the view reshape(2, 2, 2, n)[:, ::-1]
-    of all 8. The cross-cavity term is added once over all 8 rows after an
-    XOR with the mask flips the sign bits of its '+' rows: x - y is exactly
-    x + (-y), while folding the sign into the coefficient is not ((-c) y and
-    -(c y) can differ in the sign of a zero). Each element goes through the
-    operations of the row formulas above in their order.
+    The own, pump and cross-cavity coefficients are laid out at full width
+    once, so the ufuncs that read them are flat loops; the partner rows
+    (a1 <-> a1+) are the view reshape(2, 2, n)[:, ::-1] of the signal rows,
+    the other cavity's rows the view reshape(2, 2, 2, n)[:, ::-1] of all 8.
+    The cross-cavity term is added once over all 8 rows after its '+' rows
+    are negated: x - y is exactly x + (-y), while folding the sign into the
+    coefficient is not ((-c) y and -(c y) can differ in the sign of a zero).
+    Each element goes through the operations of the row formulas above in
+    their order.
     """
     ca = p.gamma_a + 1j * p.Delta_a
     cb = p.gamma_b + 1j * p.Delta_b
@@ -179,9 +179,7 @@ def drift_kernel(p: SystemParams, n: int):
     k, half_k = p.kappa, 0.5 * p.kappa
     w = np.empty((8, n), dtype=complex)
     ws, ws2, w4 = w[:4], w[:4].reshape(2, 2, n), w.reshape(2, 2, 2, n)
-    bits = w.view(np.uint64)
-    plus_sign = np.zeros_like(bits)
-    plus_sign[1::2] = 1 << 63  # the sign bits of the '+' rows
+    w_plus = w4[:, :, 1].view(float)  # the '+' rows, as float pairs
 
     def f(x, out):
         a, da, db = x[:4], out[:4], out[4:]
@@ -194,30 +192,22 @@ def drift_kernel(p: SystemParams, n: int):
         np.multiply(ws, a, out=ws)
         np.subtract(db, ws, out=db)                     # - k/2 a1 a1
         np.multiply(cross, x.reshape(2, 2, 2, n)[:, ::-1], out=w4)
-        np.bitwise_xor(bits, plus_sign, out=bits)       # -(i J a2+)
+        np.negative(w_plus, out=w_plus)                 # -(i J a2+)
         np.add(out, w, out=out)                         # + i J a2
         return out
 
     return f
 
 
-def drift_rhs(p: SystemParams, x, out=None) -> np.ndarray:
+def drift_rhs(p: SystemParams, x) -> np.ndarray:
     """Deterministic part of the equations of motion: builds
     drift_kernel(p, n) for x and runs it once.
 
     Accepts a state of shape (8,) or a stack of shape (8, n); returns the
-    time derivative with the same shape, written into out when given. Raises
-    ValueError when out is not a C-contiguous complex128 array of x's shape
-    or overlaps x.
+    time derivative with the same shape.
     """
     x = np.asarray(x, dtype=complex)
-    if out is None:
-        out = np.empty(x.shape, dtype=complex)
-    elif (not isinstance(out, np.ndarray) or out.shape != x.shape
-          or out.dtype != complex or not out.flags.c_contiguous
-          or np.shares_memory(out, x)):
-        raise ValueError("out must be a C-contiguous complex128 array of x's "
-                         "shape that does not overlap x")
+    out = np.empty(x.shape, dtype=complex)
     xs = x.reshape(8, -1)
     drift_kernel(p, xs.shape[1])(xs, out.reshape(8, -1))
     return out
