@@ -309,6 +309,22 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     return linearized.numeric_eigenvalues(linearized.build_linear_model(p))
 
 
+def _quadrature_form(M: np.ndarray) -> np.ndarray:
+    """Real form of a stack of conjugation-symmetric complex matrices.
+
+    Each 2x2 block [[p, q], [q*, p*]] of M (..., 2k, 2k), acting on
+    (a, a*), becomes [[Re(p+q), -Im(p-q)], [Im(p+q), Re(p-q)]] acting on
+    (Re a, Im a): M = T R T^-1 with T = [[1, i], [1, -i]] per block, so R
+    has the eigenvalues of M.
+    """
+    p, q = M[..., 0::2, 0::2], M[..., 0::2, 1::2]
+    s, d = p + q, p - q
+    R = np.empty(M.shape)
+    R[..., 0::2, 0::2], R[..., 0::2, 1::2] = s.real, -d.imag
+    R[..., 1::2, 0::2], R[..., 1::2, 1::2] = s.imag, d.real
+    return R
+
+
 def threshold_bisection_stack(ps: list) -> np.ndarray:
     """Numeric threshold of each parameter set in ps: the equal real pump
     amplitude at which the slowest drift eigenvalue crosses zero; the pump
@@ -320,6 +336,14 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     the 4x4 signal block does; that block is A0 + e A1, as the steady pump
     field is linear in e. Bisection on its dense eigenvalues, never the
     closed form, checks the analytic threshold independently.
+
+    The rows are bisected on the real 4x4 quadrature form of the block
+    (_quadrature_form), which has the same eigenvalues: the '+' partners
+    carry the conjugate steady state, so every 2x2 block is [[p, q],
+    [q*, p*]] and the signal block is the complexification of a real map
+    on (Re a, Im a) per mode. The similarity is exact and e is real, so
+    R0 + e R1 is the real form of A0 + e A1; the real eigensolver is
+    about twice as fast on the stack.
 
     All rows are bisected at once on [0, hi0 = 10 * critical_pump] with one
     stacked eigvals per step; each row stops on its own once hi - lo <=
@@ -334,6 +358,7 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
 
     A0 = np.array([signal_block(p, 0j) for p in ps]).reshape(-1, 4, 4)
     A1 = np.array([signal_block(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
+    A0, A1 = _quadrature_form(A0), _quadrature_form(A1)
     hi0 = np.array([10.0 * critical_pump(p) for p in ps])
 
     def slowest(rows, e: np.ndarray) -> np.ndarray:

@@ -271,6 +271,24 @@ class TestThresholdStack:
                 for eigs in (stability_eigenvalues(q), numeric_eigenvalues(dense)):
                     assert sign * float(eigs.real.min()) > 0.0, (kw, f)
 
+    def test_quadrature_form_keeps_the_signal_block_eigenvalues(self):
+        # the real 4x4 form the rows are bisected on has the eigenvalues of
+        # the complex signal block, below, at and above threshold
+        from opodimer.linearized import build_linear_model, dense_eigvals
+        rows = STACK_ROWS + (dict(J_a=-2.0, J_b=1.5, Delta_a=0.5, Delta_b=-1.0),)
+        for kw in rows:
+            crit = critical_pump(sym(**kw))
+            for e in (0.0, crit, 3.0 * crit):
+                A = build_linear_model(
+                    sym(**kw, pump_fraction=None, eps=e)).A[:4, :4]
+                R = model._quadrature_form(A)
+                assert R.dtype == np.float64
+                got = sort_eigenvalues(dense_eigvals(R))
+                want = sort_eigenvalues(dense_eigvals(A))
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=1e-12 * np.linalg.norm(A),
+                    err_msg=f"{kw} e={e}")
+
     def test_bad_row_names_its_bracket(self, monkeypatch):
         ps = [sym(**kw) for kw in STACK_ROWS]
         scale_eps_crit(monkeypatch, ps[2], 1e-6 / critical_pump(ps[2]))
