@@ -115,11 +115,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
     ps = [cfg.params.patched(patch, f"stability {spec.mode}").to_params()
           for patch in patches]
-    if spec.mode == "coupling-grid":
-        roots = threshold_bisection_stack(ps).tolist()
-    else:  # the bisection ignores pump fields: one root serves every row
-        roots = threshold_bisection_stack(ps[:1]).tolist() * len(ps)
-    for patch, p, root in zip(patches, ps, roots):
+    for patch, p, root in zip(patches, ps, threshold_bisection_stack(ps).tolist()):
         lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
                 else (patch["pump_fraction"], abs(p.eps1)))
         lines.append(",".join(_fmt(x) for x in (

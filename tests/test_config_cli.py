@@ -13,7 +13,6 @@ from opodimer import cli, sde
 from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
 from opodimer.errors import ConfigError
-from opodimer.model import threshold_bisection_stack
 from opodimer.sde import load_ensemble_dump
 
 REFERENCE = json.loads(
@@ -458,24 +457,6 @@ class TestStabilityCommand:
         margins = [float(x["min_re_eig"]) for x in rows]
         assert margins[0] > 0 and margins[1] > 0 and margins[2] < 0
         assert [float(x["eps"]) for x in rows] == [100.0, 199.8, 200.2]
-
-    def test_pump_scan_rows_print_their_own_root(self, tmp_path):
-        # the command bisects one row and repeats its root; each row's own
-        # bisection must give the same printed value
-        cfg = {"params": {"J_a": -2.0, "J_b": 0.5, "Delta_a": 1.0,
-                          "Delta_b": -0.7, "pump_fraction": 0.5},
-               "stability": {"mode": "pump-scan",
-                             "pump_fractions": [0.1, 0.5, 0.999, 1.5]}}
-        r = run_cli("stability", config=cfg, tmp_path=tmp_path)
-        assert r.returncode == 0, r.stderr
-        rows = parse_csv(r.stdout)
-        params = RunConfig.from_dict(cfg).params
-        assert len(rows) == 4
-        for row in rows:
-            p = params.patched({"pump_fraction": float(row["pump_fraction"])},
-                               "test").to_params()
-            assert row["eps_crit_bisect"] == cli._fmt(
-                threshold_bisection_stack([p])[0])
 
 
 class TestOptimizeAngleCommand:
