@@ -39,10 +39,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+def _row_format(cells) -> str:
+    """The %-format of a CSV row shaped like cells: "%.12g" for a float
+    (the text of f"{x:.12g}") and "%s" (str(x)) for anything else."""
+    return ",".join("%.12g" if isinstance(x, float) else "%s" for x in cells)
 
 
 def _emit(lines, out_path) -> None:
@@ -93,8 +93,10 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
             table.update(criteria.combined_variances(S, p.gamma_a))
         if multi:
             table["variant"] = [name] * n
-        cols = (c if isinstance(c, list) else c.tolist() for c in table.values())
-        rows.extend(",".join(_fmt(x) for x in row) for row in zip(*cols))
+        cols = [c if isinstance(c, list) else c.tolist() for c in table.values()]
+        fmt = _row_format([c[0] for c in cols])
+        rows.extend(fmt % row for row in zip(*cols))
+        del cols  # free the column lists before the next variant's solve
     lines.append(",".join(table))  # every variant has the same columns
     lines.extend(rows)
     _emit(lines, args.out)
@@ -118,9 +120,9 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     for patch, p, root in zip(patches, ps, threshold_bisection_stack(ps).tolist()):
         lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
                 else (patch["pump_fraction"], abs(p.eps1)))
-        lines.append(",".join(_fmt(x) for x in (
-            *lead, float(np.min(stability_eigenvalues(p).real)),
-            critical_pump(p), root)))
+        row = (*lead, float(np.min(stability_eigenvalues(p).real)),
+               critical_pump(p), root)
+        lines.append(_row_format(row) % row)
     _emit(lines, args.out)
     return 0
 
@@ -137,10 +139,11 @@ def cmd_optimize_angle(args, cfg: RunConfig) -> int:
     # fold after rounding: an angle just below the period prints as 0,
     # not as the period itself
     period = math.degrees(criteria.PERIODS[objective])
-    deg = float(_fmt(math.degrees(t))) % period
+    deg = float("%.12g" % math.degrees(t)) % period
     lines = _header("optimize-angle", cfg)
     lines.append("omega,objective,theta_deg,value")
-    lines.append(",".join(_fmt(x) for x in (omega, objective, deg, v)))
+    row = (omega, objective, deg, v)
+    lines.append(_row_format(row) % row)
     _emit(lines, args.out)
     return 0
 
@@ -177,7 +180,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             else:
                 z = 0.0 if diff == 0.0 else math.inf
             worst = max(worst, abs(z))
-            lines.append(",".join(_fmt(x) for x in (name, wbin, val, err, pred, z)))
+            row = (name, wbin, val, err, pred, z)
+            lines.append(_row_format(row) % row)
     ok = worst < _Z_LIMIT
     lines.append(f"# diverged: {ests[0].n_diverged} of {cfg.sde.n_traj}")
     lines.append(f"# verdict: {'PASS' if ok else 'FAIL'} "

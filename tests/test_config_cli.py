@@ -242,6 +242,14 @@ class TestRunConfig:
                                           "sweep.omega_stop=1e308"])
 
 
+def test_row_format_matches_cell_by_cell_text():
+    inf, nan = float("inf"), float("nan")
+    row = (inf, -inf, nan, 0.0, -0.0, 5e-324, 1e300, -1.0 / 3.0, 7,
+           "X1", "squeezed;epr", "-", "J_a=5")
+    assert cli._row_format(row) % row == ",".join(
+        f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
+
+
 class TestSpectrumCommand:
     def test_csv_contract(self, tmp_path):
         cfg = dict(DRIVEN)

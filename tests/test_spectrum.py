@@ -7,9 +7,10 @@ from opodimer.config import load_preset
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
-from opodimer.linearized import build_combined_model, build_linear_model
+from opodimer.linearized import (LinearModel, build_combined_model,
+                                 build_linear_model)
 from opodimer.model import SystemParams, steady_state
-from opodimer.spectrum import (SpectralMatrix, analytic_combined,
+from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                analytic_variances, output_moment,
                                spectral_matrix, vacuum_baseline)
 
@@ -91,10 +92,17 @@ class TestSpectralMatrix:
         spectral_matrix(m, 2.0)
 
     def test_condition_number_reported(self):
-        S = spectral_matrix(model_for(sym()), 0.5)
+        m = model_for(sym())
+        S = spectral_matrix(m, 0.5)
         assert S.cond.shape == S.omega.shape == (1,)
-        assert S.cond[0] >= 1.0
         assert S.omega[0] == 0.5
+        # the Frobenius condition number, between the 2-norm one and n times it
+        M = m.A + 0.5j * np.eye(8)
+        assert S.cond[0] == pytest.approx(
+            np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M)), rel=1e-12)
+        assert np.linalg.cond(M) <= S.cond[0] <= 8 * np.linalg.cond(M)
+        empty = spectral_matrix(m, [])
+        assert empty.S.shape == (0, 8, 8) and empty.cond.shape == (0,)
 
     @pytest.mark.parametrize("preset", ["fig1", "fig5"])
     def test_stack_equals_each_omega_alone(self, preset):
@@ -134,6 +142,67 @@ class TestSpectralMatrix:
         output_moment(good, terms, terms, 1.0)
         with pytest.raises(ConvergenceFailureError, match=r"at omega = 1$"):
             output_moment(S, terms, terms, 1.0)
+
+
+def diagonal_model(delta):
+    """A = diag(1, ..., 1, delta): at omega = 0 the 2-norm condition number is
+    1/delta and the Frobenius one sqrt(7 + 1/delta^2) sqrt(7 + delta^2),
+    about 2.65/delta."""
+    return LinearModel(A=np.diag([1.0] * 7 + [delta]).astype(complex),
+                       B=np.eye(8))
+
+
+class TestSingularityGate:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(x, *args):
+            calls.append(len(x))
+            return cond(x, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        return calls
+
+    def test_below_the_limit_passes_through_the_svd(self, svd_calls):
+        S = spectral_matrix(diagonal_model(1 / 0.9e12), [3.0, 0.0])
+        assert S.cond[1] > COND_LIMIT  # the Frobenius value alone would fail
+        assert svd_calls == [1]  # only omega = 0 went to the SVD
+
+    def test_above_the_limit_raises_with_the_2norm_value(self, svd_calls):
+        with pytest.raises(SingularAtFrequencyError,
+                           match=r"condition number 1\.100e\+12 .* at omega = 0$"):
+            spectral_matrix(diagonal_model(1 / 1.1e12), [3.0, 0.0])
+        assert svd_calls == [1]
+
+    def test_well_conditioned_stack_skips_the_svd(self, svd_calls):
+        spectral_matrix(model_for(sym()), np.linspace(-5.0, 5.0, 11))
+        assert svd_calls == []
+
+    def test_exactly_singular_slice_sends_the_stack_to_the_svd(self, svd_calls):
+        with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
+            spectral_matrix(diagonal_model(0.0), [2.0, 0.0])
+        assert svd_calls == [2]
+
+    def test_decision_near_threshold_is_the_svd_rule(self):
+        omegas = np.array([0.0, 1e-12, 1e-11])
+        outcomes = set()
+        for gap in np.geomspace(1e-13, 1e-10, 13):
+            m = build_linear_model(sym(pump_fraction=1.0 - gap))
+            for w in omegas:
+                cond = np.linalg.cond(m.A + 1j * np.array([w])[:, None, None]
+                                      * np.eye(8))[0]
+                passes = bool(cond <= COND_LIMIT)
+                try:
+                    spectral_matrix(m, w)
+                except SingularAtFrequencyError as exc:
+                    assert not passes, (gap, w, cond)
+                    assert f"{cond:.3e}" in str(exc)
+                else:
+                    assert passes, (gap, w, cond)
+                outcomes.add(passes)
+        assert outcomes == {True, False}
 
 
 class TestSingleOpoLimit:
