@@ -28,7 +28,6 @@ _NOISE_CHUNK = 2048
 _DIVERGENCE_FACTOR = 1e6
 _MIDPOINT_ITERATIONS = 4
 _MIN_MEASURE_PERIODS = 50.0
-_N_BATCHES = 16
 # Bytes of the noise buffer (chunk x 4 x block doubles) of one trajectory
 # block plus its record buffer (n_vars x n_samples x block complex doubles).
 # Every block step carries a fixed numpy dispatch cost (about 0.11 ms on a
@@ -124,7 +123,8 @@ def _project(c, states) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Monte Carlo output spectrum on the FFT frequency grid, or on the bins
-    kept from it, in ascending omega, with batch-mean standard errors."""
+    kept from it, in ascending omega, with standard errors from the spread
+    of the per-trajectory periodograms."""
 
     omega: np.ndarray
     values: np.ndarray
@@ -337,27 +337,22 @@ class _Periodograms:
 
     def estimates(self) -> list:
         """One SpectrumEstimate per combination over the live trajectories.
-        Standard errors come from the means of _N_BATCHES batches of
-        trajectories (zero only in the noiseless undriven case)."""
+        Standard errors are the spread of the per-trajectory values over
+        sqrt(n_live), with n_live - 1 degrees of freedom (zero only in the
+        noiseless undriven case, NaN for a single live trajectory)."""
         n_live = self.n_live
         if n_live == 0:
             raise DivergenceDetectedError("no live trajectories to estimate from")
         scale = 2.0 * self.params.gamma_a
-        nb = min(_N_BATCHES, n_live)
-        batches = np.array_split(np.arange(n_live), nb)
         out = []
         for terms, P in zip(self.combos, self.P):
-            # the mean sums each C-contiguous row pairwise; a batch sums its
-            # trajectories one after another (an accumulate), an order that
-            # does not depend on the number of bins kept
+            # each C-contiguous row is reduced on its own, pairwise, whatever
+            # the number of bins kept
             P = np.ascontiguousarray(P[:, :n_live])
             base = vacuum_baseline(terms, terms)
             values = base + scale * P.mean(axis=1)
-            batch_means = np.stack(
-                [np.add.accumulate(P[:, idx], axis=1)[:, -1] / idx.size
-                 for idx in batches], axis=1)
-            stderr = scale * batch_means.std(axis=1, ddof=1) / math.sqrt(nb) \
-                if nb >= 2 else np.full(P.shape[0], np.nan)
+            stderr = scale * P.std(axis=1, ddof=1) / math.sqrt(n_live) \
+                if n_live >= 2 else np.full(P.shape[0], np.nan)
             out.append(SpectrumEstimate(
                 omega=self.omega, values=_frozen(values), stderr=_frozen(stderr),
                 baseline=base, n_traj_used=n_live,

@@ -8,8 +8,9 @@ from opodimer.config import apply_overrides, load_preset
 from opodimer.criteria import (combined_variances, duan_sum, epr_product,
                                optimize_angle, quadrature, single_mode_moments,
                                spectral_stack, witness_flags, witness_table)
+from opodimer.errors import DegenerateVarianceError
 from opodimer.model import SystemParams
-from opodimer.spectrum import analytic_combined
+from opodimer.spectrum import SpectralMatrix, analytic_combined, output_moment
 
 
 def sym(**kw):
@@ -77,6 +78,18 @@ class TestWitnesses:
             epr_product(spectral_stack(sym(), 0.0), 1.0, 0.0, infer_from=3)
         with pytest.raises(ValueError, match="infer_from"):
             optimize_angle(sym(), 0.0, "epr", infer_from=3)
+
+    def test_epr_rejects_vanishing_conditioning_variance(self):
+        # X1 at theta = 0 projects on slots 0 and 1: -1/8 in their four
+        # entries sums to -1/2, and 2 gamma_a (-1/2) cancels the vacuum 1
+        mat = np.zeros((1, 8, 8), dtype=complex)
+        mat[0, :2, :2] = -0.125
+        S = SpectralMatrix(omega=np.array([2.5]), S=mat, cond=np.array([1.0]))
+        x1 = quadrature("X1")
+        assert output_moment(S, x1, x1, 1.0)[0] < 1e-14
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"omega = 2\.5, theta = 0$"):
+            epr_product(S, 1.0, 0.0)
 
     def test_undriven_cavity_is_classical(self):
         p = sym(pump_fraction=0.0)

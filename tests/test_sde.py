@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,18 @@ class TestPhysics:
         assert abs(vf - vc) < math.hypot(ef, ec)
 
 
+def periodograms(cfg, states, terms):
+    """Per-trajectory periodograms of one combination on every bin, in
+    ascending omega, written out from recorded samples: the pathwise
+    per-slot sum, its transform, and F(w) F(-w) / T."""
+    q = sum(w * (states[2 * m - 2] * np.exp(-1j * t)
+                 + states[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
+    n = cfg.sample_counts()[2]
+    F = np.fft.fft(q, axis=0) * cfg.dt_sample
+    P = (F * F[-np.arange(n) % n]).real / (n * cfg.dt_sample)
+    return P[np.argsort(np.fft.fftfreq(n))]
+
+
 class TestDivergence:
     def test_all_trajectories_diverging_raises(self):
         p = sym()
@@ -348,29 +361,34 @@ class TestDivergence:
         p = sym()
         t_tr, t_me, dt = 1.0, 60.0, 0.02
         n_steps = round((t_tr + t_me) / dt)
-        noise = np.random.default_rng(0).standard_normal((4, n_steps, 6))
-        noise[:, :, 0] = 1e5
         cfg = SdeConfig(dt=dt, t_transient=t_tr, t_measure=t_me, n_traj=6)
-        with pytest.warns(RuntimeWarning, match="diverged"):
-            diverged, states = collect(p, cfg, noise=noise)
-        assert diverged.sum() == 1
-        assert diverged[0] and not diverged[1:].any()
-        # the estimate written out from the samples of the live trajectories:
-        # the pathwise per-slot sum, its transform, and the mean periodogram
         terms = [(1, 0.3, 1.0), (2, 0.3, -1.0)]
-        live = states[:, :, 1:]
-        q = sum(w * (live[2 * m - 2] * np.exp(-1j * t)
-                     + live[2 * m - 1] * np.exp(1j * t)) for m, t, w in terms)
-        n = cfg.sample_counts()[2]
-        F = np.fft.fft(q, axis=0) * cfg.dt_sample
-        P = (F * F[-np.arange(n) % n]).real / (n * cfg.dt_sample)
-        order = np.argsort(np.fft.fftfreq(n))
-        want = vacuum_baseline(terms, terms) + 2.0 * p.gamma_a * P.mean(axis=1)[order]
-        with pytest.warns(RuntimeWarning, match="diverged"):
-            est = spectrum_of(p, cfg, terms, noise=noise)
-        assert est.n_traj_used == 5
-        assert np.isfinite(est.values).all()
-        assert np.allclose(est.values, want, rtol=1e-12, atol=1e-12)
+        # one trajectory diverges, then all but one
+        for dead in ([0], [1, 2, 3, 4, 5]):
+            noise = np.random.default_rng(0).standard_normal((4, n_steps, 6))
+            noise[:, :, dead] = 1e5
+            with pytest.warns(RuntimeWarning, match="diverged"):
+                diverged, states = collect(p, cfg, noise=noise)
+            assert np.flatnonzero(diverged).tolist() == dead
+            # the estimate written out from the samples of the live
+            # trajectories, and its standard error from the spread of their
+            # periodograms (NaN for a single one)
+            P = periodograms(cfg, states[:, :, ~diverged], terms)
+            n_live = P.shape[1]
+            want = vacuum_baseline(terms, terms) + 2.0 * p.gamma_a * P.mean(axis=1)
+            want_err = (2.0 * p.gamma_a * P.std(axis=1, ddof=1) / math.sqrt(n_live)
+                        if n_live > 1 else np.full(len(P), np.nan))
+            # under -W error, the divergence is the one warning
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("error")
+                warnings.filterwarnings("always", ".* diverged")
+                est = spectrum_of(p, cfg, terms, noise=noise)
+            assert len(caught) == 1
+            assert est.n_traj_used == 6 - len(dead)
+            assert np.isfinite(est.values).all()
+            assert np.allclose(est.values, want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(est.stderr, want_err, rtol=1e-12, atol=1e-12,
+                               equal_nan=True)
         with pytest.raises(ValueError, match="mode must be 1 or 2"):
             spectrum_of(p, cfg, [(3, 0.0, 1.0)], noise=noise)  # a pump slot
 
@@ -464,8 +482,8 @@ def assert_streams_like_one_block(monkeypatch, p, cfg, omegas, noise=None):
 class TestStreaming:
     """stream_output_spectra folds each block into its bins as it goes."""
 
-    # 251 samples, an odd count, and batches of 8 or 9 trajectories: a
-    # projection or a batch sum whose rounding depends on where an element
+    # 251 samples, an odd count, and 130 trajectories in uneven blocks: a
+    # projection, mean or spread whose rounding depends on where an element
     # sits in its block, or on how many bins are kept, shows
     CFG = SdeConfig(dt=0.04, t_transient=0.4, t_measure=50.2, n_traj=130,
                     seed=11, stepper="euler-maruyama")
@@ -485,6 +503,15 @@ class TestStreaming:
     def test_equals_recorded_estimate_in_one_block(self, monkeypatch):
         # a few bins kept against every bin, both in one block
         assert_streams_like_one_block(monkeypatch, sym(), self.CFG, (0.0, 1.5))
+
+    def test_stderr_is_the_spread_of_the_trajectories(self):
+        # 130 trajectories, so a rule over batches of them would differ
+        p, noise = sym(), self.noise(5)
+        est = spectrum_of(p, self.CFG, Y0_TERMS, noise=noise)
+        _, states = collect(p, self.CFG, noise=noise)
+        P = periodograms(self.CFG, states, Y0_TERMS)
+        want = 2.0 * p.gamma_a * P.std(axis=1, ddof=1) / math.sqrt(130)
+        assert np.allclose(est.stderr, want, rtol=1e-12, atol=1e-12)
 
     def test_diverged_trajectory_is_excluded(self, monkeypatch):
         force_blocks(monkeypatch, self.CFG, 50)
