@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "spectra with z-scores")
     _add_common(s)
     s.add_argument("--negative-control", action="store_true",
-                   help="corrupt the linearized drift (sign flip) to prove "
-                        "the comparison can fail")
+                   help="negate the pair terms -kappa beta of the predicted "
+                        "drift, to prove the comparison can fail")
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("sde-dump", help="integrate and dump raw trajectories")

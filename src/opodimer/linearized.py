@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DetuningMismatchError
-from .model import SystemParams, _unchecked_state, drift_rhs, sort_eigenvalues
+from .errors import DetuningMismatchError
+from .model import (SystemParams, _unchecked_state, dense_eigvals, drift_block,
+                    drift_rhs, sort_eigenvalues)
 
 STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
                 "beta1", "beta1+", "beta2", "beta2+")
@@ -72,33 +73,21 @@ class LinearModel:
 def build_linear_model(p: SystemParams) -> LinearModel:
     """Assemble A and B at p's alpha = 0 fixed point.
 
-    The alpha-beta coupling blocks are proportional to the steady alpha
-    fields and therefore vanish below threshold; they are kept out of the
-    matrix rather than written as zero blocks. Detunings enter only on the
+    A is block diagonal: model.drift_block writes its signal and pump
+    blocks, and the alpha-beta coupling blocks, proportional to the steady
+    alpha fields, are zero at this fixed point. Detunings enter only on the
     diagonal as gamma +- i*Delta. The matrix itself is well defined at the
     alpha = 0 fixed point on either side of threshold; stability is the
     caller's concern (steady_state gates it).
     """
     ss = _unchecked_state(p)
-    m1 = p.kappa * ss.beta1_ss
-    m2 = p.kappa * ss.beta2_ss
-    ca = p.gamma_a + 1j * p.Delta_a
-    cb = p.gamma_b + 1j * p.Delta_b
-    ja, jb = 1j * p.J_a, 1j * p.J_b
+    m1, m2 = p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss
     A = np.zeros((8, 8), dtype=complex)
-    A[0, 0], A[0, 1], A[0, 2] = ca, -m1, -ja
-    A[1, 0], A[1, 1], A[1, 3] = -np.conj(m1), np.conj(ca), ja
-    A[2, 0], A[2, 2], A[2, 3] = -ja, ca, -m2
-    A[3, 1], A[3, 2], A[3, 3] = ja, -np.conj(m2), np.conj(ca)
-    A[4, 4], A[4, 6] = cb, -jb
-    A[5, 5], A[5, 7] = np.conj(cb), jb
-    A[6, 4], A[6, 6] = -jb, cb
-    A[7, 5], A[7, 7] = jb, np.conj(cb)
+    A[:4, :4] = drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, m1, m2)
+    A[4:, 4:] = drift_block(p.gamma_b + 1j * p.Delta_b, 1j * p.J_b, 0, 0)
     B = np.zeros((8, 8), dtype=complex)
-    B[0, 0] = np.sqrt(complex(m1))
-    B[1, 1] = np.sqrt(complex(np.conj(m1)))
-    B[2, 2] = np.sqrt(complex(m2))
-    B[3, 3] = np.sqrt(complex(np.conj(m2)))
+    for k, m in enumerate((m1, np.conj(m1), m2, np.conj(m2))):
+        B[k, k] = np.sqrt(complex(m))
     return LinearModel(A=_frozen(A), B=_frozen(B))
 
 
@@ -128,15 +117,6 @@ def build_combined_model(p: SystemParams) -> LinearModel:
         [0, 1, 0, -1],
     ], dtype=complex)
     return LinearModel(A=_frozen(A), B=_frozen(B))
-
-
-def dense_eigvals(A) -> np.ndarray:
-    """np.linalg.eigvals of a matrix or a stack of them, unsorted; raises
-    ConvergenceFailureError where the solver fails."""
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
 
 
 def numeric_eigenvalues(m) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,20 +55,12 @@ class SystemParams:
     eps2: complex = 0.0
 
     def __post_init__(self):
-        for name in ("kappa", "gamma_a", "gamma_b"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("J_a", "J_b", "Delta_a", "Delta_b"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("eps1", "eps2"):
-            v = complex(getattr(self, name))
-            if not cmath.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        for name in self.__dataclass_fields__:  # in declaration order
+            v = (complex if name.startswith("eps") else float)(getattr(self, name))
+            positive = name in ("kappa", "gamma_a", "gamma_b")
+            if not cmath.isfinite(v) or (positive and not v > 0.0):
+                raise ValueError(f"{name} must be {'positive and ' * positive}"
+                                 f"finite, got {v!r}")
             object.__setattr__(self, name, v)
 
     @classmethod
@@ -213,11 +205,39 @@ def drift_rhs(p: SystemParams, x) -> np.ndarray:
     return out
 
 
+def drift_block(c: complex, j: complex, m1: complex, m2: complex) -> np.ndarray:
+    """The 4x4 block of the drift matrix A on one quartet [a1, a1+, a2, a2+]
+    about the alpha = 0 fixed point, where A is block diagonal: c = gamma +
+    i Delta, j = i J, and m1, m2 the pair terms kappa beta_ss (0 in the pump
+    block). The one place the entries of A are written.
+    """
+    D = np.zeros((4, 4), dtype=complex)
+    D[0, 0], D[0, 1], D[0, 2] = c, -m1, -j
+    D[1, 0], D[1, 1], D[1, 3] = -np.conj(m1), np.conj(c), j
+    D[2, 0], D[2, 2], D[2, 3] = -j, c, -m2
+    D[3, 1], D[3, 2], D[3, 3] = j, -np.conj(m2), np.conj(c)
+    return D
+
+
+def dense_eigvals(A) -> np.ndarray:
+    """np.linalg.eigvals of a matrix or a stack of them, unsorted; raises
+    ConvergenceFailureError where the solver fails."""
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
+
+
+def _equal_pump_field(p: SystemParams, eps: complex) -> complex:
+    """Steady pump field of equal pumps eps at the alpha = 0 fixed point."""
+    return eps / (p.gamma_b - 1j * (p.J_b - p.Delta_b))
+
+
 def _unchecked_state(p: SystemParams) -> SteadyState:
     """The alpha = 0 fixed point, which exists on both sides of threshold;
     no stability gate, so threshold probing can build on it."""
     if p.equal_pumps:
-        b = p.eps1 / (p.gamma_b - 1j * (p.J_b - p.Delta_b))
+        b = _equal_pump_field(p, p.eps1)
         return SteadyState(beta1_ss=b, beta2_ss=b)
     # The alpha = 0 pump-mode equations are linear: one 2x2 solve.
     cb = p.gamma_b + 1j * p.Delta_b
@@ -287,26 +307,29 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     """Decay eigenvalues of the fluctuation drift matrix, sorted by (Re, Im).
 
     Below threshold all real parts are positive; the slowest one touching
-    zero marks the oscillation threshold. On resonance with equal real pumps
-    the closed form applies:
+    zero marks the oscillation threshold. At the alpha = 0 fixed point
+    (which exists on both sides of threshold, so this routine never raises)
+    A is block diagonal. Its pump block does not see the pump and has the
+    eigenvalues gamma_b +- i(Delta_b +- J_b). Its signal block has, on
+    resonance with equal real pumps, the closed form
 
-        gamma_b +- i J_b                                               (each twice)
         gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)   (each twice)
 
     with the principal square root turning a negative argument into an
-    imaginary pair. Anything else is delegated to the dense eigensolver on
-    the assembled drift matrix at the alpha = 0 fixed point (which exists on
-    both sides of threshold, so this routine never raises).
+    imaginary pair; anywhere else it goes to the dense 4x4 eigensolver. No
+    8x8 matrix is factored.
     """
     if p.resonant and p.equal_pumps and p.eps1.imag == 0.0:
         gtb = math.hypot(p.gamma_b, p.J_b)
         s = np.sqrt(complex((p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2))
-        lam = [p.gamma_b + 1j * p.J_b, p.gamma_b - 1j * p.J_b,
-               p.gamma_a + s, p.gamma_a - s]
-        return sort_eigenvalues(lam + lam)
-    from . import linearized  # deferred to break the module cycle
-
-    return linearized.numeric_eigenvalues(linearized.build_linear_model(p))
+        signal = np.array([p.gamma_a + s, p.gamma_a - s] * 2)
+    else:
+        ss = _unchecked_state(p)
+        signal = dense_eigvals(drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a,
+                                           p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss))
+    pump = np.array([p.gamma_b + 1j * (p.Delta_b + p.J_b),
+                     p.gamma_b + 1j * (p.Delta_b - p.J_b)])
+    return sort_eigenvalues(np.concatenate([signal, pump, pump.conj()]))
 
 
 def _quadrature_form(M: np.ndarray) -> np.ndarray:
@@ -330,20 +353,17 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     amplitude at which the slowest drift eigenvalue crosses zero; the pump
     fields of each set are ignored.
 
-    At the alpha = 0 fixed point A is block diagonal. Its pump block does
-    not depend on the pump e, and its eigenvalues gamma_b + i(Delta_b +- J_b)
-    have real part gamma_b > 0, so min Re eig(A) changes sign where that of
-    the 4x4 signal block does; that block is A0 + e A1, as the steady pump
-    field is linear in e. Bisection on its dense eigenvalues, never the
-    closed form, checks the analytic threshold independently.
+    At the alpha = 0 fixed point A is block diagonal, and the eigenvalues of
+    its pump block have real part gamma_b > 0 whatever the pump e
+    (stability_eigenvalues), so min Re eig(A) changes sign where that of the
+    4x4 signal block does. That block is A0 + e A1, as the steady pump field
+    is linear in e: drift_block at the pump fields of e = 0 and e = 1 gives
+    A0 and A1, and no 8x8 model is built. Bisection on its dense eigenvalues,
+    never the closed form, checks the analytic threshold independently.
 
-    The rows are bisected on the real 4x4 quadrature form of the block
-    (_quadrature_form), which has the same eigenvalues: the '+' partners
-    carry the conjugate steady state, so every 2x2 block is [[p, q],
-    [q*, p*]] and the signal block is the complexification of a real map
-    on (Re a, Im a) per mode. The similarity is exact and e is real, so
-    R0 + e R1 is the real form of A0 + e A1; the real eigensolver is
-    about twice as fast on the stack.
+    The rows are bisected on the real quadrature form R0 + e R1 of the
+    block (_quadrature_form), an exact similarity for real e, as the real
+    eigensolver is about twice as fast on the stack.
 
     All rows are bisected at once on [0, hi0 = 10 * critical_pump] with one
     stacked eigvals per step; each row stops on its own once hi - lo <=
@@ -351,19 +371,18 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     root does not depend on the other rows. Raises NoCrossingError naming
     the first row whose bracket does not change sign.
     """
-    from . import linearized  # deferred to break the module cycle
+    def block_at(p: SystemParams, e: complex) -> np.ndarray:
+        m = p.kappa * _equal_pump_field(p, e)
+        return drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, m, m)
 
-    def signal_block(p: SystemParams, e: complex) -> np.ndarray:
-        return linearized.build_linear_model(replace(p, eps1=e, eps2=e)).A[:4, :4]
-
-    A0 = np.array([signal_block(p, 0j) for p in ps]).reshape(-1, 4, 4)
-    A1 = np.array([signal_block(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
+    A0 = np.array([block_at(p, 0j) for p in ps]).reshape(-1, 4, 4)
+    A1 = np.array([block_at(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
     A0, A1 = _quadrature_form(A0), _quadrature_form(A1)
     hi0 = np.array([10.0 * critical_pump(p) for p in ps])
 
     def slowest(rows, e: np.ndarray) -> np.ndarray:
         A = A0[rows] + e[:, None, None] * A1[rows]
-        return linearized.dense_eigvals(A).real.min(axis=1)
+        return dense_eigvals(A).real.min(axis=1)
 
     lo, hi = np.zeros_like(hi0), hi0.copy()
     f_lo, f_hi = slowest(slice(None), lo), slowest(slice(None), hi)

@@ -5,7 +5,7 @@ from opodimer.errors import DetuningMismatchError
 from opodimer.linearized import (build_combined_model, build_linear_model,
                                  finite_difference_jacobian,
                                  numeric_eigenvalues)
-from opodimer.model import (SystemParams, sort_eigenvalues,
+from opodimer.model import (SystemParams, _unchecked_state, sort_eigenvalues,
                             stability_eigenvalues, steady_state)
 
 SWAP = np.zeros((8, 8))
@@ -23,6 +23,45 @@ def sym(**kw):
 def model_for(p):
     steady_state(p)  # raises AboveThresholdError at or above threshold
     return build_linear_model(p)
+
+
+def entrywise_model(p):
+    """A and B written entry by entry on the full 8x8, as the drift matrix
+    was assembled before the block builder: the reference it must match."""
+    ss = _unchecked_state(p)
+    m1, m2 = p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss
+    ca = p.gamma_a + 1j * p.Delta_a
+    cb = p.gamma_b + 1j * p.Delta_b
+    ja, jb = 1j * p.J_a, 1j * p.J_b
+    A = np.zeros((8, 8), dtype=complex)
+    A[0, 0], A[0, 1], A[0, 2] = ca, -m1, -ja
+    A[1, 0], A[1, 1], A[1, 3] = -np.conj(m1), np.conj(ca), ja
+    A[2, 0], A[2, 2], A[2, 3] = -ja, ca, -m2
+    A[3, 1], A[3, 2], A[3, 3] = ja, -np.conj(m2), np.conj(ca)
+    A[4, 4], A[4, 6] = cb, -jb
+    A[5, 5], A[5, 7] = np.conj(cb), jb
+    A[6, 4], A[6, 6] = -jb, cb
+    A[7, 5], A[7, 7] = jb, np.conj(cb)
+    B = np.zeros((8, 8), dtype=complex)
+    B[0, 0] = np.sqrt(complex(m1))
+    B[1, 1] = np.sqrt(complex(np.conj(m1)))
+    B[2, 2] = np.sqrt(complex(m2))
+    B[3, 3] = np.sqrt(complex(np.conj(m2)))
+    return A, B
+
+
+# Parameter rows off resonance or with unequal pumps, where
+# stability_eigenvalues takes the dense 4x4 route: Delta tracking J,
+# Delta = -3 against positive J (opposite signs), negative J_a and Delta_b,
+# and unequal complex pumps with and without detuning.
+OFF_RESONANCE = (
+    dict(J_a=10.0, J_b=1.0, Delta_a=10.0, Delta_b=1.0, eps1=50.0, eps2=50.0),
+    dict(J_a=3.0, J_b=0.5, Delta_a=-3.0, Delta_b=-3.0, eps1=120.0, eps2=120.0),
+    dict(J_a=-2.0, J_b=1.5, Delta_a=0.5, Delta_b=-1.0, eps1=80.0, eps2=80.0),
+    dict(J_a=1.0, J_b=1.0, eps1=60.0 + 20.0j, eps2=-30.0 + 45.0j),
+    dict(J_a=-1.5, J_b=2.0, Delta_a=0.7, Delta_b=-0.4,
+         eps1=90.0 - 10.0j, eps2=25.0 + 60.0j),
+)
 
 
 class TestDriftMatrix:
@@ -60,6 +99,20 @@ class TestDriftMatrix:
         assert D[1, 1] == pytest.approx(np.conj(p.kappa * ss.beta1_ss),
                                         rel=1e-14)
         assert np.count_nonzero(D[4:, :]) == 0
+
+    @pytest.mark.parametrize("kw", [
+        dict(J_a=1.0, J_b=1.0, eps1=100.0, eps2=100.0),
+        *OFF_RESONANCE[:3],
+        dict(J_a=0.0, J_b=-0.0, Delta_a=-0.0, eps1=50.0, eps2=50.0),
+        *OFF_RESONANCE[3:],
+    ])
+    def test_blocks_match_the_entrywise_assembly(self, kw):
+        # bit for bit, signed zeros included, on both sides of threshold
+        for f in (1.0, 0.0, 3.0):
+            q = dict(kw, eps1=f * kw["eps1"], eps2=f * kw["eps2"])
+            m = build_linear_model(SystemParams(kappa=0.01, **q))
+            A, B = entrywise_model(SystemParams(kappa=0.01, **q))
+            assert m.A.tobytes() == A.tobytes() and m.B.tobytes() == B.tobytes()
 
     def test_arrays_read_only(self):
         m = model_for(sym())
@@ -132,3 +185,16 @@ class TestEigenvalueOracle:
                 pump_fraction=rng.uniform(0.05, 0.95))
             assert np.allclose(stability_eigenvalues(p),
                                numeric_eigenvalues(model_for(p)), atol=1e-10)
+
+    @pytest.mark.parametrize("kw", OFF_RESONANCE)
+    def test_dense_signal_block_and_pump_closed_form(self, kw):
+        # off resonance the signal block goes to the 4x4 solver and the pump
+        # block to its closed form; both must give the 8x8 spectrum
+        for f in (0.5, 1.0, 2.0):
+            p = SystemParams(kappa=0.01, **dict(
+                kw, eps1=f * kw["eps1"], eps2=f * kw["eps2"]))
+            assert not (p.resonant and p.equal_pumps)
+            np.testing.assert_allclose(
+                stability_eigenvalues(p),
+                numeric_eigenvalues(build_linear_model(p)),
+                rtol=0.0, atol=1e-10, err_msg=f"{kw} x {f}")

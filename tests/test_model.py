@@ -274,7 +274,8 @@ class TestThresholdStack:
     def test_quadrature_form_keeps_the_signal_block_eigenvalues(self):
         # the real 4x4 form the rows are bisected on has the eigenvalues of
         # the complex signal block, below, at and above threshold
-        from opodimer.linearized import build_linear_model, dense_eigvals
+        from opodimer.linearized import build_linear_model
+        from opodimer.model import dense_eigvals
         rows = STACK_ROWS + (dict(J_a=-2.0, J_b=1.5, Delta_a=0.5, Delta_b=-1.0),)
         for kw in rows:
             crit = critical_pump(sym(**kw))
