@@ -73,7 +73,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     lines = _header("spectrum", cfg)
     rows = []
     for label, pspec, tspec in variants:
-        p = pspec.to_params()
+        p = pspec.system
         theta = _resolve_theta(p, tspec, cfg)
         name = label if label is not None else "-"
         lines.append(f"# variant {name}: params="
@@ -115,7 +115,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
         lead_cols = "pump_fraction,eps"
         patches = [{"pump_fraction": f} for f in spec.pump_fractions]
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
-    ps = [cfg.params.patched(patch, f"stability {spec.mode}").to_params()
+    ps = [cfg.params.patched(patch, f"stability {spec.mode}").system
           for patch in patches]
     for patch, p, root in zip(patches, ps, threshold_bisection_stack(ps).tolist()):
         lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
@@ -128,7 +128,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
 
 
 def cmd_optimize_angle(args, cfg: RunConfig) -> int:
-    p = cfg.params.to_params()
+    p = cfg.params.system
     # under the fixed policy, objective and at_omega keep ThetaSpec's defaults
     objective = args.objective or cfg.theta.objective
     omega = (_as_float(args.omega, "--omega") if args.omega is not None
@@ -153,7 +153,7 @@ _VERIFY_COMBOS = {"X1": "X1", "Y1": "Y1", "Xminus": "Xm", "Yplus": "Yp"}
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    p = cfg.params.to_params()
+    p = cfg.params.system
     steady_state(p)  # raises AboveThresholdError at or above threshold
     model = build_linear_model(p)
     if args.negative_control:
@@ -193,7 +193,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_sde_dump(args, cfg: RunConfig) -> int:
-    p = cfg.params.to_params()
+    p = cfg.params.system
     path = Path(args.out)
     sde_cfg = dataclasses.replace(cfg.sde, seed=cfg.seed, record="all")
     diverged = sde.integrate_to_dump(p, sde_cfg, path)

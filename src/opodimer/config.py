@@ -124,29 +124,12 @@ def _drop_displaced_pump(d: dict, keys) -> None:
 
 @dataclass(frozen=True)
 class ParamsSpec:
-    """SystemParams as configured. The pump is a fraction of the critical
-    amplitude when pump_fraction is set, else the amplitudes eps1, eps2.
-    The SystemParams are built (and so validated) once, on construction."""
+    """The params section: the SystemParams it runs, built (and so
+    validated) when the section is parsed, and the pump_fraction they were
+    built from, or None when the pump is given as amplitudes."""
 
-    kappa: float = 0.01
-    gamma_a: float = 1.0
-    gamma_b: float = 1.0
-    J_a: float = 0.0
-    J_b: float = 0.0
-    Delta_a: float = 0.0
-    Delta_b: float = 0.0
+    system: SystemParams = field(default_factory=SystemParams)
     pump_fraction: float = None
-    eps1: complex = 0j
-    eps2: complex = 0j
-    _params: SystemParams = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        common = {k: getattr(self, k) for k in _RATE_KEYS}
-        if self.pump_fraction is not None:
-            p = SystemParams.symmetric(pump_fraction=self.pump_fraction, **common)
-        else:
-            p = SystemParams(eps1=self.eps1, eps2=self.eps2, **common)
-        object.__setattr__(self, "_params", p)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "params") -> "ParamsSpec":
@@ -158,25 +141,26 @@ class ParamsSpec:
             raise ConfigError(f"{where}: eps1 and eps2 must be given together")
         kw = _parse(d, {**dict.fromkeys(_RATE_KEYS + ("pump_fraction",), _as_float),
                         **dict.fromkeys(("eps", "eps1", "eps2"), _as_complex)}, where)
+        fraction = kw.pop("pump_fraction", None)
         if "eps" in kw:
             kw["eps1"] = kw["eps2"] = kw.pop("eps")
         try:
-            return cls(**kw)
+            system = (SystemParams(**kw) if fraction is None
+                      else SystemParams.symmetric(pump_fraction=fraction, **kw))
         except ValueError as exc:  # a rate out of SystemParams' range
             raise ConfigError(f"{where}: {exc}") from None
+        return cls(system, fraction)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in _RATE_KEYS}
+        p = self.system
+        d = {k: getattr(p, k) for k in _RATE_KEYS}
         if self.pump_fraction is not None:
             d["pump_fraction"] = self.pump_fraction
-        elif self.eps1 == self.eps2:
-            d["eps"] = _jsonable(self.eps1)
+        elif p.equal_pumps:
+            d["eps"] = _jsonable(p.eps1)
         else:
-            d.update(eps1=_jsonable(self.eps1), eps2=_jsonable(self.eps2))
+            d.update(eps1=_jsonable(p.eps1), eps2=_jsonable(p.eps2))
         return d
-
-    def to_params(self) -> SystemParams:
-        return self._params
 
     def patched(self, patch: dict, where: str) -> "ParamsSpec":
         """New spec with a subset of keys replaced; pump keys displace the
@@ -220,11 +204,13 @@ class VariantSpec:
     def from_dict(cls, d: dict, where: str) -> "VariantSpec":
         _reject_unknown(d, ("label", "params", "theta"), where)
         label = d.get("label")
-        # the label is the last field of a CSV row and part of a comment line
-        if label is not None and (not isinstance(label, str)
-                                  or any(c in label for c in ",\n\r")):
-            raise ConfigError(f"{where}.label must be a string without commas "
-                              f"or line breaks, got {label!r}")
+        # the label is the last field of an ASCII CSV row, where a quote
+        # would open a quoted field, and part of a comment line
+        if label is not None and (not isinstance(label, str) or not label.isascii()
+                                  or not label.isprintable()
+                                  or any(c in label for c in ',"')):
+            raise ConfigError(f"{where}.label must be a string of printable ASCII "
+                              f"without commas or double quotes, got {label!r}")
         patch = _section(d.get("params", {}), f"{where}.params")
         theta = _SECTIONS["theta"].load(d["theta"], f"{where}.theta") \
             if "theta" in d else None

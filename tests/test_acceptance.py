@@ -14,23 +14,16 @@ import pytest
 
 from opodimer import sde
 from opodimer.criteria import (combined_variances, duan_sum, epr_product,
-                               optimize_angle, single_mode_moments,
-                               spectral_stack)
+                               optimize_angle, spectral_stack)
 from opodimer.linearized import (build_linear_model,
                                  finite_difference_jacobian,
                                  numeric_eigenvalues)
 from opodimer.model import (SystemParams, critical_pump, sort_eigenvalues,
                             stability_eigenvalues, steady_state,
                             threshold_bisection_stack)
-from opodimer.spectrum import (analytic_combined, analytic_variances,
-                               output_moment, spectral_matrix)
+from opodimer.spectrum import analytic_combined, analytic_variances
 
-
-def sym(**kw):
-    base = dict(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0, J_b=1.0,
-                Delta_a=0.0, Delta_b=0.0, pump_fraction=0.5)
-    base.update(kw)
-    return SystemParams.symmetric(**base)
+from helpers import numeric_moments, sym
 
 
 FIG4 = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
@@ -47,20 +40,6 @@ def _random_resonant(rng):
         J_a=rng.uniform(-5.0, 5.0), J_b=rng.uniform(-5.0, 5.0),
         Delta_a=0.0, Delta_b=0.0,
         pump_fraction=rng.uniform(0.05, 0.95))
-
-
-def _numeric_moments(p, omega):
-    S = spectral_matrix(build_linear_model(p), omega)
-    qx1, qy1 = [(1, 0.0, 1.0)], [(1, math.pi / 2, 1.0)]
-    qx2, qy2 = [(2, 0.0, 1.0)], [(2, math.pi / 2, 1.0)]
-    ga = p.gamma_a
-    return {
-        "S_X": output_moment(S, qx1, qx1, ga),
-        "S_Y": output_moment(S, qy1, qy1, ga),
-        "V_XY": output_moment(S, qx1, qy1, ga),
-        "V_X1X2": output_moment(S, qx1, qx2, ga),
-        "V_Y1Y2": output_moment(S, qy1, qy2, ga),
-    }
 
 
 # Wall-clock per ensemble and its estimate, summed by criterion 9's budget
@@ -107,7 +86,7 @@ def test_criterion_01_closed_forms_match_numeric_spectra():
         p = _random_resonant(rng)
         for w in np.linspace(-12.0, 12.0, 21):
             a = analytic_variances(p, w)
-            n = _numeric_moments(p, w)
+            n = numeric_moments(p, w)
             for k in n:
                 assert a[k] == pytest.approx(n[k], rel=1e-10, abs=1e-12), \
                     (k, w, p)
@@ -120,7 +99,7 @@ def test_criterion_01_closed_forms_match_numeric_spectra():
 def test_criterion_02_single_opo_reduction():
     p = sym(J_a=0.0, J_b=0.0)
     assert p.kappa * abs(p.eps1) == pytest.approx(0.5, abs=1e-15)
-    for m in (analytic_variances(p, 0.0), _numeric_moments(p, 0.0)):
+    for m in (analytic_variances(p, 0.0), numeric_moments(p, 0.0)):
         assert m["S_Y"] == pytest.approx(1.0 / 9.0, abs=1e-12)
         assert m["S_X"] == pytest.approx(9.0, abs=1e-12)
         assert m["S_X"] * m["S_Y"] == pytest.approx(1.0, abs=1e-12)

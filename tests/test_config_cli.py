@@ -110,6 +110,16 @@ class TestRunConfig:
             # a sweep whose (n, 8, 8) complex stack passes sys.maxsize bytes
             {"sweep": {"omega_points": 2 ** 62}},
             {"sweep": {"omega_points": 0}},
+            # scalars, lists and choices of the wrong kind, and a schema
+            # this reader does not know
+            {"combined": 1},
+            {"stability": {"J_a": []}},
+            {"theta": {"policy": "optimize", "objective": "fidelity"}},
+            {"duan_pairing": "x"},
+            {"epr_infer_from": 3},
+            {"epr_infer_from": True},
+            {"vary": {}},
+            {"schema": "opodimer-run/2"},
         ]
         for d in bad:
             with pytest.raises(ConfigError):
@@ -141,23 +151,23 @@ class TestRunConfig:
         cfg = RunConfig.from_dict(DRIVEN)
         out = apply_overrides(cfg, ["params.J_a=2", "sweep.omega_points=11",
                                     "seed=9"])
-        assert out.params.J_a == 2.0
+        assert out.params.system.J_a == 2.0
         assert out.sweep.omega_points == 11
         assert out.seed == 9
         # original untouched
-        assert cfg.params.J_a == 1.0
+        assert cfg.params.system.J_a == 1.0
 
     def test_override_displaces_pump_group(self):
         cfg = RunConfig.from_dict(
             {"params": {"eps1": [3.0, 0.0], "eps2": 3.0}})
         out = apply_overrides(cfg, ["params.pump_fraction=0.25"])
         assert out.params.pump_fraction == 0.25
-        assert out.params.to_params().eps1 != 3.0 + 0j
+        assert out.params.system.eps1 != 3.0 + 0j
         # a vary patch follows the same rule: eps1 keeps the base's eps2
         cfg = RunConfig.from_dict({"params": {"eps1": 3.0, "eps2": 2.0},
                                    "vary": [{"params": {"eps1": 1.0}}]})
         (_, spec, _), = cfg.variants()
-        assert (spec.eps1, spec.eps2) == (1.0, 2.0)
+        assert (spec.system.eps1, spec.system.eps2) == (1.0, 2.0)
 
     def test_override_switches_mode(self):
         cfg = RunConfig()
@@ -235,6 +245,8 @@ class TestRunConfig:
             apply_overrides(cfg, ["params.J_a"])
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["sweep.omega_points=many"])
+        with pytest.raises(ConfigError, match="seed is not an object"):
+            apply_overrides(cfg, ["seed.x=1"])
 
     def test_sweep_span_must_be_finite(self):
         with pytest.raises(ConfigError, match="overflows"):
@@ -343,12 +355,22 @@ class TestSpectrumCommand:
                      ("spectrum", "--set", 'vary=[{"label":"a,b"}]'),
                      ("spectrum", "--set", 'vary=[{"label":"a\\nb"}]'),
                      ("spectrum", "--set", 'vary=[{"label":"a\\rb"}]'),
+                     # the CSV is written as ASCII, and a leading quote
+                     # would open a quoted field that swallows rows
+                     ("spectrum", "--set", 'vary=[{"label":"é"}]'),
+                     ("spectrum", "--set", 'vary=[{"label":"\\"a"}]'),
                      # linspace over this span overflows
                      ("spectrum", "--set", "sweep.omega_start=-1e308",
                       "--set", "sweep.omega_stop=1e308")):
             r = run_cli(*args, config=DRIVEN, tmp_path=tmp_path)
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr, args
+        # a label rejected at load leaves no output file behind
+        out = tmp_path / "x.csv"
+        r = run_cli("spectrum", "--set", 'vary=[{"label":"é"}]',
+                    "--out", str(out), config=DRIVEN, tmp_path=tmp_path)
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        assert not out.exists()
         # a critical pump past the float range: a square that overflows,
         # and a product of two finite squares
         for args in (("spectrum", "--set", "params.J_a=1e200",
@@ -537,6 +559,15 @@ class TestSdeDumpCommand:
     def test_dump_requires_out(self, tmp_path):
         r = run_cli("sde-dump", config=DRIVEN, tmp_path=tmp_path)
         assert r.returncode == 1
+
+    def test_window_under_one_stride_writes_nothing(self, tmp_path):
+        # one step of dt 0.01 against the default stride of 5
+        out = tmp_path / "ens.bin"
+        r = run_cli("sde-dump", "--set", "sde.t_measure=0.01", "--out", str(out),
+                    config=DRIVEN, tmp_path=tmp_path)
+        assert r.returncode == 1
+        assert "t_measure shorter than one recording stride" in r.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 
 

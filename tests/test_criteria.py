@@ -9,15 +9,9 @@ from opodimer.criteria import (combined_variances, duan_sum, epr_product,
                                optimize_angle, quadrature, single_mode_moments,
                                spectral_stack, witness_flags, witness_table)
 from opodimer.errors import DegenerateVarianceError
-from opodimer.model import SystemParams
 from opodimer.spectrum import SpectralMatrix, analytic_combined, output_moment
 
-
-def sym(**kw):
-    base = dict(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0, J_b=1.0,
-                Delta_a=0.0, Delta_b=0.0, pump_fraction=0.5)
-    base.update(kw)
-    return SystemParams.symmetric(**base)
+from helpers import sym
 
 
 DETUNED = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
@@ -170,7 +164,7 @@ class TestOptimizeAngle:
 
     def test_duan_symmetric_minimum_is_exact(self):
         # the fig1 Duan witness is symmetric about 67.5 degrees at omega = 0
-        p = load_preset("fig1").params.to_params()
+        p = load_preset("fig1").params.system
         t, _ = optimize_angle(p, 0.0, "duan")
         assert math.degrees(t) == pytest.approx(67.5, abs=1e-9)
 
@@ -179,7 +173,7 @@ class TestOptimizeAngle:
     def test_epr_minimum_narrower_than_a_grid_step(self, preset, minimum):
         # at 0.999 of threshold the EPR dip is narrower than 1e-6 rad
         cfg = apply_overrides(load_preset(preset), ["params.pump_fraction=0.999"])
-        t, v = optimize_angle(cfg.params.to_params(), 0.0, "epr")
+        t, v = optimize_angle(cfg.params.system, 0.0, "epr")
         assert v <= minimum * (1 + 1e-9)
         assert 0.0 <= t < math.pi / 2
 

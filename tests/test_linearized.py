@@ -8,21 +8,11 @@ from opodimer.linearized import (build_combined_model, build_linear_model,
 from opodimer.model import (SystemParams, _unchecked_state, sort_eigenvalues,
                             stability_eigenvalues, steady_state)
 
+from helpers import model_for, sym
+
 SWAP = np.zeros((8, 8))
 for k in range(4):
     SWAP[2 * k, 2 * k + 1] = SWAP[2 * k + 1, 2 * k] = 1.0
-
-
-def sym(**kw):
-    base = dict(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0, J_b=1.0,
-                Delta_a=0.0, Delta_b=0.0, pump_fraction=0.5)
-    base.update(kw)
-    return SystemParams.symmetric(**base)
-
-
-def model_for(p):
-    steady_state(p)  # raises AboveThresholdError at or above threshold
-    return build_linear_model(p)
 
 
 def entrywise_model(p):

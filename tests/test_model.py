@@ -12,12 +12,7 @@ from opodimer.model import (SteadyState, SystemParams, critical_pump,
                             drift_rhs, sort_eigenvalues, stability_eigenvalues,
                             steady_state, threshold_bisection_stack)
 
-
-def sym(**kw):
-    base = dict(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0, J_b=1.0,
-                Delta_a=0.0, Delta_b=0.0, pump_fraction=0.5)
-    base.update(kw)
-    return SystemParams.symmetric(**base)
+from helpers import sym
 
 
 def test_every_export_resolves():

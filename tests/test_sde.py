@@ -17,12 +17,7 @@ from opodimer.sde import (SdeConfig, Stepper, integrate, integrate_to_dump,
                           load_ensemble_dump, stream_output_spectra)
 from opodimer.spectrum import vacuum_baseline
 
-
-def sym(**kw):
-    base = dict(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0, J_b=1.0,
-                Delta_a=0.0, Delta_b=0.0, pump_fraction=0.5)
-    base.update(kw)
-    return SystemParams.symmetric(**base)
+from helpers import sym
 
 
 Y0_TERMS = [(1, math.pi / 2, 1.0)]
@@ -644,6 +639,7 @@ class TestDump:
                            (payload[:-1], None),  # one byte short
                            (None, json.dumps(no_n_traj)),
                            (None, json.dumps(list(meta))),
+                           (None, json.dumps(meta | {"format": "other/1"})),
                            (None, json.dumps(meta)[:-1])):  # not valid JSON
             target.write_bytes(payload if data is None else data)
             side.write_text(json.dumps(meta) if text is None else text)

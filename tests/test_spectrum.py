@@ -8,43 +8,17 @@ from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
 from opodimer.linearized import (LinearModel, build_combined_model,
-                                 build_linear_model)
+                                 build_linear_model, require_combined_manifold)
 from opodimer.model import SystemParams, steady_state
 from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                analytic_variances, output_moment,
                                spectral_matrix, vacuum_baseline)
 
+from helpers import model_for, numeric_moments, sym
+
 SWAP = np.zeros((8, 8))
 for k in range(4):
     SWAP[2 * k, 2 * k + 1] = SWAP[2 * k + 1, 2 * k] = 1.0
-
-
-def sym(**kw):
-    base = dict(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0, J_b=1.0,
-                Delta_a=0.0, Delta_b=0.0, pump_fraction=0.5)
-    base.update(kw)
-    return SystemParams.symmetric(**base)
-
-
-def model_for(p):
-    steady_state(p)  # raises AboveThresholdError at or above threshold
-    return build_linear_model(p)
-
-
-def numeric_moments(p, omega, theta=0.0):
-    S = spectral_matrix(model_for(p), omega)
-    qx = [(1, theta, 1.0)]
-    qy = [(1, theta + math.pi / 2, 1.0)]
-    qx2 = [(2, theta, 1.0)]
-    qy2 = [(2, theta + math.pi / 2, 1.0)]
-    ga = p.gamma_a
-    return {
-        "S_X": output_moment(S, qx, qx, ga),
-        "S_Y": output_moment(S, qy, qy, ga),
-        "V_XY": output_moment(S, qx, qy, ga),
-        "V_X1X2": output_moment(S, qx, qx2, ga),
-        "V_Y1Y2": output_moment(S, qy, qy2, ga),
-    }
 
 
 class TestSelectors:
@@ -109,7 +83,7 @@ class TestSpectralMatrix:
         cfg = load_preset(preset)
         omegas = cfg.sweep.omegas()
         for _, spec, _ in cfg.variants():
-            m = model_for(spec.to_params())
+            m = model_for(spec.system)
             stack = spectral_matrix(m, omegas)
             assert stack.S.shape == (len(omegas), 8, 8)
             for k, w in enumerate(omegas):
@@ -316,3 +290,9 @@ class TestCombined:
             analytic_combined(sym(), 0.0)
         with pytest.raises(DetuningMismatchError):
             build_combined_model(sym(J_a=10.0, Delta_a=9.9, Delta_b=1.0))
+        # on the Delta = J manifold, unequal or complex pumps fail the gate
+        rates = dict(J_a=10.0, J_b=1.0, Delta_a=10.0, Delta_b=1.0)
+        for eps1, eps2 in ((50.0, 40.0), (50.0, 50.0 + 1.0j), (50.0j, 50.0j)):
+            p = SystemParams(eps1=eps1, eps2=eps2, **rates)
+            with pytest.raises(DetuningMismatchError, match="equal real pumps"):
+                require_combined_manifold(p, "combined modes")
