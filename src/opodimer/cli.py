@@ -22,7 +22,7 @@ from .config import (PRESETS, RunConfig, _as_float, apply_overrides,
                      load_config_file, load_preset)
 from .errors import AboveThresholdError, OpodimerError
 from .linearized import _frozen, build_linear_model
-from .model import (critical_pump, stability_eigenvalues, steady_state,
+from .model import (critical_pump, min_re_eig_stack, steady_state,
                     threshold_bisection_stack)
 
 CSV_SCHEMA = "opodimer-csv/1"
@@ -117,11 +117,12 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
     ps = [cfg.params.patched(patch, f"stability {spec.mode}").system
           for patch in patches]
-    for patch, p, root in zip(patches, ps, threshold_bisection_stack(ps).tolist()):
+    roots = threshold_bisection_stack(ps).tolist()
+    margins = min_re_eig_stack(ps).tolist()
+    for patch, p, margin, root in zip(patches, ps, margins, roots):
         lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
                 else (patch["pump_fraction"], abs(p.eps1)))
-        row = (*lead, float(np.min(stability_eigenvalues(p).real)),
-               critical_pump(p), root)
+        row = (*lead, margin, critical_pump(p), root)
         lines.append(_row_format(row) % row)
     _emit(lines, args.out)
     return 0

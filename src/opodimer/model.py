@@ -120,7 +120,7 @@ def critical_pump(p: SystemParams) -> float:
     sqrt([gamma_a^2 + J_a^2][gamma_b^2 + J_b^2]) / kappa on resonance and to
     gamma_a * gamma_b / kappa on the Delta = J manifold, and holds for either
     sign of coupling and detuning. Raises DomainError when eps_crit is not
-    a finite float.
+    a finite positive float.
     """
     d_a = min(abs(p.J_a - p.Delta_a), abs(p.J_a + p.Delta_a))
     try:
@@ -132,6 +132,8 @@ def critical_pump(p: SystemParams) -> float:
         eps_crit = math.inf
     if not math.isfinite(eps_crit):
         raise DomainError(f"critical pump overflows a float at {p}")
+    if not eps_crit > 0.0:  # a float ** 2 under the float range
+        raise DomainError(f"critical pump underflows to 0 at {p}")
     return eps_crit
 
 
@@ -303,6 +305,35 @@ def sort_eigenvalues(values) -> np.ndarray:
     return np.concatenate(groups)
 
 
+def _signal_eigenvalues(ps: list) -> np.ndarray:
+    """Eigenvalues of the 4x4 signal block of each parameter set in ps at
+    the alpha = 0 fixed point, unsorted, shape (len(ps), 4): the one place
+    that picks the closed form or the dense solver.
+
+    On resonance with equal real pumps the block has the closed form
+
+        gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)   (each twice)
+
+    with the principal square root turning a negative argument into an
+    imaginary pair. All other rows go through one stacked dense eigensolve.
+    """
+    signal = np.empty((len(ps), 4), dtype=complex)
+    dense, blocks = [], []
+    for i, p in enumerate(ps):
+        if p.resonant and p.equal_pumps and p.eps1.imag == 0.0:
+            gtb = math.hypot(p.gamma_b, p.J_b)
+            s = np.sqrt(complex((p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2))
+            signal[i] = [p.gamma_a + s, p.gamma_a - s] * 2
+        else:
+            ss = _unchecked_state(p)
+            dense.append(i)
+            blocks.append(drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a,
+                                      p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss))
+    if blocks:
+        signal[dense] = dense_eigvals(np.array(blocks))
+    return signal
+
+
 def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     """Decay eigenvalues of the fluctuation drift matrix, sorted by (Re, Im).
 
@@ -310,26 +341,22 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     zero marks the oscillation threshold. At the alpha = 0 fixed point
     (which exists on both sides of threshold, so this routine never raises)
     A is block diagonal. Its pump block does not see the pump and has the
-    eigenvalues gamma_b +- i(Delta_b +- J_b). Its signal block has, on
-    resonance with equal real pumps, the closed form
-
-        gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)   (each twice)
-
-    with the principal square root turning a negative argument into an
-    imaginary pair; anywhere else it goes to the dense 4x4 eigensolver. No
-    8x8 matrix is factored.
+    eigenvalues gamma_b +- i(Delta_b +- J_b); its signal block's come from
+    _signal_eigenvalues, in closed form or from the dense 4x4 eigensolver.
+    No 8x8 matrix is factored.
     """
-    if p.resonant and p.equal_pumps and p.eps1.imag == 0.0:
-        gtb = math.hypot(p.gamma_b, p.J_b)
-        s = np.sqrt(complex((p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2))
-        signal = np.array([p.gamma_a + s, p.gamma_a - s] * 2)
-    else:
-        ss = _unchecked_state(p)
-        signal = dense_eigvals(drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a,
-                                           p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss))
     pump = np.array([p.gamma_b + 1j * (p.Delta_b + p.J_b),
                      p.gamma_b + 1j * (p.Delta_b - p.J_b)])
-    return sort_eigenvalues(np.concatenate([signal, pump, pump.conj()]))
+    return sort_eigenvalues(
+        np.concatenate([_signal_eigenvalues([p])[0], pump, pump.conj()]))
+
+
+def min_re_eig_stack(ps: list) -> np.ndarray:
+    """min Re stability_eigenvalues(p) for each parameter set in ps, from
+    one _signal_eigenvalues call: the signal block's slowest decay, or the
+    pump block's gamma_b where that is smaller."""
+    return np.minimum(_signal_eigenvalues(ps).real.min(axis=1),
+                      [p.gamma_b for p in ps])
 
 
 def _quadrature_form(M: np.ndarray) -> np.ndarray:
@@ -348,6 +375,14 @@ def _quadrature_form(M: np.ndarray) -> np.ndarray:
     return R
 
 
+def _kinds(rows: np.ndarray) -> np.ndarray:
+    """Number the rows of a 2-D array by their bits, in order of first
+    appearance: bit-equal rows get the same number."""
+    seen = {}
+    return np.array([seen.setdefault(r.tobytes(), len(seen)) for r in rows],
+                    dtype=int)
+
+
 def threshold_bisection_stack(ps: list) -> np.ndarray:
     """Numeric threshold of each parameter set in ps: the equal real pump
     amplitude at which the slowest drift eigenvalue crosses zero; the pump
@@ -358,27 +393,43 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     (stability_eigenvalues), so min Re eig(A) changes sign where that of the
     4x4 signal block does. That block is A0 + e A1, as the steady pump field
     is linear in e: drift_block at the pump fields of e = 0 and e = 1 gives
-    A0 and A1, and no 8x8 model is built. Bisection on its dense eigenvalues,
-    never the closed form, checks the analytic threshold independently.
+    A0 and A1, and no 8x8 model is built. A root find on its dense
+    eigenvalues, never the closed form, checks the analytic threshold
+    independently.
 
-    The rows are bisected on the real quadrature form R0 + e R1 of the
+    The rows are solved on the real quadrature form R0 + e R1 of the
     block (_quadrature_form), an exact similarity for real e, as the real
-    eigensolver is about twice as fast on the stack.
+    eigensolver is about twice as fast on the stack. Rows whose R0, R1 and
+    bracket are bit-equal (a pump scan's, say) share one root find.
 
-    All rows are bisected at once on [0, hi0 = 10 * critical_pump] with one
-    stacked eigvals per step; each row stops on its own once hi - lo <=
-    2 (1e-12 hi0 + _BISECTION_RTOL lo) and returns its midpoint, so a row's
-    root does not depend on the other rows. Raises NoCrossingError naming
-    the first row whose bracket does not change sign.
+    All rows are solved at once on [0, hi0 = 10 * critical_pump] with one
+    stacked eigvals per step, by Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 168 (1971)): each row steps to the secant point of its bracket,
+    clipped to at least tol = 1e-12 hi0 + _BISECTION_RTOL lo inside it, and
+    halves the f value of an end that stayed put twice running; a row whose
+    bracket has not halved over its last two steps bisects instead. Each
+    row stops on its own once hi - lo <= 2 tol and returns its midpoint, so
+    a row's root does not depend on the other rows. Raises DomainError
+    naming the first row whose hi0 overflows a float, before any
+    eigensolve, and NoCrossingError naming the first row whose bracket does
+    not change sign.
     """
     def block_at(p: SystemParams, e: complex) -> np.ndarray:
         m = p.kappa * _equal_pump_field(p, e)
         return drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, m, m)
 
+    hi0 = np.array([10.0 * critical_pump(p) for p in ps])
+    if (bad := np.flatnonzero(~np.isfinite(hi0))).size:
+        raise DomainError(f"row {bad[0]}: bracket end 10 * eps_crit overflows "
+                          f"a float at {ps[bad[0]]}")
     A0 = np.array([block_at(p, 0j) for p in ps]).reshape(-1, 4, 4)
     A1 = np.array([block_at(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
     A0, A1 = _quadrature_form(A0), _quadrature_form(A1)
-    hi0 = np.array([10.0 * critical_pump(p) for p in ps])
+    # one root find per distinct row: first[j] is the first row of kind j
+    kind = _kinds(np.concatenate([A0.reshape(-1, 16), A1.reshape(-1, 16),
+                                  hi0[:, None]], axis=1))
+    first = np.unique(kind, return_index=True)[1]
+    A0, A1, hi0 = A0[first], A1[first], hi0[first]
 
     def slowest(rows, e: np.ndarray) -> np.ndarray:
         A = A0[rows] + e[:, None, None] * A1[rows]
@@ -388,13 +439,28 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     f_lo, f_hi = slowest(slice(None), lo), slowest(slice(None), hi)
     crossing = (f_lo > 0.0) & (f_hi < 0.0)
     if not crossing.all():
-        i = int(np.argmin(crossing))
+        j = int(np.argmin(crossing))
         raise NoCrossingError(
-            f"row {i}: min Re eig does not change sign on [0, {hi[i]:.6g}]: "
-            f"endpoints {f_lo[i]:.6g}, {f_hi[i]:.6g}")
+            f"row {first[j]}: min Re eig does not change sign on "
+            f"[0, {hi[j]:.6g}]: endpoints {f_lo[j]:.6g}, {f_hi[j]:.6g}")
+    # widths one and two steps back, and the end that moved last
+    # (-1 lo, +1 hi, 0 after a bisection step)
+    w1, w2 = np.full_like(hi0, np.inf), np.full_like(hi0, np.inf)
+    moved = np.zeros(hi0.shape, dtype=int)
     while (rows := np.flatnonzero(
             hi - lo > 2.0 * (1e-12 * hi0 + _BISECTION_RTOL * lo))).size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        stable = slowest(rows, mid) > 0.0
-        lo[rows[stable]], hi[rows[~stable]] = mid[stable], mid[~stable]
-    return 0.5 * (lo + hi)
+        l, h, fl, fh = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
+        tol = 1e-12 * hi0[rows] + _BISECTION_RTOL * l
+        w = h - l
+        x = np.clip(l + fl * (w / (fl - fh)), l + tol, h - tol)
+        bisect = w > 0.5 * w2[rows]
+        x[bisect] = 0.5 * (l + h)[bisect]
+        w2[rows], w1[rows] = w1[rows], w
+        fx = slowest(rows, x)
+        stable = fx > 0.0  # x replaces lo; otherwise hi
+        last = moved[rows]
+        f_lo[rows] = np.where(stable, fx, np.where(last == 1, 0.5 * fl, fl))
+        f_hi[rows] = np.where(stable, np.where(last == -1, 0.5 * fh, fh), fx)
+        lo[rows], hi[rows] = np.where(stable, x, l), np.where(stable, h, x)
+        moved[rows] = np.where(bisect, 0, np.where(stable, -1, 1))
+    return (0.5 * (lo + hi))[kind]

@@ -488,6 +488,20 @@ class TestStabilityCommand:
         assert margins[0] > 0 and margins[1] > 0 and margins[2] < 0
         assert [float(x["eps"]) for x in rows] == [100.0, 199.8, 200.2]
 
+    def test_threshold_out_of_float_range_exits_1(self):
+        # 10 eps_crit overflows at kappa = 1e-306; eps_crit underflows to 0
+        # at gamma_a = 1e-300; neither reaches the eigensolver
+        for args, msg in (
+                (("--set", "params.kappa=1e-306"), "bracket end"),
+                (("--set", "params.gamma_a=1e-300", "--set", "stability.J_a=[0]",
+                  "--set", "stability.J_b=[0]"), "critical pump underflows")):
+            r = subprocess.run([sys.executable, "-W", "error", "-m",
+                                "opodimer.cli", "stability", *args],
+                               capture_output=True, text=True)
+            assert r.returncode == 1, args
+            assert "Traceback" not in r.stderr and msg in r.stderr, args
+            assert len(r.stderr.splitlines()) == 1, args
+
 
 class TestOptimizeAngleCommand:
     def test_reports_known_optimum(self, tmp_path):

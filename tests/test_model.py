@@ -9,8 +9,9 @@ from opodimer import model
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DomainError, NoCrossingError)
 from opodimer.model import (SteadyState, SystemParams, critical_pump,
-                            drift_rhs, sort_eigenvalues, stability_eigenvalues,
-                            steady_state, threshold_bisection_stack)
+                            drift_rhs, min_re_eig_stack, sort_eigenvalues,
+                            stability_eigenvalues, steady_state,
+                            threshold_bisection_stack)
 
 from helpers import sym
 
@@ -80,6 +81,14 @@ class TestDerivedScales:
         for kw in (dict(J_a=1e200), dict(J_a=1e150, J_b=1e150)):
             with pytest.raises(DomainError):
                 critical_pump(SystemParams(**kw))
+
+    def test_underflow_is_a_domain_error(self):
+        # gamma_a ** 2 underflows to 0 and takes the product with it
+        with pytest.raises(DomainError, match="underflows to 0"):
+            critical_pump(SystemParams(gamma_a=1e-300))
+        # a subnormal square still gives a positive threshold, unchanged
+        p = SystemParams(gamma_a=1e-160, kappa=1.0)
+        assert critical_pump(p) == math.sqrt((1e-160 ** 2 + 0.0) * 1.0) > 0.0
 
 
 class TestSteadyState:
@@ -225,6 +234,23 @@ STACK_ROWS = (
 )
 
 
+# The stacked eigensolves the bisection made on any row set: 2 for the
+# bracket ends, then 36 halvings from 10 eps_crit down to the stop width.
+BISECTION_SOLVES = 38
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Record the stack size of every dense_eigvals call from now on."""
+    calls = []
+    real = model.dense_eigvals
+
+    def counted(A):
+        calls.append(len(np.reshape(A, (-1, *np.shape(A)[-2:]))))
+        return real(A)
+    monkeypatch.setattr(model, "dense_eigvals", counted)
+    return calls
+
+
 def scale_eps_crit(monkeypatch, target, factor):
     """Make critical_pump report factor * eps_crit for target alone."""
     real = model.critical_pump
@@ -292,3 +318,60 @@ class TestThresholdStack:
                            match=r"row 2: .* on \[0, 1e-05\]"):
             threshold_bisection_stack(ps)
         threshold_bisection_stack(ps[:2] + ps[3:])  # the other rows cross
+
+    def test_repeated_bad_row_is_named_at_its_first_place(self, monkeypatch):
+        # bit-equal rows share one root find; the error still names the
+        # first row that fails
+        ps = [sym(**kw) for kw in STACK_ROWS]
+        scale_eps_crit(monkeypatch, ps[2], 1e-6 / critical_pump(ps[2]))
+        with pytest.raises(NoCrossingError, match=r"row 2: "):
+            threshold_bisection_stack(ps + ps[2:3])
+        with pytest.raises(NoCrossingError, match=r"row 1: "):
+            threshold_bisection_stack(ps[:1] + ps[2:3] * 2)
+
+    def test_overflowing_bracket_is_a_domain_error(self, monkeypatch):
+        # eps_crit = 101 / 1e-306 is a float, 10 eps_crit is not: no
+        # eigensolve sees the inf
+        ps = [sym(**kw) for kw in STACK_ROWS]
+        ps.insert(2, sym(kappa=1e-306, J_a=10.0, J_b=10.0))
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(DomainError, match=r"row 2: bracket end"):
+            threshold_bisection_stack(ps)
+        assert calls == []
+
+    def test_min_re_eig_stack_is_stability_eigenvalues_bit_for_bit(self):
+        # closed-form and dense rows in one call, an unequal and a complex
+        # pump, and a row above threshold
+        ps = [sym(**kw) for kw in STACK_ROWS] + [
+            SystemParams(J_a=1.0, J_b=1.0, eps1=30.0, eps2=10.0),
+            sym(J_a=2.0, pump_fraction=None, eps=30.0 + 10.0j),
+            sym(J_a=2.0, J_b=0.5, pump_fraction=1.5)]
+        want = np.array([stability_eigenvalues(p).real.min() for p in ps])
+        got = min_re_eig_stack(ps)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_eigensolve_budget(self, monkeypatch):
+        # regula falsi takes no more stacked eigensolves than bisection did,
+        # on the rows above and on the 21x21 Delta = -3 grid of the scan
+        calls = count_eigensolves(monkeypatch)
+        threshold_bisection_stack([sym(**kw) for kw in STACK_ROWS])
+        assert len(calls) <= BISECTION_SOLVES
+        grid = [10.0 * i / 20 for i in range(21)]
+        ps = [sym(J_a=ja, J_b=jb, Delta_a=-3.0, Delta_b=-3.0)
+              for ja in grid for jb in grid]
+        calls.clear()
+        roots = threshold_bisection_stack(ps)
+        assert len(calls) <= BISECTION_SOLVES
+        for p, root in zip(ps, roots):
+            assert root == pytest.approx(critical_pump(p), rel=1e-10)
+
+    def test_pump_scan_rows_share_one_root_find(self, monkeypatch):
+        # the root ignores the pump: 200 pump fractions cost what one does
+        ps = [sym(J_a=2.0, J_b=1.0, Delta_a=0.5, pump_fraction=f)
+              for f in np.linspace(0.01, 0.99, 200)]
+        calls = count_eigensolves(monkeypatch)
+        alone = threshold_bisection_stack(ps[:1]).tolist()
+        n_alone = len(calls)
+        calls.clear()
+        assert threshold_bisection_stack(ps).tolist() == alone * 200
+        assert len(calls) == n_alone and set(calls) == {1}
