@@ -138,17 +138,17 @@ def critical_pump(p: SystemParams) -> float:
 
 
 def drift_kernel(p: SystemParams, n: int):
-    """The drift of p on (8, n) stacks, as f(x, out) -> out: the one home of
-    the doubled-phase-space equations of motion. Row by row:
+    """The drift of p on (8, n) stacks, as bind(x, out) -> f with f() -> out:
+    the one home of the doubled-phase-space equations of motion. Row by row:
 
         out[0] = -ca a1 + k a1+ b1 + i J_a a2      (ca = gamma_a + i Delta_a)
         out[1] = -ca* a1+ + k a1 b1+ - i J_a a2+
         out[4] = eps1 - cb b1 - k/2 a1 a1 + i J_b b2   (cb = gamma_b + i Delta_b)
         out[5] = eps1* - cb* b1+ - k/2 a1+ a1+ - i J_b b2+
 
-    and rows 2, 3, 6, 7 with cavities 1 and 2 swapped. f takes complex
-    (8, n) arrays, C-contiguous for the flat loops, and checks neither; out
-    must not overlap x.
+    and rows 2, 3, 6, 7 with cavities 1 and 2 swapped. bind views x and out
+    once, so f() reads what x holds when it runs. Both are complex (8, n),
+    C-contiguous lest a reshape copy x, unchecked; out must not overlap x.
 
     The own, pump and cross-cavity coefficients are laid out at full width
     once, so the ufuncs that read them are flat loops; the partner rows
@@ -170,40 +170,46 @@ def drift_kernel(p: SystemParams, n: int):
     own = full(-ca, -cac, -ca, -cac, cb, cbc, cb, cbc)
     eps = full(p.eps1, p.eps1.conjugate(), p.eps2, p.eps2.conjugate())
     cross = full(*[1j * p.J_a] * 4, *[1j * p.J_b] * 4).reshape(2, 2, 2, n)
-    k, half_k = p.kappa, 0.5 * p.kappa
+    # a Python float enters the same complex loop as k + 0j, but dispatches slower
+    k, half_k = np.array(p.kappa + 0j), np.array(0.5 * p.kappa + 0j)
     w = np.empty((8, n), dtype=complex)
     ws, ws2, w4 = w[:4], w[:4].reshape(2, 2, n), w.reshape(2, 2, 2, n)
     w_plus = w4[:, :, 1].view(float)  # the '+' rows, as float pairs
 
-    def f(x, out):
-        a, da, db = x[:4], out[:4], out[4:]
-        np.multiply(own, x, out=out)                    # -ca a1; cb b1
-        np.subtract(eps, db, out=db)                    # eps1 - cb b1
-        np.multiply(k, a.reshape(2, 2, n)[:, ::-1], out=ws2)
-        np.multiply(ws, x[4:], out=ws)
-        np.add(da, ws, out=da)                          # + k a1+ b1
-        np.multiply(half_k, a, out=ws)
-        np.multiply(ws, a, out=ws)
-        np.subtract(db, ws, out=db)                     # - k/2 a1 a1
-        np.multiply(cross, x.reshape(2, 2, 2, n)[:, ::-1], out=w4)
-        np.negative(w_plus, out=w_plus)                 # -(i J a2+)
-        np.add(out, w, out=out)                         # + i J a2
-        return out
+    def bind(x, out):
+        a, b, da, db = x[:4], x[4:], out[:4], out[4:]
+        partner, other = a.reshape(2, 2, n)[:, ::-1], x.reshape(2, 2, 2, n)[:, ::-1]
 
-    return f
+        def f():
+            np.multiply(own, x, out=out)                # -ca a1; cb b1
+            np.subtract(eps, db, out=db)                # eps1 - cb b1
+            np.multiply(k, partner, out=ws2)
+            np.multiply(ws, b, out=ws)
+            np.add(da, ws, out=da)                      # + k a1+ b1
+            np.multiply(half_k, a, out=ws)
+            np.multiply(ws, a, out=ws)
+            np.subtract(db, ws, out=db)                 # - k/2 a1 a1
+            np.multiply(cross, other, out=w4)
+            np.negative(w_plus, out=w_plus)             # -(i J a2+)
+            np.add(out, w, out=out)                     # + i J a2
+            return out
+
+        return f
+
+    return bind
 
 
 def drift_rhs(p: SystemParams, x) -> np.ndarray:
-    """Deterministic part of the equations of motion: builds
-    drift_kernel(p, n) for x and runs it once.
+    """Deterministic part of the equations of motion: binds
+    drift_kernel(p, n) to x and runs it once.
 
     Accepts a state of shape (8,) or a stack of shape (8, n); returns the
     time derivative with the same shape.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.ascontiguousarray(x, dtype=complex)
     out = np.empty(x.shape, dtype=complex)
     xs = x.reshape(8, -1)
-    drift_kernel(p, xs.shape[1])(xs, out.reshape(8, -1))
+    drift_kernel(p, xs.shape[1])(xs, out.reshape(8, -1))()
     return out
 
 
@@ -407,7 +413,7 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     BIT 11, 168 (1971)): each row steps to the secant point of its bracket,
     clipped to at least tol = 1e-12 hi0 + _BISECTION_RTOL lo inside it, and
     halves the f value of an end that stayed put twice running; a row whose
-    bracket has not halved over its last two steps bisects instead. Each
+    bracket has not halved over its last four steps bisects instead. Each
     row stops on its own once hi - lo <= 2 tol and returns its midpoint, so
     a row's root does not depend on the other rows. Raises DomainError
     naming the first row whose hi0 overflows a float, before any
@@ -443,9 +449,9 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
         raise NoCrossingError(
             f"row {first[j]}: min Re eig does not change sign on "
             f"[0, {hi[j]:.6g}]: endpoints {f_lo[j]:.6g}, {f_hi[j]:.6g}")
-    # widths one and two steps back, and the end that moved last
-    # (-1 lo, +1 hi, 0 after a bisection step)
-    w1, w2 = np.full_like(hi0, np.inf), np.full_like(hi0, np.inf)
+    # widths before each row's last four steps, newest first, and the end
+    # that moved last (-1 lo, +1 hi, 0 after a bisection step)
+    back = np.full((4, hi0.size), np.inf)
     moved = np.zeros(hi0.shape, dtype=int)
     while (rows := np.flatnonzero(
             hi - lo > 2.0 * (1e-12 * hi0 + _BISECTION_RTOL * lo))).size:
@@ -453,9 +459,9 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
         tol = 1e-12 * hi0[rows] + _BISECTION_RTOL * l
         w = h - l
         x = np.clip(l + fl * (w / (fl - fh)), l + tol, h - tol)
-        bisect = w > 0.5 * w2[rows]
+        bisect = w > 0.5 * back[-1, rows]
         x[bisect] = 0.5 * (l + h)[bisect]
-        w2[rows], w1[rows] = w1[rows], w
+        back[1:, rows], back[0, rows] = back[:-1, rows], w
         fx = slowest(rows, x)
         stable = fx > 0.0  # x replaces lo; otherwise hi
         last = moved[rows]

@@ -12,7 +12,8 @@ from opodimer import sde
 from opodimer.errors import (ConfigError, DivergenceDetectedError,
                              InsufficientDataError)
 from opodimer.linearized import build_linear_model
-from opodimer.model import SystemParams, _unchecked_state, drift_rhs, steady_state
+from opodimer.model import (SystemParams, _unchecked_state, drift_kernel,
+                            drift_rhs, steady_state)
 from opodimer.sde import (SdeConfig, Stepper, integrate, integrate_to_dump,
                           load_ensemble_dump, stream_output_spectra)
 from opodimer.spectrum import vacuum_baseline
@@ -229,6 +230,10 @@ class TestReferenceStepper:
         monkeypatch.setattr(sde, "_NOISE_BUDGET", 2 ** 25)
         _, one = collect(p, cfg, noise=z if injected else None)
         assert np.array_equal(run[1].view(float), one.view(float))
+        # one block of 5 drawn through tiles of 2, 2 and 1 trajectories
+        monkeypatch.setattr(sde, "_NOISE_TILE", 2)
+        assert_same_run(collect(p, cfg, noise=z if injected else None),
+                        reference_integrate(p, cfg, z))
 
     def test_drift_blocks_equal_row_formulas(self):
         rng = np.random.default_rng(6)
@@ -239,11 +244,17 @@ class TestReferenceStepper:
                 signed = np.empty((8, n), dtype=complex)
                 signed.real = rng.choice(pool, (8, n))
                 signed.imag = rng.choice(pool, (8, n))
+                # one kernel bound to a buffer that each state overwrites
+                buf, out = np.empty((8, n), dtype=complex), np.empty((8, n), dtype=complex)
+                bound = drift_kernel(p, n)(buf, out)
                 for y in (x, signed):
                     with np.errstate(invalid="ignore", over="ignore"):
                         want = row_drift(p, y)
                         got = drift_rhs(p, y)
+                        buf[...] = y
+                        assert bound() is out
                     assert_same_bits(got, want)
+                    assert_same_bits(out, want)
             # a single state is computed as a stack of one
             x8 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             got = drift_rhs(p, x8)
