@@ -245,7 +245,7 @@ class TestReferenceStepper:
                 signed.real = rng.choice(pool, (8, n))
                 signed.imag = rng.choice(pool, (8, n))
                 # one kernel bound to a buffer that each state overwrites
-                buf, out = np.empty((8, n), dtype=complex), np.empty((8, n), dtype=complex)
+                buf, out = np.empty((2, 8, n), dtype=complex)
                 bound = drift_kernel(p, n)(buf, out)
                 for y in (x, signed):
                     with np.errstate(invalid="ignore", over="ignore"):
