@@ -17,8 +17,7 @@ from .errors import (AboveThresholdError, ConfigError, ConvergenceFailureError,
                      DegenerateVarianceError, DetuningMismatchError,
                      DivergenceDetectedError, DomainError, InsufficientDataError,
                      NoCrossingError, OpodimerError, SingularAtFrequencyError)
-from .linearized import (LinearModel, build_combined_model, build_linear_model,
-                         finite_difference_jacobian, numeric_eigenvalues)
+from .linearized import LinearModel, build_linear_model
 from .model import (SteadyState, SystemParams, critical_pump, drift_rhs,
                     stability_eigenvalues, steady_state,
                     threshold_bisection_stack)
@@ -36,11 +35,10 @@ __all__ = [
     "LinearModel", "NoCrossingError", "OpodimerError", "RunConfig",
     "SdeConfig", "SingularAtFrequencyError", "SpectralMatrix",
     "SpectrumEstimate", "SteadyState", "Stepper", "SystemParams",
-    "analytic_combined", "analytic_variances", "build_combined_model",
-    "build_linear_model", "combined_variances", "critical_pump", "drift_rhs",
-    "duan_sum", "epr_product", "finite_difference_jacobian", "integrate",
-    "integrate_to_dump", "load_config_file", "load_ensemble_dump",
-    "load_preset", "numeric_eigenvalues", "optimize_angle", "output_moment",
+    "analytic_combined", "analytic_variances", "build_linear_model",
+    "combined_variances", "critical_pump", "drift_rhs", "duan_sum",
+    "epr_product", "integrate", "integrate_to_dump", "load_config_file",
+    "load_ensemble_dump", "load_preset", "optimize_angle", "output_moment",
     "quadrature", "spectral_matrix", "spectral_stack", "stability_eigenvalues",
     "steady_state", "stream_output_spectra", "threshold_bisection_stack",
     "vacuum_baseline", "witness_flags", "witness_table",

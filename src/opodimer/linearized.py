@@ -7,9 +7,9 @@ Ornstein-Uhlenbeck equation
 
 with dx in the package-wide ordering [alpha1, alpha1+, alpha2, alpha2+,
 beta1, beta1+, beta2, beta2+] and dW a vector of independent real Wiener
-increments. On the Delta_a = J_a, Delta_b = J_b manifold the sum and
-difference of the low-frequency modes decouple, giving an equivalent pair of
-independent 2x2 problems (build_combined_model).
+increments. require_combined_manifold gates the closed forms of the
+Delta_a = J_a, Delta_b = J_b manifold, where the sum and difference of the
+low-frequency modes decouple.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetuningMismatchError
-from .model import (SystemParams, _unchecked_state, dense_eigvals, drift_block,
-                    drift_rhs, sort_eigenvalues)
+from .model import SystemParams, _unchecked_state, drift_block
 
 STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
                 "beta1", "beta1+", "beta2", "beta2+")
 
 _DETUNING_TOL = 1e-12
-_FD_STEP = 1e-6
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -52,14 +50,11 @@ def require_combined_manifold(p: SystemParams, what: str) -> float:
 class LinearModel:
     """Fluctuation model around the alpha = 0 fixed point.
 
-    A is the complex drift matrix; B is the noise matrix. The full model is
-    8x8 in STATE_LABELS ordering, with B nonzero only in its first four
-    diagonal entries (principal square roots of the complex pump-field
-    products, so the entries are real exactly when the intracavity pump
-    fields are real and nonnegative). The combined model is 4x4 in the
-    ordering [A_plus, A_plus+, A_minus, A_minus+] with
-    A_pm = alpha1 +- alpha2 (unnormalized, so each combined mode carries a
-    vacuum variance of 2); its plus and minus 2x2 blocks do not couple.
+    A is the complex drift matrix; B is the noise matrix. build_linear_model
+    makes them 8x8 in STATE_LABELS ordering, with B nonzero only in its
+    first four diagonal entries (principal square roots of the complex
+    pump-field products, so the entries are real exactly when the
+    intracavity pump fields are real and nonnegative).
     """
 
     A: np.ndarray
@@ -89,56 +84,3 @@ def build_linear_model(p: SystemParams) -> LinearModel:
     for k, m in enumerate((m1, np.conj(m1), m2, np.conj(m2))):
         B[k, k] = np.sqrt(complex(m))
     return LinearModel(A=_frozen(A), B=_frozen(B))
-
-
-def build_combined_model(p: SystemParams) -> LinearModel:
-    """Assemble the 4x4 sum/difference model at p's alpha = 0 fixed point.
-
-    Valid only on the Delta_a = J_a, Delta_b = J_b manifold with equal real
-    pumps, where the steady pump field is real and the combined modes
-    decouple exactly. Like build_linear_model it does not gate stability.
-    """
-    require_combined_manifold(p, "combined modes")
-    m = p.kappa * _unchecked_state(p).beta1_ss.real
-    ga, ja = p.gamma_a, 1j * p.J_a
-    A = np.array([
-        [ga, -m, 0, 0],
-        [-m, ga, 0, 0],
-        [0, 0, ga + 2 * ja, -m],
-        [0, 0, -m, ga - 2 * ja],
-    ], dtype=complex)
-    # Each combined mode inherits the sum of its constituents' independent
-    # noises: B B^T = 2 kappa beta_ss * identity.
-    r = np.sqrt(complex(m))
-    B = r * np.array([
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-        [1, 0, -1, 0],
-        [0, 1, 0, -1],
-    ], dtype=complex)
-    return LinearModel(A=_frozen(A), B=_frozen(B))
-
-
-def numeric_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of the drift matrix by the dense solver, sorted (Re, Im)."""
-    return sort_eigenvalues(dense_eigvals(m.A))
-
-
-def finite_difference_jacobian(p: SystemParams, x0=None) -> np.ndarray:
-    """Central-difference Jacobian (step _FD_STEP) of the noise-free
-    equations of motion.
-
-    The drift is polynomial in the 8 doubled variables, so a real step along
-    each complex coordinate recovers the full complex partial derivative. At
-    the steady state this equals -A entrywise; used as the guard on the
-    hand-assembled detuned drift matrix.
-    """
-    if x0 is None:
-        x0 = _unchecked_state(p).vector()
-    x0 = np.asarray(x0, dtype=complex)
-    jac = np.empty((8, 8), dtype=complex)
-    for k in range(8):
-        dx = np.zeros(8, dtype=complex)
-        dx[k] = _FD_STEP
-        jac[:, k] = (drift_rhs(p, x0 + dx) - drift_rhs(p, x0 - dx)) / (2.0 * _FD_STEP)
-    return jac

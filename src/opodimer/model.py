@@ -29,7 +29,6 @@ from .errors import (AboveThresholdError, ConvergenceFailureError, DomainError,
 THRESHOLD_GUARD = 1e-9
 
 _RESIDUAL_TOL = 1e-12
-_EIG_REAL_TOL = 1e-9
 _BISECTION_RTOL = 1e-10
 
 
@@ -287,30 +286,6 @@ def steady_state(p: SystemParams) -> SteadyState:
     return state
 
 
-def sort_eigenvalues(values) -> np.ndarray:
-    """Canonical (Re, Im) lexicographic order, for cross-path comparison.
-
-    Real parts within _EIG_REAL_TOL (scaled) are treated as ties so that exact
-    analytic multiplets and their numerically fuzzed counterparts sort into
-    the same sequence.
-    """
-    values = np.asarray(values, dtype=complex)
-    if values.size == 0:
-        return values
-    v = values[np.argsort(values.real, kind="stable")]
-    tol = _EIG_REAL_TOL * max(1.0, float(np.abs(v.real).max()))
-    groups = []
-    i = 0
-    while i < len(v):
-        j = i + 1
-        while j < len(v) and v[j].real - v[i].real <= tol:
-            j += 1
-        block = v[i:j]
-        groups.append(block[np.argsort(block.imag, kind="stable")])
-        i = j
-    return np.concatenate(groups)
-
-
 def _signal_eigenvalues(ps: list) -> np.ndarray:
     """Eigenvalues of the 4x4 signal block of each parameter set in ps at
     the alpha = 0 fixed point, unsorted, shape (len(ps), 4): the one place
@@ -341,20 +316,21 @@ def _signal_eigenvalues(ps: list) -> np.ndarray:
 
 
 def stability_eigenvalues(p: SystemParams) -> np.ndarray:
-    """Decay eigenvalues of the fluctuation drift matrix, sorted by (Re, Im).
+    """Decay eigenvalues of the fluctuation drift matrix, shape (8,),
+    unsorted: the signal block's four, then the pump block's four.
 
     Below threshold all real parts are positive; the slowest one touching
     zero marks the oscillation threshold. At the alpha = 0 fixed point
     (which exists on both sides of threshold, so this routine never raises)
-    A is block diagonal. Its pump block does not see the pump and has the
-    eigenvalues gamma_b +- i(Delta_b +- J_b); its signal block's come from
-    _signal_eigenvalues, in closed form or from the dense 4x4 eigensolver.
-    No 8x8 matrix is factored.
+    A is block diagonal. Its signal block's eigenvalues come from
+    _signal_eigenvalues, in closed form or from the dense 4x4 eigensolver,
+    in that routine's order. Its pump block does not see the pump and has
+    the eigenvalues gamma_b + i(Delta_b + J_b), gamma_b + i(Delta_b - J_b)
+    and their conjugates, in that order. No 8x8 matrix is factored.
     """
     pump = np.array([p.gamma_b + 1j * (p.Delta_b + p.J_b),
                      p.gamma_b + 1j * (p.Delta_b - p.J_b)])
-    return sort_eigenvalues(
-        np.concatenate([_signal_eigenvalues([p])[0], pump, pump.conj()]))
+    return np.concatenate([_signal_eigenvalues([p])[0], pump, pump.conj()])
 
 
 def min_re_eig_stack(ps: list) -> np.ndarray:

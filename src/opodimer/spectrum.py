@@ -58,7 +58,7 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     """Evaluate S(omega) at every frequency of omegas (a scalar is one
     frequency) by two stacked linear solves with partial pivoting.
 
-    Works for the 8x8 model and the 4x4 combined model alike. Raises
+    Works for a model of any size (A and B n x n). Raises
     ValueError for a non-finite frequency, and SingularAtFrequencyError
     naming the first frequency where the 2-norm condition number of
     (A + i omega) exceeds COND_LIMIT = 1e12 (or is nan), quoting that number;
@@ -140,21 +140,22 @@ def vacuum_baseline(terms1, terms2):
     return base
 
 
-def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
-                  unit_baseline: float = 1.0) -> np.ndarray:
+def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float) -> np.ndarray:
     """Output-normalized symmetrized moment of two quadrature combinations at
     every frequency of the stack: shape (n_omega,), or (n_omega, n_theta) for
     a 1-D array of term angles.
 
-    value = unit_baseline * vacuum term + 2 gamma_a * Re[(c1.S.c2 + c2.S.c1)/2].
-    Taking the real part implements the +-omega average exactly: conjugation
-    symmetry of the doubled phase space gives S(-w) = C S(w)* C with C the
-    pairwise slot swap, under which the symmetrized projection conjugates.
-    unit_baseline is the vacuum variance carried by one unit of mode weight
-    (1 for bare modes, 2 for the unnormalized sum/difference modes). Raises
-    ConvergenceFailureError naming the first frequency whose projection keeps
-    an imaginary residue above 1e-10 times both max(1, |v|) and
-    max(1, |c1| |S| |c2|), the scale of its roundoff.
+    value = vacuum_baseline(terms1, terms2)
+            + 2 gamma_a * Re[(c1.S.c2 + c2.S.c1)/2],
+
+    a vacuum variance of 1 per unit weight of each mode, as for the bare
+    modes of the 8-variable model. Taking the real part implements the
+    +-omega average exactly: conjugation symmetry of the doubled phase space
+    gives S(-w) = C S(w)* C with C the pairwise slot swap, under which the
+    symmetrized projection conjugates. Raises ConvergenceFailureError naming
+    the first frequency whose projection keeps an imaginary residue above
+    1e-10 times both max(1, |v|) and max(1, |c1| |S| |c2|), the scale of its
+    roundoff.
     """
     mat = S.S
     c1 = coefficient_vector(mat.shape[-1], terms1)
@@ -172,8 +173,7 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float,
         raise ConvergenceFailureError(
             f"imaginary residue {v.imag[k]:.3e} in quadrature projection "
             f"at omega = {S.omega[k[0]]:g}")
-    base = unit_baseline * vacuum_baseline(terms1, terms2)
-    return base + 2.0 * gamma_a * v.real
+    return vacuum_baseline(terms1, terms2) + 2.0 * gamma_a * v.real
 
 
 def analytic_variances(p: SystemParams, omega: float) -> dict:

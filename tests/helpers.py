@@ -1,10 +1,20 @@
-"""Parameter sets, models and moments shared by the test modules."""
+"""Parameter sets, models and moments shared by the test modules, and the
+oracles the tests check the package against: the finite-difference
+Jacobian, the 4x4 sum/difference model of the Delta = J manifold, the
+(Re, Im) eigenvalue order and the stationary signal covariance."""
 
 import math
 
-from opodimer.linearized import build_linear_model
-from opodimer.model import SystemParams, steady_state
+import numpy as np
+
+from opodimer.linearized import (LinearModel, _frozen, build_linear_model,
+                                 require_combined_manifold)
+from opodimer.model import (SystemParams, _unchecked_state, drift_rhs,
+                            steady_state)
 from opodimer.spectrum import output_moment, spectral_matrix
+
+_EIG_REAL_TOL = 1e-9
+_FD_STEP = 1e-6
 
 
 def sym(**kw):
@@ -33,3 +43,91 @@ def numeric_moments(p, omega, theta=0.0):
         "V_X1X2": output_moment(S, qx, qx2, ga),
         "V_Y1Y2": output_moment(S, qy, qy2, ga),
     }
+
+
+def sort_eigenvalues(values) -> np.ndarray:
+    """Canonical (Re, Im) lexicographic order, for cross-path comparison.
+
+    Real parts within _EIG_REAL_TOL (scaled) are treated as ties so that exact
+    analytic multiplets and their numerically fuzzed counterparts sort into
+    the same sequence.
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.size == 0:
+        return values
+    v = values[np.argsort(values.real, kind="stable")]
+    tol = _EIG_REAL_TOL * max(1.0, float(np.abs(v.real).max()))
+    groups = []
+    i = 0
+    while i < len(v):
+        j = i + 1
+        while j < len(v) and v[j].real - v[i].real <= tol:
+            j += 1
+        block = v[i:j]
+        groups.append(block[np.argsort(block.imag, kind="stable")])
+        i = j
+    return np.concatenate(groups)
+
+
+def build_combined_model(p: SystemParams) -> LinearModel:
+    """Assemble the 4x4 sum/difference model at p's alpha = 0 fixed point.
+
+    Valid only on the Delta_a = J_a, Delta_b = J_b manifold with equal real
+    pumps, where the steady pump field is real and the combined modes
+    decouple exactly. Like build_linear_model it does not gate stability.
+    The ordering is [A_plus, A_plus+, A_minus, A_minus+] with
+    A_pm = alpha1 +- alpha2 (unnormalized, so each combined mode carries a
+    vacuum variance of 2); its plus and minus 2x2 blocks do not couple.
+    """
+    require_combined_manifold(p, "combined modes")
+    m = p.kappa * _unchecked_state(p).beta1_ss.real
+    ga, ja = p.gamma_a, 1j * p.J_a
+    A = np.array([
+        [ga, -m, 0, 0],
+        [-m, ga, 0, 0],
+        [0, 0, ga + 2 * ja, -m],
+        [0, 0, -m, ga - 2 * ja],
+    ], dtype=complex)
+    # Each combined mode inherits the sum of its constituents' independent
+    # noises: B B^T = 2 kappa beta_ss * identity.
+    r = np.sqrt(complex(m))
+    B = r * np.array([
+        [1, 0, 1, 0],
+        [0, 1, 0, 1],
+        [1, 0, -1, 0],
+        [0, 1, 0, -1],
+    ], dtype=complex)
+    return LinearModel(A=_frozen(A), B=_frozen(B))
+
+
+def finite_difference_jacobian(p: SystemParams, x0=None) -> np.ndarray:
+    """Central-difference Jacobian (step _FD_STEP) of the noise-free
+    equations of motion.
+
+    The drift is polynomial in the 8 doubled variables, so a real step along
+    each complex coordinate recovers the full complex partial derivative. At
+    the steady state this equals -A entrywise; used as the guard on the
+    hand-assembled detuned drift matrix.
+    """
+    if x0 is None:
+        x0 = _unchecked_state(p).vector()
+    x0 = np.asarray(x0, dtype=complex)
+    jac = np.empty((8, 8), dtype=complex)
+    for k in range(8):
+        dx = np.zeros(8, dtype=complex)
+        dx[k] = _FD_STEP
+        jac[:, k] = (drift_rhs(p, x0 + dx) - drift_rhs(p, x0 - dx)) / (2.0 * _FD_STEP)
+    return jac
+
+
+def signal_covariance(m: LinearModel) -> np.ndarray:
+    """Stationary covariance of the 4x4 signal block of an 8x8 model: the
+    Sigma of A_s Sigma + Sigma A_s^T = (B B^T)_s, by one Kronecker solve.
+
+    Below threshold the pump block carries no noise and does not couple to
+    the signal block, so the other blocks of the 8x8 covariance are 0.
+    """
+    a, d = m.A[:4, :4], m.diffusion()[:4, :4]
+    eye = np.eye(4)
+    vec = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), d.reshape(16))
+    return vec.reshape(4, 4)

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import subprocess
 import sys
@@ -8,12 +10,12 @@ import pytest
 from opodimer import model
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DomainError, NoCrossingError)
-from opodimer.model import (SteadyState, SystemParams, critical_pump,
-                            drift_rhs, min_re_eig_stack, sort_eigenvalues,
-                            stability_eigenvalues, steady_state,
-                            threshold_bisection_stack)
+from opodimer.model import (SteadyState, SystemParams, _signal_eigenvalues,
+                            critical_pump, dense_eigvals, drift_rhs,
+                            min_re_eig_stack, stability_eigenvalues,
+                            steady_state, threshold_bisection_stack)
 
-from helpers import sym
+from helpers import sort_eigenvalues, sym
 
 
 def test_every_export_resolves():
@@ -164,7 +166,7 @@ class TestEigenvalues:
         p = SystemParams(kappa=0.01, gamma_a=1.0, gamma_b=1.0, J_a=1.0,
                          J_b=1.0, Delta_a=0.0, Delta_b=0.0,
                          eps1=100.0, eps2=100.0)
-        got = stability_eigenvalues(p)
+        got = sort_eigenvalues(stability_eigenvalues(p))
         s = math.sqrt(0.5)
         want = sort_eigenvalues(np.array(
             [1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j,
@@ -172,19 +174,35 @@ class TestEigenvalues:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_sorted_real_then_imag(self):
-        e = stability_eigenvalues(sym())
+        e = sort_eigenvalues(stability_eigenvalues(sym()))
         assert np.all(np.diff(e.real) > -1e-9)
         for r in np.unique(np.round(e.real, 9)):
             block = e.imag[np.abs(e.real - r) < 1e-9]
             assert np.all(np.diff(block) >= 0)
 
+    @pytest.mark.parametrize("p", [
+        sym(),
+        sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0),
+        sym(J_a=3.0, J_b=0.5, Delta_a=-3.0, Delta_b=-3.0),
+        SystemParams(J_a=1.0, J_b=2.0, Delta_b=0.5, eps1=30.0, eps2=10.0 + 5.0j),
+    ], ids=["resonant", "tracking", "negative-detuning", "unequal-pumps"])
+    def test_signal_block_then_pump_block(self, p):
+        # unsorted, bit for bit: the signal block's eigenvalues in
+        # _signal_eigenvalues' order, then the pump block's closed form
+        gb, plus, minus = p.gamma_b, p.Delta_b + p.J_b, p.Delta_b - p.J_b
+        want = np.concatenate([_signal_eigenvalues([p])[0], [
+            complex(gb, plus), complex(gb, minus),
+            complex(gb, -plus), complex(gb, -minus)]])
+        got = stability_eigenvalues(p)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_analytic_matches_numeric_route(self):
-        from opodimer.linearized import build_linear_model, numeric_eigenvalues
+        from opodimer.linearized import build_linear_model
         for ja, jb, frac in ((0.0, 0.0, 0.3), (2.0, 1.0, 0.7),
                              (5.0, 0.5, 0.9)):
             p = sym(J_a=ja, J_b=jb, pump_fraction=frac)
-            analytic = stability_eigenvalues(p)
-            numeric = numeric_eigenvalues(build_linear_model(p))
+            analytic = sort_eigenvalues(stability_eigenvalues(p))
+            numeric = sort_eigenvalues(dense_eigvals(build_linear_model(p).A))
             assert np.allclose(analytic, numeric, atol=1e-10)
 
     def test_min_real_part_crosses_zero_at_threshold(self):
@@ -203,24 +221,61 @@ class TestThresholdBisection:
         p = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
         assert threshold_bisection_stack([p])[0] == pytest.approx(100.0, rel=1e-8)
 
-    def test_runs_without_scipy(self):
-        # scipy is a test dependency only: with every scipy import blocked,
-        # the package imports and both stability modes run to exit 0
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is not a runtime dependency: with every scipy import blocked,
+        # the package imports and every subcommand runs, in one process
+        verify = ["verify", "--set", "params.J_a=1", "--set", "params.J_b=1",
+                  "--set", "params.pump_fraction=0.5",
+                  "--set", "sde.n_traj=40", "--set", "sde.t_measure=50"]
+        runs = [
+            ["stability", "--preset", "fig1"],
+            ["stability", "--preset", "fig1", "--set", "stability.mode=pump-scan"],
+            ["spectrum", "--preset", "fig1"],
+            # fig4 is detuned: its eigenvalues take the dense 4x4 signal block
+            ["stability", "--preset", "fig4"],
+            # the Delta-tracking and Delta = -3 grids take the dense min Re
+            # eig path and the shared root finds
+            ["stability", "--preset", "fig1",
+             "--set", "stability.track_detuning=true"],
+            ["stability", "--preset", "fig1", "--set", "params.Delta_a=-3",
+             "--set", "params.Delta_b=-3"],
+            ["spectrum", "--preset", "fig4"],
+            # every preset sets pump_fraction; this pump is a complex amplitude
+            ["spectrum", "--set", "params.eps=[30,10]",
+             "--set", "sweep.omega_points=11"],
+            ["optimize-angle", "--preset", "fig1"],
+            # 40 trajectories draw their noise through five tiles of 8
+            verify,
+            # Euler-Maruyama shares the drift kernel
+            verify + ["--set", "sde.stepper=euler-maruyama"],
+            ["sde-dump", "--set", "sde.n_traj=2"],
+        ]
+        outs = [tmp_path / f"out{i}" for i in range(len(runs))]
+        argvs = [argv + ["--out", str(out)] for argv, out in zip(runs, outs)]
         code = "\n".join([
-            "import sys",
+            "import json, sys",
             "sys.modules['scipy'] = None",
-            "import opodimer",
             "from opodimer import cli",
-            "grid = ['stability', '--set', 'stability.J_a=[0, 2]',",
-            "        '--set', 'stability.J_b=[1]']",
-            "scan = ['stability', '--set', 'stability.mode=pump-scan',",
-            "        '--set', 'stability.pump_fractions=[0.2, 0.9]']",
-            "sys.exit(cli.main(grid) or cli.main(scan))",
+            "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))",
         ])
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True)
+        r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                           capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.count("eps_crit_bisect") == 2
+        codes = json.loads(r.stdout.splitlines()[-1])
+        # the z gate may FAIL (exit 3) at 40 trajectories
+        allowed = [(0, 3) if argv[0] == "verify" else (0,) for argv in runs]
+        assert all(c in ok for c, ok in zip(codes, allowed)), (codes, r.stderr)
+        assert all(out.stat().st_size > 0 for out in outs)
+        # the numeric thresholds of both grids match the closed form to 1e-8
+        for out in outs[4:6]:
+            rows = list(csv.DictReader(
+                line for line in out.read_text().splitlines()
+                if not line.startswith("#")))
+            assert len(rows) == 25, out  # the default 5x5 coupling grid
+            for row in rows:
+                num = float(row["eps_crit_bisect"])
+                ana = float(row["eps_crit_analytic"])
+                assert abs(num - ana) <= 1e-8 * ana, row
 
 
 # One row of each kind: resonant, Delta tracking J, Delta = -3 (opposite
@@ -283,20 +338,19 @@ class TestThresholdStack:
         # the 8x8 drift matrix, pump block included, turns unstable at the
         # root that the 4x4 signal block gives: by stability_eigenvalues
         # (closed form on the resonant rows) and by the dense solver
-        from opodimer.linearized import build_linear_model, numeric_eigenvalues
+        from opodimer.linearized import build_linear_model
         for kw in STACK_ROWS:
             root = threshold_bisection_stack([sym(**kw)])[0]
             for f, sign in ((1.0 - 1e-8, 1.0), (1.0 + 1e-8, -1.0)):
                 q = sym(**kw, pump_fraction=None, eps=root * f)
                 dense = build_linear_model(q)
-                for eigs in (stability_eigenvalues(q), numeric_eigenvalues(dense)):
+                for eigs in (stability_eigenvalues(q), dense_eigvals(dense.A)):
                     assert sign * float(eigs.real.min()) > 0.0, (kw, f)
 
     def test_quadrature_form_keeps_the_signal_block_eigenvalues(self):
         # the real 4x4 form the rows are bisected on has the eigenvalues of
         # the complex signal block, below, at and above threshold
         from opodimer.linearized import build_linear_model
-        from opodimer.model import dense_eigvals
         rows = STACK_ROWS + (dict(J_a=-2.0, J_b=1.5, Delta_a=0.5, Delta_b=-1.0),)
         for kw in rows:
             crit = critical_pump(sym(**kw))

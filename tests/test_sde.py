@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from opodimer import sde
 from opodimer.errors import (ConfigError, DivergenceDetectedError,
@@ -18,7 +17,7 @@ from opodimer.sde import (SdeConfig, Stepper, integrate, integrate_to_dump,
                           load_ensemble_dump, stream_output_spectra)
 from opodimer.spectrum import vacuum_baseline
 
-from helpers import sym
+from helpers import signal_covariance, sym
 
 
 Y0_TERMS = [(1, math.pi / 2, 1.0)]
@@ -265,16 +264,18 @@ class TestReferenceStepper:
 class TestPhysics:
     def test_pump_mean_matches_backaction_corrected_value(self):
         # The pump mode is depleted by the mean signal photon pair rate;
-        # compare against the stationary second moment of the linear model.
+        # compare against the stationary second moment of the linear model,
+        # plus the midpoint stepper's first-order bias: it takes the
+        # -kappa/2 alpha1^2 term at (alpha + alpha')/2, whose mean square is
+        # smaller by E[(alpha' - alpha)^2]/4, about kappa beta_ss dt/4.
         p = sym()
         st = steady_state(p)
-        model = build_linear_model(p)
-        m2 = scipy.linalg.solve_sylvester(model.A, model.A.T,
-                                          model.diffusion())
-        corr = (p.eps1 - p.kappa * m2[0, 0] / 2.0) / \
-            (p.gamma_b - 1j * (p.J_b - p.Delta_b))
+        m2 = signal_covariance(build_linear_model(p))
         cfg = SdeConfig(dt=0.04, t_transient=12.0, t_measure=3.0,
                         n_traj=10000, seed=5, record="all")
+        den = p.gamma_b - 1j * (p.J_b - p.Delta_b)
+        corr = (p.eps1 - p.kappa * m2[0, 0] / 2.0) / den \
+            + p.kappa ** 2 * st.beta1_ss * cfg.dt / (8.0 * den)
         last = []  # beta1 at the last sampling instant, block by block
         integrate(p, cfg, lambda rec, alive: last.append(rec[4, -1].copy()))
         beta = np.concatenate(last)

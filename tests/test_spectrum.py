@@ -7,14 +7,14 @@ from opodimer.config import load_preset
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
-from opodimer.linearized import (LinearModel, build_combined_model,
-                                 build_linear_model, require_combined_manifold)
+from opodimer.linearized import (LinearModel, build_linear_model,
+                                 require_combined_manifold)
 from opodimer.model import SystemParams, steady_state
 from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                analytic_variances, output_moment,
                                spectral_matrix, vacuum_baseline)
 
-from helpers import model_for, numeric_moments, sym
+from helpers import build_combined_model, model_for, numeric_moments, sym
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -264,11 +264,12 @@ class TestCombined:
         for w in (0.0, 1.1, 6.61, 20.0, -20.0):
             S4 = spectral_matrix(m4, w)
             a = analytic_combined(p, w)
-            # the combined modes are unnormalized: vacuum baseline 2 per mode
+            # the combined modes are unnormalized: vacuum baseline 2 per
+            # mode, one unit more than output_moment's bare-mode baseline
             for key, mode, ang in (("S_Xp", 1, 0.0), ("S_Yp", 1, math.pi / 2),
                                    ("S_Xm", 2, 0.0), ("S_Ym", 2, math.pi / 2)):
                 q = [(mode, ang, 1.0)]
-                v = output_moment(S4, q, q, 1.0, unit_baseline=2.0)
+                v = output_moment(S4, q, q, 1.0) + 1.0
                 assert v == pytest.approx(a[key], rel=1e-10), (key, w)
 
     def test_matches_full_model_projections(self):
