@@ -35,8 +35,12 @@ _MIN_MEASURE_PERIODS = 50.0
 # block plus its record buffer (n_vars x n_samples x block complex doubles).
 # Each block step has a fixed dispatch cost (about 0.04 ms on a 2-core Xeon).
 # On the 4096-trajectory ensemble benchmark this budget's blocks of 1376 took
-# 11.3 s, blocks of 512 13.2 s and of 2048 12.7 s (medians of 3 runs).
+# 9.8 s at 172 MB peak RSS; blocks of 512 took 10.9 s at 90 MB, of 1024
+# 9.8 s at 139 MB and of 2048 9.7 s at 236 MB (medians of 3 runs).
 _NOISE_BUDGET = 128 * 2 ** 20
+# |kappa beta| range of amplitude_kernel's real-ufunc path: inside it
+# (|z| + |Re z|)/2 is a normal double and their sum cannot overflow.
+_AMPLITUDE_RANGE = (2.0 ** -1021, 2.0 ** 1022)
 
 DUMP_FORMAT = "opodimer-ensemble/1"
 
@@ -141,6 +145,73 @@ class SpectrumEstimate:
         return float(self.omega[i]), float(self.values[i]), float(self.stderr[i])
 
 
+def amplitude_kernel(kappa: float, n: int):
+    """The noise amplitude sqrt(kappa b) of complex (4, n) pump rows b, as
+    bind(b, out) -> f with f() -> out: out complex (4, n), not overlapping
+    b, both C-contiguous lest a reshape copy them, unchecked.
+
+    numpy's complex sqrt (libm csqrt) spends most of its time in hypot.
+    f takes z = kappa b as numpy multiplies it and computes, with numpy's
+    SIMD complex abs in place of hypot, t = sqrt((|z| + |Re z|)/2) (the
+    larger component) and s = Im z / (2t): the root is (t, s) where
+    Re z > 0 and (|s|, copysign(t, Im z)) elsewhere. Each component is
+    within 7 ulp of np.sqrt(z) (the bound is derived in tests/test_sde.py).
+    Where |z| is zero, not finite or outside _AMPLITUDE_RANGE, out holds
+    np.sqrt(z), so the branch cut, signed zeros, inf and NaN are as numpy
+    has them; two reductions find such elements, and only a block that
+    holds one takes that path (np.sqrt alone if no |z| reaches the
+    range). Every element goes through the same operations wherever it
+    sits in the block. The values computed and discarded for such elements
+    in a mixed block raise the invalid and overflow flags, which integrate
+    ignores.
+    """
+    lo, hi = _AMPLITUDE_RANGE
+    m = 4 * n
+    k = np.array(kappa + 0j)  # as in model.drift_kernel
+    z, w = np.empty((2, m), dtype=complex)  # w = (t, s)
+    zr, zi, t, s = z.real, z.imag, w.real, w.imag
+    mag, u = np.empty((2, m))
+    pos = np.empty(m, dtype=bool)
+
+    # flat arrays and positional outs: at n = 256 the fixed cost of each
+    # ufunc call is most of its time
+    def bind(b, out):
+        b, flat = b.reshape(m), out.reshape(m)
+        re, im = flat.real, flat.imag
+
+        def by_parts():
+            np.copyto(u, zr)
+            np.greater(u, 0.0, pos)
+            np.abs(u, u)
+            np.add(mag, u, u)
+            np.multiply(u, 0.5, u)
+            np.sqrt(u, t)
+            np.add(t, t, u)
+            np.divide(zi, u, s)
+            np.abs(s, re)
+            np.copysign(t, zi, im)
+            np.copyto(flat, w, where=pos)
+
+        def f():
+            np.multiply(k, b, z)
+            np.abs(z, mag)
+            smallest, largest = np.minimum.reduce(mag), np.maximum.reduce(mag)
+            if smallest >= lo and largest <= hi:  # False for nan
+                by_parts()
+                return out
+            if largest < lo:  # such as the zero pump rows of an undriven run
+                np.sqrt(z, flat)
+                return out
+            plain = ~((mag >= lo) & (mag <= hi))
+            by_parts()
+            np.copyto(flat, np.sqrt(z, z), where=plain)
+            return out
+
+        return f
+
+    return bind
+
+
 def _warn(message: str) -> None:
     """RuntimeWarning attributed to the first frame outside this module."""
     frame, level = sys._getframe(1), 2
@@ -180,7 +251,10 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         x = 2 xm - x
 
     (x + drift(x) dt + noise(x) for Euler-Maruyama), where noise(y) is
-    sqrt(kappa beta) dW on the signal rows and zero on the pump rows.
+    sqrt(kappa beta) dW on the signal rows and zero on the pump rows, with
+    beta = y[4:] and the root taken by amplitude_kernel: within 7 ulp of
+    np.sqrt per component, and np.sqrt itself at zero, inf, NaN and
+    magnitudes outside _AMPLITUDE_RANGE.
 
     Trajectories whose state magnitude exceeds 1e6 * max(1, |beta_ss|) at a
     sampling instant are flagged as diverged and reported, never silently
@@ -212,7 +286,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
     n_vars = cfg.n_vars
     n_chunk = min(_NOISE_CHUNK, n_steps)
     # 0-d complex arrays, as in model.drift_kernel
-    kappa, dt, half, two = (np.array(c + 0j) for c in (p.kappa, cfg.dt, 0.5, 2.0))
+    dt, half, two = (np.array(c + 0j) for c in (cfg.dt, 0.5, 2.0))
     midpoint = cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT
 
     def run_block(rec, alive, z):
@@ -221,6 +295,7 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         # increments come from z, the block's injected noise, if given.
         n = alive.size
         drift = _model.drift_kernel(p, n)
+        amplitude = amplitude_kernel(p.kappa, n)
         gens = () if z is not None else [
             np.random.Generator(np.random.Philox(s)) for s in root.spawn(n)]
         x = x0.repeat(n, axis=1)
@@ -231,7 +306,8 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         mag, peak, ok = np.empty((8, n)), np.empty(n), np.empty(n, dtype=bool)
         chunk = np.empty((n_chunk, 4, n))
         tile = np.empty((min(_NOISE_TILE, len(gens)), n_chunk))
-        at_x, at_xm = (drift(x, d), x[4:]), (drift(xm, d), xm[4:])
+        at_x = (drift(x, d), amplitude(x[4:], nz_sig))
+        at_xm = (drift(xm, d), amplitude(xm[4:], nz_sig))
         iterations = (at_x,) + (at_xm,) * (_MIDPOINT_ITERATIONS - 1)
 
         def check():
@@ -240,12 +316,12 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
             np.less_equal(peak, thresh, out=ok)  # False for nan
             np.logical_and(alive, ok, out=alive)
 
-        def drift_and_noise(f, b):
-            # d = f() * dt, f the drift bound to y and d; nz = sqrt(kappa *
-            # b) * dw, b = y[4:] and dw this step's increments times sqrt(dt)
+        def drift_and_noise(f, g):
+            # d = f() * dt and nz = g() * dw, f the drift bound to y and d,
+            # g the amplitude bound to y[4:] and nz, dw this step's
+            # increments times sqrt(dt)
             f()
-            np.multiply(kappa, b, out=nz_sig)
-            np.sqrt(nz_sig, out=nz_sig)
+            g()
             np.multiply(nz_sig, dwc, out=nz_sig)
             np.multiply(d, dt, out=d)
 
@@ -269,8 +345,8 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
                 np.multiply(chunk[:m], math.sqrt(cfg.dt), out=chunk[:m])
             np.copyto(dwc, chunk[ci])  # cast to complex once per step
             if midpoint:
-                for f, b in iterations:
-                    drift_and_noise(f, b)
+                for f, g in iterations:
+                    drift_and_noise(f, g)
                     np.add(d, nz, out=d)
                     np.multiply(half, d, out=d)
                     np.add(x, d, out=xm)
