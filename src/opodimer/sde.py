@@ -148,7 +148,7 @@ class SpectrumEstimate:
 def amplitude_kernel(kappa: float, n: int):
     """The noise amplitude sqrt(kappa b) of complex (4, n) pump rows b, as
     bind(b, out) -> f with f() -> out: out complex (4, n), not overlapping
-    b, both C-contiguous lest a reshape copy them, unchecked.
+    b, both C-contiguous (bind raises ValueError otherwise).
 
     numpy's complex sqrt (libm csqrt) spends most of its time in hypot.
     f takes z = kappa b as numpy multiplies it and computes, with numpy's
@@ -159,11 +159,10 @@ def amplitude_kernel(kappa: float, n: int):
     Where |z| is zero, not finite or outside _AMPLITUDE_RANGE, out holds
     np.sqrt(z), so the branch cut, signed zeros, inf and NaN are as numpy
     has them; two reductions find such elements, and only a block that
-    holds one takes that path (np.sqrt alone if no |z| reaches the
-    range). Every element goes through the same operations wherever it
-    sits in the block. The values computed and discarded for such elements
-    in a mixed block raise the invalid and overflow flags, which integrate
-    ignores.
+    holds one takes np.sqrt, of those elements alone. Every element goes
+    through the same operations wherever it sits in the block. The values
+    computed and discarded for such elements raise the invalid and
+    overflow flags, which integrate ignores.
     """
     lo, hi = _AMPLITUDE_RANGE
     m = 4 * n
@@ -171,15 +170,19 @@ def amplitude_kernel(kappa: float, n: int):
     z, w = np.empty((2, m), dtype=complex)  # w = (t, s)
     zr, zi, t, s = z.real, z.imag, w.real, w.imag
     mag, u = np.empty((2, m))
-    pos = np.empty(m, dtype=bool)
+    pos, inside = np.empty((2, m), dtype=bool)
 
     # flat arrays and positional outs: at n = 256 the fixed cost of each
     # ufunc call is most of its time
     def bind(b, out):
+        if not (b.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("amplitude_kernel needs C-contiguous arrays")
         b, flat = b.reshape(m), out.reshape(m)
         re, im = flat.real, flat.imag
 
-        def by_parts():
+        def f():
+            np.multiply(k, b, z)
+            np.abs(z, mag)
             np.copyto(u, zr)
             np.greater(u, 0.0, pos)
             np.abs(u, u)
@@ -191,20 +194,13 @@ def amplitude_kernel(kappa: float, n: int):
             np.abs(s, re)
             np.copysign(t, zi, im)
             np.copyto(flat, w, where=pos)
-
-        def f():
-            np.multiply(k, b, z)
-            np.abs(z, mag)
-            smallest, largest = np.minimum.reduce(mag), np.maximum.reduce(mag)
-            if smallest >= lo and largest <= hi:  # False for nan
-                by_parts()
-                return out
-            if largest < lo:  # such as the zero pump rows of an undriven run
-                np.sqrt(z, flat)
-                return out
-            plain = ~((mag >= lo) & (mag <= hi))
-            by_parts()
-            np.copyto(flat, np.sqrt(z, z), where=plain)
+            if not (np.minimum.reduce(mag) >= lo
+                    and np.maximum.reduce(mag) <= hi):  # True for nan
+                np.greater_equal(mag, lo, pos)
+                np.less_equal(mag, hi, inside)
+                np.logical_and(pos, inside, inside)
+                np.logical_not(inside, inside)
+                np.sqrt(z, flat, where=inside)
             return out
 
         return f

@@ -211,7 +211,7 @@ def assert_same_bits(got, want):
 
 def amplitude(z, kappa=1.0):
     """amplitude_kernel's sqrt(kappa z) of a complex (4, n) stack."""
-    out = np.empty_like(z)
+    out = np.empty(z.shape, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         return sde.amplitude_kernel(kappa, z.shape[1])(np.ascontiguousarray(z), out)()
 
@@ -293,11 +293,13 @@ class TestAmplitude:
                    + [0.75 * lo, -0.5j * lo, 5e-324 - 5e-324j, 1.5 * hi + 1.0j,
                       -1.0 + 1.7e308j, 1e308 - 1e308j, complex(-hi, hi)])
         # blocks of such values only, one with every |z| below the range,
-        # and one that mixes them with others
+        # one with every |z| above it, and one that mixes them with others
         small = np.array([0.0, -0.0, -0.0j, complex(-0.0, -0.0), 5e-324 - 5e-324j,
                           0.75 * lo, -0.5j * lo, complex(-0.0, 1e-310)])
+        big = np.array([1.5 * hi + 1.0j, -1.0 + 1.7e308j, 1e308 - 1e308j,
+                        complex(-hi, hi)])
         whole = np.array(special[:len(special) // 4 * 4])
-        for block in (small.reshape(4, -1), whole.reshape(4, -1)):
+        for block in (small.reshape(4, -1), big.reshape(4, -1), whole.reshape(4, -1)):
             assert_same_bits(amplitude(block), numpy_amplitude(block))
         ordinary = self.sample(np.random.default_rng(5), len(special))
         mixed = np.column_stack([special, ordinary]).ravel()
@@ -305,6 +307,15 @@ class TestAmplitude:
         assert_same_bits(got[0], numpy_amplitude(np.array(special)))
         # the ordinary values come out as they do in a block of their own
         assert_same_bits(got[1], amplitude(as_stack(ordinary)).ravel()[:len(ordinary)])
+
+    def test_rejects_arrays_a_reshape_would_copy(self):
+        bind = sde.amplitude_kernel(1.0, 3)
+        b, out = np.ones((4, 3), dtype=complex), np.empty((4, 3), dtype=complex)
+        for args in ((b.T.copy().T, out), (b, np.empty((3, 4), dtype=complex).T),
+                     (np.ones((4, 6), dtype=complex)[:, ::2], out)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                bind(*args)
+        assert np.array_equal(bind(b, out)(), np.ones((4, 3)))
 
 
 class TestReferenceStepper:
