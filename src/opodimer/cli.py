@@ -117,12 +117,15 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
     ps = [cfg.params.patched(patch, f"stability {spec.mode}").system
           for patch in patches]
+    # first: past the float range it raises DomainError, not OverflowError
+    # as squaring J_a in the closed form of min_re_eig_stack would
+    analytic = [critical_pump(p) for p in ps]
     roots = threshold_bisection_stack(ps).tolist()
     margins = min_re_eig_stack(ps).tolist()
-    for patch, p, margin, root in zip(patches, ps, margins, roots):
+    for patch, p, *cells in zip(patches, ps, margins, analytic, roots):
         lead = ((patch["J_a"], patch["J_b"]) if spec.mode == "coupling-grid"
                 else (patch["pump_fraction"], abs(p.eps1)))
-        row = (*lead, margin, critical_pump(p), root)
+        row = (*lead, *cells)
         lines.append(_row_format(row) % row)
     _emit(lines, args.out)
     return 0

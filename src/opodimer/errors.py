@@ -15,7 +15,7 @@ class AboveThresholdError(OpodimerError):
 
 
 class NoCrossingError(OpodimerError):
-    """Bisection bracket does not straddle a stability change."""
+    """Min Re eig does not change sign across a numeric threshold."""
 
 
 class DetuningMismatchError(OpodimerError):

@@ -29,7 +29,6 @@ from .errors import (AboveThresholdError, ConvergenceFailureError, DomainError,
 THRESHOLD_GUARD = 1e-9
 
 _RESIDUAL_TOL = 1e-12
-_BISECTION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -341,108 +340,66 @@ def min_re_eig_stack(ps: list) -> np.ndarray:
                       [p.gamma_b for p in ps])
 
 
-def _quadrature_form(M: np.ndarray) -> np.ndarray:
-    """Real form of a stack of conjugation-symmetric complex matrices.
-
-    Each 2x2 block [[p, q], [q*, p*]] of M (..., 2k, 2k), acting on
-    (a, a*), becomes [[Re(p+q), -Im(p-q)], [Im(p+q), Re(p-q)]] acting on
-    (Re a, Im a): M = T R T^-1 with T = [[1, i], [1, -i]] per block, so R
-    has the eigenvalues of M.
-    """
-    p, q = M[..., 0::2, 0::2], M[..., 0::2, 1::2]
-    s, d = p + q, p - q
-    R = np.empty(M.shape)
-    R[..., 0::2, 0::2], R[..., 0::2, 1::2] = s.real, -d.imag
-    R[..., 1::2, 0::2], R[..., 1::2, 1::2] = s.imag, d.real
-    return R
-
-
-def _kinds(rows: np.ndarray) -> np.ndarray:
-    """Number the rows of a 2-D array by their bits, in order of first
-    appearance: bit-equal rows get the same number."""
-    seen = {}
-    return np.array([seen.setdefault(r.tobytes(), len(seen)) for r in rows],
-                    dtype=int)
+# Relative step of the sign check on each side of a threshold e. At the
+# root the critical signal supermode, of detuning d_a, has the eigenvalues
+# gamma_a +- sqrt(|m|^2 - d_a^2) with |m| = sqrt(gamma_a^2 + d_a^2) growing
+# as e, so the step moves the slowest one by _SIGN_STEP (gamma_a^2 + d_a^2)
+# / gamma_a. The dense solver errs by about its condition number
+# sqrt(1 + d_a^2 / gamma_a^2) times u ||A|| (u = 2^-53, ||A|| about
+# |Delta_a| + |J_a|), so the check resolves rows with (|Delta_a| + |J_a|) /
+# sqrt(gamma_a^2 + d_a^2) < _SIGN_STEP / u = 9e9: |J_a| / gamma_a < 4.5e9 on
+# Delta_a = +-J_a (d_a = 0; 1e10 passed, 3e10 failed), any J_a on resonance.
+_SIGN_STEP = 1e-6
 
 
 def threshold_bisection_stack(ps: list) -> np.ndarray:
-    """Numeric threshold of each parameter set in ps: the equal real pump
-    amplitude at which the slowest drift eigenvalue crosses zero; the pump
-    fields of each set are ignored.
+    """Numeric threshold of each parameter set in ps: the least equal real
+    pump amplitude e at which the slowest drift eigenvalue reaches zero;
+    the pump fields of each set are ignored.
 
     At the alpha = 0 fixed point A is block diagonal, and the eigenvalues of
-    its pump block have real part gamma_b > 0 whatever the pump e
+    its pump block have real part gamma_b > 0 whatever the pump
     (stability_eigenvalues), so min Re eig(A) changes sign where that of the
-    4x4 signal block does. That block is A0 + e A1, as the steady pump field
-    is linear in e: drift_block at the pump fields of e = 0 and e = 1 gives
-    A0 and A1, and no 8x8 model is built. A root find on its dense
-    eigenvalues, never the closed form, checks the analytic threshold
-    independently.
-
-    The rows are solved on the real quadrature form R0 + e R1 of the
-    block (_quadrature_form), an exact similarity for real e, as the real
-    eigensolver is about twice as fast on the stack. Rows whose R0, R1 and
-    bracket are bit-equal (a pump scan's, say) share one root find.
-
-    All rows are solved at once on [0, hi0 = 10 * critical_pump] with one
-    stacked eigvals per step, by Illinois regula falsi (Dowell & Jarratt,
-    BIT 11, 168 (1971)): each row steps to the secant point of its bracket,
-    clipped to at least tol = 1e-12 hi0 + _BISECTION_RTOL lo inside it, and
-    halves the f value of an end that stayed put twice running; a row whose
-    bracket has not halved over its last four steps bisects instead. Each
-    row stops on its own once hi - lo <= 2 tol and returns its midpoint, so
-    a row's root does not depend on the other rows. Raises DomainError
-    naming the first row whose hi0 overflows a float, before any
-    eigensolve, and NoCrossingError naming the first row whose bracket does
-    not change sign.
+    4x4 signal block does. That block is the pencil A0 + e A1, as the steady
+    pump field is linear in e: drift_block gives A0 undriven and A1 from the
+    pump field of e = 1. A0's eigenvalues have real part gamma_a > 0, so
+    det(A0 + e A1) = 0 exactly where 1/e is an eigenvalue mu of
+    M = -A0^-1 A1 (Golub & Van Loan, Matrix Computations, 7.7), and a row's
+    threshold is 1/mu for its largest positive Re mu: M's dominant
+    eigenvalue, which the solver gets to a few u ||M|| on every manifold.
+    One stacked solve and eigensolve give every row's mu; a second stacked
+    eigensolve checks that min Re eig(A0 + e A1) is > 0 at e (1 - _SIGN_STEP)
+    and < 0 at e (1 + _SIGN_STEP). No closed form is used, so this checks
+    critical_pump independently, and no row depends on the others.
+    Raises DomainError naming the first row whose M, or whose threshold or
+    its steps, is not a finite float, before any eigensolve sees it, and
+    NoCrossingError naming the first row with no positive mu or whose sign
+    check fails, with its e and both min Re eig values.
     """
-    def block_at(p: SystemParams, e: complex) -> np.ndarray:
-        m = p.kappa * _equal_pump_field(p, e)
-        return drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, m, m)
-
-    hi0 = np.array([10.0 * critical_pump(p) for p in ps])
-    if (bad := np.flatnonzero(~np.isfinite(hi0))).size:
-        raise DomainError(f"row {bad[0]}: bracket end 10 * eps_crit overflows "
-                          f"a float at {ps[bad[0]]}")
-    A0 = np.array([block_at(p, 0j) for p in ps]).reshape(-1, 4, 4)
-    A1 = np.array([block_at(p, 1 + 0j) for p in ps]).reshape(-1, 4, 4) - A0
-    A0, A1 = _quadrature_form(A0), _quadrature_form(A1)
-    # one root find per distinct row: first[j] is the first row of kind j
-    kind = _kinds(np.concatenate([A0.reshape(-1, 16), A1.reshape(-1, 16),
-                                  hi0[:, None]], axis=1))
-    first = np.unique(kind, return_index=True)[1]
-    A0, A1, hi0 = A0[first], A1[first], hi0[first]
-
-    def slowest(rows, e: np.ndarray) -> np.ndarray:
-        A = A0[rows] + e[:, None, None] * A1[rows]
-        return dense_eigvals(A).real.min(axis=1)
-
-    lo, hi = np.zeros_like(hi0), hi0.copy()
-    f_lo, f_hi = slowest(slice(None), lo), slowest(slice(None), hi)
-    crossing = (f_lo > 0.0) & (f_hi < 0.0)
+    A0 = np.array([drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, 0j, 0j)
+                   for p in ps]).reshape(-1, 4, 4)
+    ms = [p.kappa * _equal_pump_field(p, 1 + 0j) for p in ps]
+    A1 = np.array([drift_block(0j, 0j, m, m) for m in ms]).reshape(-1, 4, 4)
+    M = -np.linalg.solve(A0, A1)
+    if (bad := np.flatnonzero(~np.isfinite(M).all(axis=(1, 2)))).size:
+        raise DomainError(f"row {bad[0]}: -A0^-1 A1 of the threshold pencil "
+                          f"is not finite at {ps[bad[0]]}")
+    mu = dense_eigvals(M).real.max(axis=1)
+    live = mu > 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        e = 1.0 / mu
+        steps = e[:, None] * np.array([1.0 - _SIGN_STEP, 1.0 + _SIGN_STEP])
+    if (bad := np.flatnonzero(live & ~np.isfinite(steps).all(axis=1))).size:
+        raise DomainError(f"row {bad[0]}: threshold 1/mu = 1/{mu[bad[0]]:.6g} "
+                          f"overflows a float at {ps[bad[0]]}")
+    f = np.full(steps.shape, np.nan)  # nan: no positive mu, not evaluated
+    A = A0[live, None] + steps[live, :, None, None] * A1[live, None]
+    f[live] = dense_eigvals(A).real.min(axis=-1)
+    crossing = (f[:, 0] > 0.0) & (f[:, 1] < 0.0)
     if not crossing.all():
-        j = int(np.argmin(crossing))
+        i = int(np.argmin(crossing))
         raise NoCrossingError(
-            f"row {first[j]}: min Re eig does not change sign on "
-            f"[0, {hi[j]:.6g}]: endpoints {f_lo[j]:.6g}, {f_hi[j]:.6g}")
-    # widths before each row's last four steps, newest first, and the end
-    # that moved last (-1 lo, +1 hi, 0 after a bisection step)
-    back = np.full((4, hi0.size), np.inf)
-    moved = np.zeros(hi0.shape, dtype=int)
-    while (rows := np.flatnonzero(
-            hi - lo > 2.0 * (1e-12 * hi0 + _BISECTION_RTOL * lo))).size:
-        l, h, fl, fh = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
-        tol = 1e-12 * hi0[rows] + _BISECTION_RTOL * l
-        w = h - l
-        x = np.clip(l + fl * (w / (fl - fh)), l + tol, h - tol)
-        bisect = w > 0.5 * back[-1, rows]
-        x[bisect] = 0.5 * (l + h)[bisect]
-        back[1:, rows], back[0, rows] = back[:-1, rows], w
-        fx = slowest(rows, x)
-        stable = fx > 0.0  # x replaces lo; otherwise hi
-        last = moved[rows]
-        f_lo[rows] = np.where(stable, fx, np.where(last == 1, 0.5 * fl, fl))
-        f_hi[rows] = np.where(stable, np.where(last == -1, 0.5 * fh, fh), fx)
-        lo[rows], hi[rows] = np.where(stable, x, l), np.where(stable, h, x)
-        moved[rows] = np.where(bisect, 0, np.where(stable, -1, 1))
-    return (0.5 * (lo + hi))[kind]
+            f"row {i}: min Re eig does not change sign at e = 1/mu = {e[i]:.6g}: "
+            f"{f[i, 0]:.6g} at e (1 - {_SIGN_STEP:g}), "
+            f"{f[i, 1]:.6g} at e (1 + {_SIGN_STEP:g})")
+    return e

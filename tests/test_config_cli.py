@@ -497,10 +497,11 @@ class TestStabilityCommand:
         assert [float(x["eps"]) for x in rows] == [100.0, 199.8, 200.2]
 
     def test_threshold_out_of_float_range_exits_1(self):
-        # 10 eps_crit overflows at kappa = 1e-306; eps_crit underflows to 0
-        # at gamma_a = 1e-300; neither reaches the eigensolver
+        # eps_crit overflows at kappa = 1e-307 from the J_a = 2, J_b = 10 row
+        # on, and underflows to 0 at gamma_a = 1e-300; neither reaches the
+        # eigensolver
         for args, msg in (
-                (("--set", "params.kappa=1e-306"), "bracket end"),
+                (("--set", "params.kappa=1e-307"), "critical pump overflows"),
                 (("--set", "params.gamma_a=1e-300", "--set", "stability.J_a=[0]",
                   "--set", "stability.J_b=[0]"), "critical pump underflows")):
             r = subprocess.run([sys.executable, "-W", "error", "-m",

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -234,7 +235,7 @@ class TestThresholdBisection:
             # fig4 is detuned: its eigenvalues take the dense 4x4 signal block
             ["stability", "--preset", "fig4"],
             # the Delta-tracking and Delta = -3 grids take the dense min Re
-            # eig path and the shared root finds
+            # eig path
             ["stability", "--preset", "fig1",
              "--set", "stability.track_detuning=true"],
             ["stability", "--preset", "fig1", "--set", "params.Delta_a=-3",
@@ -289,9 +290,11 @@ STACK_ROWS = (
 )
 
 
-# The stacked eigensolves the bisection made on any row set: 2 for the
-# bracket ends, then 36 halvings from 10 eps_crit down to the stop width.
-BISECTION_SOLVES = 38
+# Largest relative distance between the pencil's threshold and
+# critical_pump: about three times the largest measured on the sets of
+# test_matches_critical_pump, 3.5e-15 on the Delta = -3 scan grid (2.7e-15
+# on the random sets, 1.4e-15 at J / gamma = 1e6, 4e-16 at 1e9).
+AGREEMENT_RTOL = 1e-14
 
 
 def count_eigensolves(monkeypatch) -> list:
@@ -306,13 +309,25 @@ def count_eigensolves(monkeypatch) -> list:
     return calls
 
 
-def scale_eps_crit(monkeypatch, target, factor):
-    """Make critical_pump report factor * eps_crit for target alone."""
-    real = model.critical_pump
+def zero_pump_field(monkeypatch, target):
+    """Make the steady pump field of target 0 at every pump, so its pencil
+    has no threshold."""
+    real = model._equal_pump_field
 
-    def scaled(p):
-        return factor * real(p) if p == target else real(p)
-    monkeypatch.setattr(model, "critical_pump", scaled)
+    def field(p, eps):
+        return 0j if p == target else real(p, eps)
+    monkeypatch.setattr(model, "_equal_pump_field", field)
+
+
+def scan_grids() -> list:
+    """The three 21x21 coupling grids of the benchmark's scan: plain, Delta
+    tracking J, and Delta = -3."""
+    grid = [10.0 * i / 20 for i in range(21)]
+    return [[sym(J_a=ja, J_b=jb, **detuning(ja, jb))
+             for ja in grid for jb in grid]
+            for detuning in (lambda ja, jb: {},
+                             lambda ja, jb: dict(Delta_a=ja, Delta_b=jb),
+                             lambda ja, jb: dict(Delta_a=-3.0, Delta_b=-3.0))]
 
 
 class TestThresholdStack:
@@ -325,14 +340,6 @@ class TestThresholdStack:
         assert rev.tolist() == alone[::-1] + alone[:2]
         for p, root in zip(ps, alone):
             assert root == pytest.approx(critical_pump(p), rel=1e-10)
-
-    def test_rows_stop_on_their_own(self, monkeypatch):
-        # a row with a 1000 times wider bracket takes more steps; the other
-        # rows must not take them too
-        ps = [sym(**kw) for kw in STACK_ROWS]
-        alone = [threshold_bisection_stack([p])[0] for p in ps]
-        scale_eps_crit(monkeypatch, ps[0], 1e3)
-        assert threshold_bisection_stack(ps).tolist()[1:] == alone[1:]
 
     def test_signal_block_root_is_the_full_drift_threshold(self):
         # the 8x8 drift matrix, pump block included, turns unstable at the
@@ -347,51 +354,90 @@ class TestThresholdStack:
                 for eigs in (stability_eigenvalues(q), dense_eigvals(dense.A)):
                     assert sign * float(eigs.real.min()) > 0.0, (kw, f)
 
-    def test_quadrature_form_keeps_the_signal_block_eigenvalues(self):
-        # the real 4x4 form the rows are bisected on has the eigenvalues of
-        # the complex signal block, below, at and above threshold
-        from opodimer.linearized import build_linear_model
-        rows = STACK_ROWS + (dict(J_a=-2.0, J_b=1.5, Delta_a=0.5, Delta_b=-1.0),)
-        for kw in rows:
-            crit = critical_pump(sym(**kw))
-            for e in (0.0, crit, 3.0 * crit):
-                A = build_linear_model(
-                    sym(**kw, pump_fraction=None, eps=e)).A[:4, :4]
-                R = model._quadrature_form(A)
-                assert R.dtype == np.float64
-                got = sort_eigenvalues(dense_eigvals(R))
-                want = sort_eigenvalues(dense_eigvals(A))
-                np.testing.assert_allclose(
-                    got, want, rtol=0.0, atol=1e-12 * np.linalg.norm(A),
-                    err_msg=f"{kw} e={e}")
+    def test_matches_critical_pump(self):
+        # the scan grids, seeded random sets, J / gamma = 1e6 on each
+        # manifold (resonance, Delta = J, Delta = -J and Delta = -3), and
+        # J / gamma = 1e9 on Delta = +-J, inside the sign check's reach
+        rng = np.random.default_rng(23)
+        rand = [sym(J_a=rng.uniform(-10, 10), J_b=rng.uniform(-10, 10),
+                    Delta_a=rng.uniform(-10, 10), Delta_b=rng.uniform(-10, 10),
+                    gamma_a=rng.uniform(0.3, 3), gamma_b=rng.uniform(0.3, 3),
+                    kappa=rng.uniform(0.005, 0.05)) for _ in range(500)]
+        far = [sym(gamma_a=g, J_a=1e6 * g, Delta_a=d * g, J_b=1.0)
+               for g in (0.5, 2.0) for d in (0.0, 1e6, -1e6, -3.0)]
+        far += [sym(J_a=1e9, Delta_a=d) for d in (1e9, -1e9)]
+        for ps in scan_grids() + [rand, far]:
+            roots = threshold_bisection_stack(ps)
+            want = np.array([critical_pump(p) for p in ps])
+            assert np.max(np.abs(roots - want) / want) <= AGREEMENT_RTOL
+        # gamma_a ** 2 is subnormal in critical_pump; the pencil has no
+        # square and gets the true threshold gamma_a gamma_b / kappa
+        p = SystemParams(gamma_a=1e-160, kappa=1.0)
+        assert threshold_bisection_stack([p])[0] == pytest.approx(
+            1e-160, rel=AGREEMENT_RTOL)
 
     def test_bad_row_names_its_bracket(self, monkeypatch):
+        # a row with no positive mu is named, with its e = 1/mu and the
+        # min Re eig values its sign check never took
         ps = [sym(**kw) for kw in STACK_ROWS]
-        scale_eps_crit(monkeypatch, ps[2], 1e-6 / critical_pump(ps[2]))
+        zero_pump_field(monkeypatch, ps[2])
         with pytest.raises(NoCrossingError,
-                           match=r"row 2: .* on \[0, 1e-05\]"):
+                           match=r"row 2: .* e = 1/mu = -?inf: nan at e "
+                                 r"\(1 - 1e-06\), nan at e \(1 \+ 1e-06\)"):
             threshold_bisection_stack(ps)
         threshold_bisection_stack(ps[:2] + ps[3:])  # the other rows cross
 
-    def test_repeated_bad_row_is_named_at_its_first_place(self, monkeypatch):
-        # bit-equal rows share one root find; the error still names the
-        # first row that fails
+    def test_sign_check_refuses_a_root_that_is_not_a_crossing(self,
+                                                                monkeypatch):
+        # doubling row 2's mu halves its root: the block is stable on both
+        # sides of it, and the error gives both min Re eig values
         ps = [sym(**kw) for kw in STACK_ROWS]
-        scale_eps_crit(monkeypatch, ps[2], 1e-6 / critical_pump(ps[2]))
+        want = critical_pump(ps[2]) / 2.0
+        real = model.dense_eigvals
+
+        def doubled_first(A):
+            monkeypatch.setattr(model, "dense_eigvals", real)
+            eigs = real(A)
+            eigs[2] *= 2.0
+            return eigs
+        monkeypatch.setattr(model, "dense_eigvals", doubled_first)
+        with pytest.raises(NoCrossingError) as err:
+            threshold_bisection_stack(ps)
+        e, below, above = map(float, re.search(
+            r"^row 2: .* e = 1/mu = (\S+): (\S+) at e \(1 - 1e-06\), "
+            r"(\S+) at e \(1 \+ 1e-06\)$", str(err.value)).groups())
+        assert e == pytest.approx(want, rel=1e-5)  # printed to 6 digits
+        assert below > 0.0 and above > 0.0
+
+    def test_repeated_bad_row_is_named_at_its_first_place(self, monkeypatch):
+        # the error names the first row that fails, in input order
+        ps = [sym(**kw) for kw in STACK_ROWS]
+        zero_pump_field(monkeypatch, ps[2])
         with pytest.raises(NoCrossingError, match=r"row 2: "):
             threshold_bisection_stack(ps + ps[2:3])
         with pytest.raises(NoCrossingError, match=r"row 1: "):
             threshold_bisection_stack(ps[:1] + ps[2:3] * 2)
 
     def test_overflowing_bracket_is_a_domain_error(self, monkeypatch):
-        # eps_crit = 101 / 1e-306 is a float, 10 eps_crit is not: no
-        # eigensolve sees the inf
-        ps = [sym(**kw) for kw in STACK_ROWS]
-        ps.insert(2, sym(kappa=1e-306, J_a=10.0, J_b=10.0))
+        # eps_crit = 101 / 1e-306 is a float, and the pencil gets it
+        p = sym(kappa=1e-306, J_a=10.0, J_b=10.0)
+        assert threshold_bisection_stack([p])[0] == pytest.approx(
+            critical_pump(p), rel=AGREEMENT_RTOL)
+        # at kappa = 1e-307 the root 1/mu overflows: the sign check's
+        # eigensolve never sees it; an M that overflows reaches no eigensolve
         calls = count_eigensolves(monkeypatch)
-        with pytest.raises(DomainError, match=r"row 2: bracket end"):
-            threshold_bisection_stack(ps)
-        assert calls == []
+        for bad, msg, solves in (
+                (SystemParams(kappa=1e-307, J_a=10.0, J_b=10.0),
+                 "threshold 1/mu", [7]),
+                (SystemParams(kappa=1e300, gamma_a=1e-10, gamma_b=0.5),
+                 "-A0\\^-1 A1", [])):
+            ps = [sym(**kw) for kw in STACK_ROWS]
+            ps.insert(2, bad)
+            ps.append(bad)
+            calls.clear()
+            with pytest.raises(DomainError, match=rf"^row 2: {msg}"):
+                threshold_bisection_stack(ps)
+            assert calls == solves
 
     def test_min_re_eig_stack_is_stability_eigenvalues_bit_for_bit(self):
         # closed-form and dense rows in one call, an unequal and a complex
@@ -405,27 +451,28 @@ class TestThresholdStack:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_eigensolve_budget(self, monkeypatch):
-        # regula falsi takes no more stacked eigensolves than bisection did,
-        # on the rows above and on the 21x21 Delta = -3 grid of the scan
+        # one stacked solve and two stacked eigensolves, whatever the number
+        # of rows: the counts the README quotes
         calls = count_eigensolves(monkeypatch)
-        threshold_bisection_stack([sym(**kw) for kw in STACK_ROWS])
-        assert len(calls) <= BISECTION_SOLVES
-        grid = [10.0 * i / 20 for i in range(21)]
-        ps = [sym(J_a=ja, J_b=jb, Delta_a=-3.0, Delta_b=-3.0)
-              for ja in grid for jb in grid]
-        calls.clear()
-        roots = threshold_bisection_stack(ps)
-        assert len(calls) <= BISECTION_SOLVES
-        for p, root in zip(ps, roots):
-            assert root == pytest.approx(critical_pump(p), rel=1e-10)
+        solves = []
+        real_solve = np.linalg.solve
 
-    def test_pump_scan_rows_share_one_root_find(self, monkeypatch):
-        # the root ignores the pump: 200 pump fractions cost what one does
+        def counted_solve(a, b):
+            solves.append(len(a))
+            return real_solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        rows = [sym(**kw) for kw in STACK_ROWS]
+        for ps in [rows[:1], rows] + scan_grids():
+            calls.clear()
+            solves.clear()
+            threshold_bisection_stack(ps)
+            assert calls == [len(ps), 2 * len(ps)]
+            assert solves == [len(ps)]
+
+    def test_pump_scan_rows_give_the_single_row_root(self):
+        # the root ignores the pump: 200 pump fractions give the single
+        # row's root, bit for bit
         ps = [sym(J_a=2.0, J_b=1.0, Delta_a=0.5, pump_fraction=f)
               for f in np.linspace(0.01, 0.99, 200)]
-        calls = count_eigensolves(monkeypatch)
         alone = threshold_bisection_stack(ps[:1]).tolist()
-        n_alone = len(calls)
-        calls.clear()
         assert threshold_bisection_stack(ps).tolist() == alone * 200
-        assert len(calls) == n_alone and set(calls) == {1}
