@@ -135,9 +135,10 @@ def critical_pump(p: SystemParams) -> float:
     return eps_crit
 
 
-def drift_kernel(p: SystemParams, n: int):
-    """The drift of p on (8, n) stacks, as bind(x, out) -> f with f() -> out:
-    the one home of the doubled-phase-space equations of motion. Row by row:
+def drift_kernel(p: SystemParams, n: int, scale: float = 1.0):
+    """scale times the drift of p on (8, n) stacks, as bind(x, out) -> f with
+    f() -> out: the one home of the doubled-phase-space equations of motion.
+    Row by row, at scale 1:
 
         out[0] = -ca a1 + k a1+ b1 + i J_a a2      (ca = gamma_a + i Delta_a)
         out[1] = -ca* a1+ + k a1 b1+ - i J_a a2+
@@ -157,19 +158,26 @@ def drift_kernel(p: SystemParams, n: int):
     coefficient is not ((-c) y and -(c y) can differ in the sign of a zero).
     Each element goes through the operations of the row formulas above in
     their order.
+
+    Every coefficient (ca, cb, eps, k, k/2, i J) is multiplied by scale once,
+    when the kernel is built, part by part (a complex product with
+    scale + 0j can flip the sign of a zero), so at scale 1 each keeps its
+    bits; integrate folds its step into the drift this way.
     """
     ca = p.gamma_a + 1j * p.Delta_a
     cb = p.gamma_b + 1j * p.Delta_b
     cac, cbc = ca.conjugate(), cb.conjugate()
 
     def full(*c):
-        return np.repeat(np.array(c)[:, None], n, axis=1)
+        c = np.array(c)
+        c.view(float)[...] *= scale  # part by part
+        return np.repeat(c[:, None], n, axis=1)
 
     own = full(-ca, -cac, -ca, -cac, cb, cbc, cb, cbc)
     eps = full(p.eps1, p.eps1.conjugate(), p.eps2, p.eps2.conjugate())
     cross = full(*[1j * p.J_a] * 4, *[1j * p.J_b] * 4).reshape(2, 2, 2, n)
     # a Python float enters the same complex loop as k + 0j, but dispatches slower
-    k, half_k = np.array(p.kappa + 0j), np.array(0.5 * p.kappa + 0j)
+    k, half_k = (np.array(c * scale + 0j) for c in (p.kappa, 0.5 * p.kappa))
     w = np.empty((8, n), dtype=complex)
     ws, ws2, w4 = w[:4], w[:4].reshape(2, 2, n), w.reshape(2, 2, 2, n)
     w_plus = w4[:, :, 1].view(float)  # the '+' rows, as float pairs
@@ -295,14 +303,20 @@ def _signal_eigenvalues(ps: list) -> np.ndarray:
         gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)   (each twice)
 
     with the principal square root turning a negative argument into an
-    imaginary pair. All other rows go through one stacked dense eigensolve.
+    imaginary pair; DomainError where a square passes the float range. All
+    other rows go through one stacked dense eigensolve.
     """
     signal = np.empty((len(ps), 4), dtype=complex)
     dense, blocks = [], []
     for i, p in enumerate(ps):
         if p.resonant and p.equal_pumps and p.eps1.imag == 0.0:
             gtb = math.hypot(p.gamma_b, p.J_b)
-            s = np.sqrt(complex((p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2))
+            try:
+                s2 = (p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2
+            except OverflowError:  # as in critical_pump
+                raise DomainError(
+                    f"signal eigenvalues overflow a float at {p}") from None
+            s = np.sqrt(complex(s2))
             signal[i] = [p.gamma_a + s, p.gamma_a - s] * 2
         else:
             ss = _unchecked_state(p)

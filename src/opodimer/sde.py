@@ -33,10 +33,10 @@ _MIDPOINT_ITERATIONS = 4
 _MIN_MEASURE_PERIODS = 50.0
 # Bytes of the noise buffer (chunk x 4 x block doubles) of one trajectory
 # block plus its record buffer (n_vars x n_samples x block complex doubles).
-# Each block step has a fixed dispatch cost (about 0.04 ms on a 2-core Xeon).
+# Each block step has a fixed dispatch cost (about 0.1 ms on a 2-core Xeon).
 # On the 4096-trajectory ensemble benchmark this budget's blocks of 1376 took
-# 9.8 s at 172 MB peak RSS; blocks of 512 took 10.9 s at 90 MB, of 1024
-# 9.8 s at 139 MB and of 2048 9.7 s at 236 MB (medians of 3 runs).
+# 8.0 s at 172 MB peak RSS, and 96 MiB's blocks of 1032 took 8.6 s at 154 MB
+# (medians of 6 alternating pairs; 96 MiB was slower in all 6).
 _NOISE_BUDGET = 128 * 2 ** 20
 # |kappa beta| range of amplitude_kernel's real-ufunc path: inside it
 # (|z| + |Re z|)/2 is a normal double and their sum cannot overflow.
@@ -159,10 +159,13 @@ def amplitude_kernel(kappa: float, n: int):
     Where |z| is zero, not finite or outside _AMPLITUDE_RANGE, out holds
     np.sqrt(z), so the branch cut, signed zeros, inf and NaN are as numpy
     has them; two reductions find such elements, and only a block that
-    holds one takes np.sqrt, of those elements alone. Every element goes
-    through the same operations wherever it sits in the block. The values
-    computed and discarded for such elements raise the invalid and
-    overflow flags, which integrate ignores.
+    holds one takes np.sqrt, of those elements alone. A block whose every
+    Re z is at least _AMPLITUDE_RANGE[0] and every |z| at most its top,
+    as a driven pump's is, lies in the range and in Re z > 0 (|z| >= Re z):
+    two reductions find it, and f writes (t, s) straight into out, with no
+    branch select. An element's bits do not depend on the rest of its
+    block. The values computed and discarded for the elements np.sqrt
+    takes raise the invalid and overflow flags, which integrate ignores.
     """
     lo, hi = _AMPLITUDE_RANGE
     m = 4 * n
@@ -184,6 +187,14 @@ def amplitude_kernel(kappa: float, n: int):
             np.multiply(k, b, z)
             np.abs(z, mag)
             np.copyto(u, zr)
+            if (np.minimum.reduce(u) >= lo
+                    and np.maximum.reduce(mag) <= hi):  # False for nan
+                np.add(mag, u, u)
+                np.multiply(u, 0.5, u)
+                np.sqrt(u, re)
+                np.add(re, re, u)
+                np.divide(zi, u, im)
+                return out
             np.greater(u, 0.0, pos)
             np.abs(u, u)
             np.add(mag, u, u)
@@ -243,14 +254,20 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
     no output bit, and every element goes through the same
     floating-point operations in the same order as the allocating form
 
-        xm = x;  4 times: xm = x + 0.5 * (drift(xm) dt + noise(xm))
+        xm = x;  4 times: xm = x + (drift_h(xm) + noise(xm))
         x = 2 xm - x
 
-    (x + drift(x) dt + noise(x) for Euler-Maruyama), where noise(y) is
-    sqrt(kappa beta) dW on the signal rows and zero on the pump rows, with
-    beta = y[4:] and the root taken by amplitude_kernel: within 7 ulp of
-    np.sqrt per component, and np.sqrt itself at zero, inf, NaN and
-    magnitudes outside _AMPLITUDE_RANGE.
+    with h = dt/2 and dw = z sqrt(dt)/2 for increments z (x + (drift_h(x)
+    + noise(x)) with h = dt and dw = z sqrt(dt) for Euler-Maruyama), where
+    drift_h is the drift with each coefficient scaled by h
+    (model.drift_kernel(p, n, h)) and noise(y) is sqrt(kappa beta) dw,
+    added to the signal rows alone, with beta = y[4:] and the root taken
+    by amplitude_kernel: within 7 ulp of np.sqrt per component, and np.sqrt
+    itself at zero, inf, NaN and magnitudes outside _AMPLITUDE_RANGE.
+    Folding the step into the coefficients saves two passes per update
+    over xm = x + 0.5 (drift(xm) dt + noise(xm)) and rounds differently:
+    against that form a sample moves by about 1e-15 of its series' largest
+    magnitude.
 
     Trajectories whose state magnitude exceeds 1e6 * max(1, |beta_ss|) at a
     sampling instant are flagged as diverged and reported, never silently
@@ -281,29 +298,32 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
     thresh = _DIVERGENCE_FACTOR * max(1.0, abs(ss.beta1_ss), abs(ss.beta2_ss))
     n_vars = cfg.n_vars
     n_chunk = min(_NOISE_CHUNK, n_steps)
-    # 0-d complex arrays, as in model.drift_kernel
-    dt, half, two = (np.array(c + 0j) for c in (cfg.dt, 0.5, 2.0))
+    two = np.array(2.0 + 0j)  # 0-d complex, as in model.drift_kernel
     midpoint = cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT
+    # each update takes half a step of drift and noise (midpoint) or a whole one
+    h, sqrt_h = ((cfg.dt / 2, math.sqrt(cfg.dt) / 2) if midpoint
+                 else (cfg.dt, math.sqrt(cfg.dt)))
 
     def run_block(rec, alive, z):
         # Step one block of trajectories from x0, writing its samples into
         # rec (n_vars, n_rec, n) and clearing alive where they diverge; the
         # increments come from z, the block's injected noise, if given.
         n = alive.size
-        drift = _model.drift_kernel(p, n)
+        drift = _model.drift_kernel(p, n, h)
         amplitude = amplitude_kernel(p.kappa, n)
         gens = () if z is not None else [
             np.random.Generator(np.random.Philox(s)) for s in root.spawn(n)]
         x = x0.repeat(n, axis=1)
         xm, d = np.empty_like(x), np.empty_like(x)
-        nz = np.zeros((8, n), dtype=complex)  # the pump rows carry no noise
-        nz_sig = nz[:4]
+        d_sig = d[:4]
+        nz = np.empty((4, n), dtype=complex)  # the pump rows carry no noise
         dwc = np.empty((4, n), dtype=complex)  # this step's increments
         mag, peak, ok = np.empty((8, n)), np.empty(n), np.empty(n, dtype=bool)
         chunk = np.empty((n_chunk, 4, n))
-        tile = np.empty((min(_NOISE_TILE, len(gens)), n_chunk))
-        at_x = (drift(x, d), amplitude(x[4:], nz_sig))
-        at_xm = (drift(xm, d), amplitude(xm[4:], nz_sig))
+        # each stream draws its (4, m) increments of a chunk in one call
+        tile = np.empty((min(_NOISE_TILE, len(gens)), 4 * n_chunk))
+        at_x = (drift(x, d), amplitude(x[4:], nz))
+        at_xm = (drift(xm, d), amplitude(xm[4:], nz))
         iterations = (at_x,) + (at_xm,) * (_MIDPOINT_ITERATIONS - 1)
 
         def check():
@@ -313,13 +333,12 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
             np.logical_and(alive, ok, out=alive)
 
         def drift_and_noise(f, g):
-            # d = f() * dt and nz = g() * dw, f the drift bound to y and d,
-            # g the amplitude bound to y[4:] and nz, dw this step's
-            # increments times sqrt(dt)
+            # d = f(), h times the drift at y, and d[:4] += g() dw, g the
+            # amplitude at y[4:] and dw this step's increments times sqrt_h
             f()
             g()
-            np.multiply(nz_sig, dwc, out=nz_sig)
-            np.multiply(d, dt, out=d)
+            np.multiply(nz, dwc, out=nz)
+            np.add(d_sig, nz, out=d_sig)
 
         j = 0
         for step in range(n_steps):
@@ -334,24 +353,21 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
                     chunk[:m] = z[:, step:step + m].transpose(1, 0, 2)
                 for t0 in range(0, len(gens), _NOISE_TILE):
                     part = gens[t0:t0 + _NOISE_TILE]
-                    for r in range(4):  # each stream draws its (4, m) row by row
-                        for t, gen in enumerate(part):
-                            gen.standard_normal(out=tile[t, :m])
-                        chunk[:m, r, t0:t0 + len(part)] = tile[:len(part), :m].T
-                np.multiply(chunk[:m], math.sqrt(cfg.dt), out=chunk[:m])
+                    for t, gen in enumerate(part):
+                        gen.standard_normal(out=tile[t, :4 * m])
+                    drawn = tile[:len(part), :4 * m].reshape(-1, 4, m)
+                    chunk[:m, :, t0:t0 + len(part)] = drawn.T
+                np.multiply(chunk[:m], sqrt_h, out=chunk[:m])
             np.copyto(dwc, chunk[ci])  # cast to complex once per step
             if midpoint:
                 for f, g in iterations:
                     drift_and_noise(f, g)
-                    np.add(d, nz, out=d)
-                    np.multiply(half, d, out=d)
                     np.add(x, d, out=xm)
                 np.multiply(two, xm, out=xm)
                 np.subtract(xm, x, out=x)
             else:
                 drift_and_noise(*at_x)
                 np.add(x, d, out=x)
-                np.add(x, nz, out=x)
         check()
 
     # bytes per trajectory: noise doubles plus complex samples

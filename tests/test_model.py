@@ -206,6 +206,16 @@ class TestEigenvalues:
             numeric = sort_eigenvalues(dense_eigvals(build_linear_model(p).A))
             assert np.allclose(analytic, numeric, atol=1e-10)
 
+    def test_overflow_is_a_domain_error(self):
+        # J_a ** 2 and (kappa eps / gamma_b) ** 2 past the float range in the
+        # resonant closed form, which integrate reaches first
+        for p in (SystemParams(J_a=1e200), SystemParams(J_a=1e200, eps1=1, eps2=1),
+                  SystemParams(kappa=1.0, eps1=1e160, eps2=1e160)):
+            for call in (stability_eigenvalues, steady_state,
+                         lambda p: min_re_eig_stack([sym(), p])):
+                with pytest.raises(DomainError, match="eigenvalues overflow"):
+                    call(p)
+
     def test_min_real_part_crosses_zero_at_threshold(self):
         below = stability_eigenvalues(sym(pump_fraction=0.999))
         assert float(below.real.min()) > 0.0

@@ -86,21 +86,27 @@ class TestDeterminism:
         assert np.array_equal(small, big[:, :, :4])
 
 
-def row_drift(p, x):
-    """The equations of motion written row by row, one temporary per term."""
+def row_drift(p, x, h=1.0):
+    """h times the equations of motion written row by row, one temporary per
+    term, with each coefficient's parts scaled by h."""
+    def c(v):
+        return complex(v.real * h, v.imag * h)
+
     a1, a1p, a2, a2p, b1, b1p, b2, b2p = x
-    ca = p.gamma_a + 1j * p.Delta_a
-    cb = p.gamma_b + 1j * p.Delta_b
-    k = p.kappa
+    ca = c(p.gamma_a + 1j * p.Delta_a)
+    cb = c(p.gamma_b + 1j * p.Delta_b)
+    ja, jb = c(1j * p.J_a), c(1j * p.J_b)
+    e1, e2 = c(p.eps1), c(p.eps2)
+    k, hk = p.kappa * h, 0.5 * p.kappa * h
     out = np.empty_like(x)
-    out[0] = -ca * a1 + k * a1p * b1 + 1j * p.J_a * a2
-    out[1] = -np.conj(ca) * a1p + k * a1 * b1p - 1j * p.J_a * a2p
-    out[2] = -ca * a2 + k * a2p * b2 + 1j * p.J_a * a1
-    out[3] = -np.conj(ca) * a2p + k * a2 * b2p - 1j * p.J_a * a1p
-    out[4] = p.eps1 - cb * b1 - 0.5 * k * a1 * a1 + 1j * p.J_b * b2
-    out[5] = np.conj(p.eps1) - np.conj(cb) * b1p - 0.5 * k * a1p * a1p - 1j * p.J_b * b2p
-    out[6] = p.eps2 - cb * b2 - 0.5 * k * a2 * a2 + 1j * p.J_b * b1
-    out[7] = np.conj(p.eps2) - np.conj(cb) * b2p - 0.5 * k * a2p * a2p - 1j * p.J_b * b1p
+    out[0] = -ca * a1 + k * a1p * b1 + ja * a2
+    out[1] = -np.conj(ca) * a1p + k * a1 * b1p - ja * a2p
+    out[2] = -ca * a2 + k * a2p * b2 + ja * a1
+    out[3] = -np.conj(ca) * a2p + k * a2 * b2p - ja * a1p
+    out[4] = e1 - cb * b1 - hk * a1 * a1 + jb * b2
+    out[5] = np.conj(e1) - np.conj(cb) * b1p - hk * a1p * a1p - jb * b2p
+    out[6] = e2 - cb * b2 - hk * a2 * a2 + jb * b1
+    out[7] = np.conj(e2) - np.conj(cb) * b2p - hk * a2p * a2p - jb * b1p
     return out
 
 
@@ -139,7 +145,10 @@ def sqrt_by_parts(z):
 
 def reference_integrate(p, cfg, z):
     """A plain allocating stepper over explicit increments z: every step
-    builds fresh arrays for the drift, the noise and the update."""
+    builds fresh arrays for the drift, the noise and the update. Each
+    update takes h = dt/2 (midpoint) or dt (Euler) of drift, with the
+    coefficients scaled by h, plus the noise of increments z sqrt(dt)/2 or
+    z sqrt(dt), which enters the signal rows alone."""
     ss = _unchecked_state(p)
     n_tr = round(cfg.t_transient / cfg.dt)
     n_steps = n_tr + round(cfg.t_measure / cfg.dt)
@@ -151,25 +160,28 @@ def reference_integrate(p, cfg, z):
     alive = np.ones(cfg.n_traj, dtype=bool)
     rec = []
 
-    def noise(y, dw):
-        out = np.zeros_like(y)
-        for r in range(4):
-            out[r] = sqrt_by_parts(p.kappa * y[4 + r]) * dw[r]
-        return out
+    midpoint = cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT
+    h, sqrt_h = ((cfg.dt / 2, math.sqrt(cfg.dt) / 2) if midpoint
+                 else (cfg.dt, math.sqrt(cfg.dt)))
+
+    def update(y, dw):
+        drift = row_drift(p, y, h)
+        noise = sqrt_by_parts(p.kappa * y[4:]) * dw
+        return np.concatenate([drift[:4] + noise, drift[4:]])
 
     for step in range(n_steps):
         if step >= n_tr and (step - n_tr) % cfg.record_stride == 0:
             rec.append(x[:n_vars].copy())
             peak = np.max(np.abs(x), axis=0)
             alive &= np.isfinite(peak) & (peak <= thresh)
-        dw = z[:, step, :] * math.sqrt(cfg.dt)
-        if cfg.stepper is Stepper.SEMI_IMPLICIT_MIDPOINT:
+        dw = z[:, step, :] * sqrt_h
+        if midpoint:
             xm = x
             for _ in range(4):
-                xm = x + 0.5 * (row_drift(p, xm) * cfg.dt + noise(xm, dw))
+                xm = x + update(xm, dw)
             x = 2.0 * xm - x
         else:
-            x = x + row_drift(p, x) * cfg.dt + noise(x, dw)
+            x = x + update(x, dw)
     peak = np.max(np.abs(x), axis=0)
     alive &= np.isfinite(peak) & (peak <= thresh)
     return np.stack(rec, axis=1), ~alive
@@ -308,6 +320,52 @@ class TestAmplitude:
         # the ordinary values come out as they do in a block of their own
         assert_same_bits(got[1], amplitude(as_stack(ordinary)).ravel()[:len(ordinary)])
 
+    @staticmethod
+    def right_half_plane(rng, m):
+        """m values with lo <= Re z and |z| <= hi, among them the corners
+        of that region."""
+        lo, hi = sde._AMPLITUDE_RANGE
+        z = TestAmplitude.sample(rng, m)
+        z = np.abs(z.real) + 1j * z.imag
+        z.real = np.maximum(z.real, lo)
+        corners = [complex(lo, 0.0), complex(lo, 1e300), complex(lo, -lo),
+                   complex(hi, 0.0), complex(1.0, 1e-320), complex(1e-300, -3.0)]
+        z[:len(corners)] = corners
+        assert (z.real >= lo).all() and (np.abs(z) <= hi).all()
+        return z
+
+    def test_right_half_plane_block(self):
+        # every element in the range with Re z > 0: the block skips the
+        # branch select and np.sqrt, with the bits of the general path
+        rng = np.random.default_rng(24)
+        z = as_stack(self.right_half_plane(rng, 4 * 1031))
+        got = amplitude(z)
+        assert_same_bits(got, sqrt_by_parts(1.0 * z))
+        want = numpy_amplitude(z)
+        assert (np.abs(got.view(float) - want.view(float))
+                <= self.ULPS * np.spacing(np.abs(want.view(float)))).all()
+
+    @pytest.mark.parametrize("odd", [0.0, -0.0, complex(-0.0, 1.0), -2.5 + 1j,
+                                     complex(2.0 ** -1022, 1.0), 0.5 * 2.0 ** -1021,
+                                     complex(2.0 ** 1022, 2.0 ** 1021), np.nan,
+                                     complex(1.0, np.inf)])
+    def test_one_element_sends_the_block_down_the_general_path(self, odd):
+        # Re z <= 0, Re z below the range, |z| above it, or not finite: that
+        # element is taken as off the right half plane, and every other
+        # keeps the bits it has in a block of its own
+        rng = np.random.default_rng(25)
+        z = as_stack(self.right_half_plane(rng, 4 * 17))
+        alone = amplitude(z)
+        for at in ((0, 0), (3, 16), (1, 5)):
+            block = z.copy()
+            block[at] = odd
+            got = amplitude(block)
+            with np.errstate(invalid="ignore"):  # inf times the zero of 1 + 0j
+                assert_same_bits(got, sqrt_by_parts(1.0 * block))
+            others = np.ones(z.shape, dtype=bool)
+            others[at] = False
+            assert_same_bits(got[others], alone[others])
+
     def test_rejects_arrays_a_reshape_would_copy(self):
         bind = sde.amplitude_kernel(1.0, 3)
         b, out = np.ones((4, 3), dtype=complex), np.empty((4, 3), dtype=complex)
@@ -387,6 +445,25 @@ class TestReferenceStepper:
             got = drift_rhs(p, x8)
             assert got.shape == (8,)
             assert_same_bits(got, row_drift(p, x8[:, None])[:, 0])
+
+    def test_scaled_drift_equals_scaled_row_formulas(self):
+        # the kernel integrate binds, with its coefficients scaled by h
+        rng = np.random.default_rng(7)
+        pool = np.array([0.0, -0.0, 1e-310, -1e-310, 1.0, -2.5, np.inf, -np.inf])
+        for p in list(POINTS.values()) + SIGNED_ZERO_POINTS:
+            for h in (0.01, 0.005, 1.0 / 3.0, 2.0 ** -1060):
+                x = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+                signed = np.empty((8, 5), dtype=complex)
+                signed.real = rng.choice(pool, (8, 5))
+                signed.imag = rng.choice(pool, (8, 5))
+                buf, out = np.empty((2, 8, 5), dtype=complex)
+                bound = drift_kernel(p, 5, h)(buf, out)
+                for y in (x, signed):
+                    buf[...] = y
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        want = row_drift(p, y, h)
+                        bound()
+                    assert_same_bits(out, want)
 
 
 class TestPhysics:
