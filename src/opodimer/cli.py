@@ -117,8 +117,8 @@ def cmd_stability(args, cfg: RunConfig) -> int:
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
     ps = [cfg.params.patched(patch, f"stability {spec.mode}").system
           for patch in patches]
-    # first: past the float range it raises DomainError, not OverflowError
-    # as squaring J_a in the closed form of min_re_eig_stack would
+    # first, so that a critical pump past the float range is reported as
+    # such (DomainError), before the eigensolves see its row
     analytic = [critical_pump(p) for p in ps]
     roots = threshold_bisection_stack(ps).tolist()
     margins = min_re_eig_stack(ps).tolist()

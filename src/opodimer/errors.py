@@ -35,7 +35,9 @@ class SingularAtFrequencyError(OpodimerError):
 
 
 class DomainError(OpodimerError):
-    """Closed-form expression evaluated outside its validity domain."""
+    """Input outside the domain a result is defined on: a closed form off
+    its manifold, or a closed form or the threshold pencil whose value
+    leaves the float range."""
 
 
 class DegenerateVarianceError(OpodimerError):

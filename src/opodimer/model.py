@@ -219,18 +219,26 @@ def drift_rhs(p: SystemParams, x) -> np.ndarray:
     return out
 
 
-def drift_block(c: complex, j: complex, m1: complex, m2: complex) -> np.ndarray:
+def drift_block(c, j, m1, m2) -> np.ndarray:
     """The 4x4 block of the drift matrix A on one quartet [a1, a1+, a2, a2+]
     about the alpha = 0 fixed point, where A is block diagonal: c = gamma +
     i Delta, j = i J, and m1, m2 the pair terms kappa beta_ss (0 in the pump
-    block). The one place the entries of A are written.
+    block). Array arguments broadcast to a stack of blocks, shape
+    (..., 4, 4). The one place the entries of A are written.
     """
-    D = np.zeros((4, 4), dtype=complex)
-    D[0, 0], D[0, 1], D[0, 2] = c, -m1, -j
-    D[1, 0], D[1, 1], D[1, 3] = -np.conj(m1), np.conj(c), j
-    D[2, 0], D[2, 2], D[2, 3] = -j, c, -m2
-    D[3, 1], D[3, 2], D[3, 3] = j, -np.conj(m2), np.conj(c)
+    c, j, m1, m2 = np.broadcast_arrays(c, j, m1, m2)  # an int 0 stays an int
+    D = np.zeros((*c.shape, 4, 4), dtype=complex)
+    D[..., 0, 0], D[..., 0, 1], D[..., 0, 2] = c, -m1, -j
+    D[..., 1, 0], D[..., 1, 1], D[..., 1, 3] = -np.conj(m1), np.conj(c), j
+    D[..., 2, 0], D[..., 2, 2], D[..., 2, 3] = -j, c, -m2
+    D[..., 3, 1], D[..., 3, 2], D[..., 3, 3] = j, -np.conj(m2), np.conj(c)
     return D
+
+
+def _signal_rates(ps: list) -> tuple:
+    """drift_block's c = gamma_a + i Delta_a and j = i J_a of each set in ps."""
+    return (np.array([p.gamma_a + 1j * p.Delta_a for p in ps]),
+            np.array([1j * p.J_a for p in ps]))
 
 
 def dense_eigvals(A) -> np.ndarray:
@@ -295,37 +303,12 @@ def steady_state(p: SystemParams) -> SteadyState:
 
 def _signal_eigenvalues(ps: list) -> np.ndarray:
     """Eigenvalues of the 4x4 signal block of each parameter set in ps at
-    the alpha = 0 fixed point, unsorted, shape (len(ps), 4): the one place
-    that picks the closed form or the dense solver.
-
-    On resonance with equal real pumps the block has the closed form
-
-        gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)   (each twice)
-
-    with the principal square root turning a negative argument into an
-    imaginary pair; DomainError where a square passes the float range. All
-    other rows go through one stacked dense eigensolve.
-    """
-    signal = np.empty((len(ps), 4), dtype=complex)
-    dense, blocks = [], []
-    for i, p in enumerate(ps):
-        if p.resonant and p.equal_pumps and p.eps1.imag == 0.0:
-            gtb = math.hypot(p.gamma_b, p.J_b)
-            try:
-                s2 = (p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2
-            except OverflowError:  # as in critical_pump
-                raise DomainError(
-                    f"signal eigenvalues overflow a float at {p}") from None
-            s = np.sqrt(complex(s2))
-            signal[i] = [p.gamma_a + s, p.gamma_a - s] * 2
-        else:
-            ss = _unchecked_state(p)
-            dense.append(i)
-            blocks.append(drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a,
-                                      p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss))
-    if blocks:
-        signal[dense] = dense_eigvals(np.array(blocks))
-    return signal
+    the alpha = 0 fixed point, unsorted, shape (len(ps), 4), from one
+    stacked dense eigensolve."""
+    ss = [_unchecked_state(p) for p in ps]
+    m1 = np.array([p.kappa * s.beta1_ss for p, s in zip(ps, ss)])
+    m2 = np.array([p.kappa * s.beta2_ss for p, s in zip(ps, ss)])
+    return dense_eigvals(drift_block(*_signal_rates(ps), m1, m2))
 
 
 def stability_eigenvalues(p: SystemParams) -> np.ndarray:
@@ -333,13 +316,11 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     unsorted: the signal block's four, then the pump block's four.
 
     Below threshold all real parts are positive; the slowest one touching
-    zero marks the oscillation threshold. At the alpha = 0 fixed point
-    (which exists on both sides of threshold, so this routine never raises)
-    A is block diagonal. Its signal block's eigenvalues come from
-    _signal_eigenvalues, in closed form or from the dense 4x4 eigensolver,
-    in that routine's order. Its pump block does not see the pump and has
-    the eigenvalues gamma_b + i(Delta_b + J_b), gamma_b + i(Delta_b - J_b)
-    and their conjugates, in that order. No 8x8 matrix is factored.
+    zero marks the oscillation threshold. At the alpha = 0 fixed point,
+    which exists on both sides of threshold, A is block diagonal. Its signal
+    block's eigenvalues are _signal_eigenvalues'; its pump block does not
+    see the pump and has the eigenvalues gamma_b + i(Delta_b +- J_b) and
+    their conjugates, in that order. No 8x8 matrix is factored.
     """
     pump = np.array([p.gamma_b + 1j * (p.Delta_b + p.J_b),
                      p.gamma_b + 1j * (p.Delta_b - p.J_b)])
@@ -390,10 +371,9 @@ def threshold_bisection_stack(ps: list) -> np.ndarray:
     NoCrossingError naming the first row with no positive mu or whose sign
     check fails, with its e and both min Re eig values.
     """
-    A0 = np.array([drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, 0j, 0j)
-                   for p in ps]).reshape(-1, 4, 4)
-    ms = [p.kappa * _equal_pump_field(p, 1 + 0j) for p in ps]
-    A1 = np.array([drift_block(0j, 0j, m, m) for m in ms]).reshape(-1, 4, 4)
+    A0 = drift_block(*_signal_rates(ps), 0j, 0j)
+    ms = np.array([p.kappa * _equal_pump_field(p, 1 + 0j) for p in ps])
+    A1 = drift_block(0j, 0j, ms, ms)
     M = -np.linalg.solve(A0, A1)
     if (bad := np.flatnonzero(~np.isfinite(M).all(axis=(1, 2)))).size:
         raise DomainError(f"row {bad[0]}: -A0^-1 A1 of the threshold pencil "

@@ -80,14 +80,11 @@ class SdeConfig:
             raise ConfigError(f"t_transient must be >= 0, got {self.t_transient!r}")
         if self.t_measure <= 0.0 or not math.isfinite(self.t_measure):
             raise ConfigError(f"t_measure must be > 0, got {self.t_measure!r}")
-        if not isinstance(self.n_traj, int) or self.n_traj < 2:
-            raise ConfigError(f"n_traj must be an integer >= 2, got {self.n_traj!r}")
-        if not isinstance(self.record_stride, int) or self.record_stride < 1:
-            raise ConfigError(
-                f"record_stride must be an integer >= 1, got {self.record_stride!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, least in (("n_traj", 2), ("record_stride", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < least:
+                raise ConfigError(
+                    f"{name} must be an integer >= {least}, got {v!r}")
         if self.record not in ("alpha", "all"):
             raise ConfigError(
                 f'record must be "alpha" or "all", got {self.record!r}')
@@ -416,6 +413,10 @@ class _Periodograms:
         omega = 2.0 * math.pi * np.fft.fftfreq(n_rec, self.dt_s)
         bins = np.argsort(omega)
         if omegas is not None:  # the bin SpectrumEstimate.nearest picks
+            omegas = np.asarray(omegas, dtype=float).ravel()
+            if omegas.size == 0 or not np.isfinite(omegas).all():
+                raise ValueError(
+                    f"omegas must be finite and not empty, got {omegas}")
             bins = bins[np.unique([np.argmin(np.abs(omega[bins] - w))
                                    for w in omegas])]
         self.bins, self.neg, self.omega = bins, (-bins) % n_rec, _frozen(omega[bins])
@@ -471,8 +472,9 @@ def stream_output_spectra(p: _model.SystemParams, cfg: SdeConfig, combos,
     value does not depend on which other bins are kept or on how the
     ensemble is split into blocks. Each block is folded into those bins as
     soon as it is integrated, so memory does not grow with n_traj beyond
-    n_combos x n_bins floats per trajectory. The measurement window is
-    checked before any step is taken.
+    n_combos x n_bins floats per trajectory. The measurement window, and
+    omegas (ValueError where empty or not finite), are checked before any
+    step is taken.
     """
     acc = _Periodograms(p, cfg, combos, omegas)
     integrate(p, cfg, acc, noise)

@@ -1,7 +1,8 @@
 """Parameter sets, models and moments shared by the test modules, and the
-oracles the tests check the package against: the finite-difference
-Jacobian, the 4x4 sum/difference model of the Delta = J manifold, the
-(Re, Im) eigenvalue order and the stationary signal covariance."""
+oracles the tests check the package against: the resonant closed-form
+drift eigenvalues, the finite-difference Jacobian, the 4x4 sum/difference
+model of the Delta = J manifold, the (Re, Im) eigenvalue order and the
+stationary signal covariance."""
 
 import math
 
@@ -67,6 +68,22 @@ def sort_eigenvalues(values) -> np.ndarray:
         groups.append(block[np.argsort(block.imag, kind="stable")])
         i = j
     return np.concatenate(groups)
+
+
+def resonant_eigenvalues(p: SystemParams) -> np.ndarray:
+    """The 8 drift eigenvalues at the alpha = 0 fixed point in closed form,
+    for Delta_a = Delta_b = 0 and equal real pumps: the signal block's
+
+        gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)
+
+    (the principal square root turns a negative argument into an imaginary
+    pair) and the pump block's gamma_b +- i J_b, each twice.
+    """
+    assert p.resonant and p.equal_pumps and p.eps1.imag == 0.0, p
+    gtb = math.hypot(p.gamma_b, p.J_b)
+    s = np.sqrt(complex((p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2))
+    pump = complex(p.gamma_b, p.J_b)
+    return np.array([p.gamma_a + s, p.gamma_a - s, pump, pump.conjugate()] * 2)
 
 
 def build_combined_model(p: SystemParams) -> LinearModel:

@@ -7,7 +7,7 @@ from opodimer.model import (SystemParams, _unchecked_state, dense_eigvals,
                             stability_eigenvalues, steady_state)
 
 from helpers import (build_combined_model, finite_difference_jacobian,
-                     model_for, sort_eigenvalues, sym)
+                     model_for, resonant_eigenvalues, sort_eigenvalues, sym)
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -39,10 +39,10 @@ def entrywise_model(p):
     return A, B
 
 
-# Parameter rows off resonance or with unequal pumps, where
-# stability_eigenvalues takes the dense 4x4 route: Delta tracking J,
-# Delta = -3 against positive J (opposite signs), negative J_a and Delta_b,
-# and unequal complex pumps with and without detuning.
+# Parameter rows off resonance or with unequal pumps, outside the resonant
+# closed form (helpers.resonant_eigenvalues): Delta tracking J, Delta = -3
+# against positive J (opposite signs), negative J_a and Delta_b, and
+# unequal complex pumps with and without detuning.
 OFF_RESONANCE = (
     dict(J_a=10.0, J_b=1.0, Delta_a=10.0, Delta_b=1.0, eps1=50.0, eps2=50.0),
     dict(J_a=3.0, J_b=0.5, Delta_a=-3.0, Delta_b=-3.0, eps1=120.0, eps2=120.0),
@@ -172,14 +172,15 @@ class TestEigenvalueOracle:
                 J_a=rng.uniform(-5, 5), J_b=rng.uniform(-5, 5),
                 Delta_a=0.0, Delta_b=0.0,
                 pump_fraction=rng.uniform(0.05, 0.95))
-            assert np.allclose(sort_eigenvalues(stability_eigenvalues(p)),
-                               sort_eigenvalues(dense_eigvals(model_for(p).A)),
-                               atol=1e-10)
+            analytic = sort_eigenvalues(resonant_eigenvalues(p))
+            for eigs in (stability_eigenvalues(p),
+                         dense_eigvals(model_for(p).A)):
+                assert np.allclose(analytic, sort_eigenvalues(eigs), atol=1e-10)
 
     @pytest.mark.parametrize("kw", OFF_RESONANCE)
     def test_dense_signal_block_and_pump_closed_form(self, kw):
-        # off resonance the signal block goes to the 4x4 solver and the pump
-        # block to its closed form; both must give the 8x8 spectrum
+        # where no closed form checks the signal block, its 4x4 eigensolve
+        # and the pump block's closed form must give the 8x8 spectrum
         for f in (0.5, 1.0, 2.0):
             p = SystemParams(kappa=0.01, **dict(
                 kw, eps1=f * kw["eps1"], eps2=f * kw["eps2"]))

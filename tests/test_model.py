@@ -16,7 +16,7 @@ from opodimer.model import (SteadyState, SystemParams, _signal_eigenvalues,
                             min_re_eig_stack, stability_eigenvalues,
                             steady_state, threshold_bisection_stack)
 
-from helpers import sort_eigenvalues, sym
+from helpers import resonant_eigenvalues, sort_eigenvalues, sym
 
 
 def test_every_export_resolves():
@@ -198,23 +198,34 @@ class TestEigenvalues:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_analytic_matches_numeric_route(self):
+        # the resonant closed form against the block solver and the 8x8 one
         from opodimer.linearized import build_linear_model
         for ja, jb, frac in ((0.0, 0.0, 0.3), (2.0, 1.0, 0.7),
                              (5.0, 0.5, 0.9)):
             p = sym(J_a=ja, J_b=jb, pump_fraction=frac)
-            analytic = sort_eigenvalues(stability_eigenvalues(p))
-            numeric = sort_eigenvalues(dense_eigvals(build_linear_model(p).A))
-            assert np.allclose(analytic, numeric, atol=1e-10)
+            analytic = sort_eigenvalues(resonant_eigenvalues(p))
+            for eigs in (stability_eigenvalues(p),
+                         dense_eigvals(build_linear_model(p).A)):
+                assert np.allclose(analytic, sort_eigenvalues(eigs), atol=1e-10)
 
     def test_overflow_is_a_domain_error(self):
-        # J_a ** 2 and (kappa eps / gamma_b) ** 2 past the float range in the
-        # resonant closed form, which integrate reaches first
-        for p in (SystemParams(J_a=1e200), SystemParams(J_a=1e200, eps1=1, eps2=1),
-                  SystemParams(kappa=1.0, eps1=1e160, eps2=1e160)):
-            for call in (stability_eigenvalues, steady_state,
-                         lambda p: min_re_eig_stack([sym(), p])):
-                with pytest.raises(DomainError, match="eigenvalues overflow"):
-                    call(p)
+        # a typed error at each point, none an OverflowError: J_a ** 2 past
+        # the float range in critical_pump, a pump far above threshold, and
+        # integrate's step check, which sees the eigenvalues of size 1e200
+        # and 1e160 first
+        from opodimer.errors import ConfigError
+        from opodimer.sde import SdeConfig, integrate
+        points = (SystemParams(J_a=1e200), SystemParams(J_a=1e200, eps1=1, eps2=1),
+                  SystemParams(kappa=1.0, eps1=1e160, eps2=1e160))
+        for p in points[:2]:
+            with pytest.raises(DomainError, match="critical pump overflows"):
+                steady_state(p)
+        with pytest.raises(AboveThresholdError):
+            steady_state(points[2])
+        cfg = SdeConfig(n_traj=2, t_measure=1.0)
+        for p in points:
+            with pytest.raises(ConfigError, match="too coarse"):
+                integrate(p, cfg, lambda rec, alive: None)
 
     def test_min_real_part_crosses_zero_at_threshold(self):
         below = stability_eigenvalues(sym(pump_fraction=0.999))
@@ -242,10 +253,10 @@ class TestThresholdBisection:
             ["stability", "--preset", "fig1"],
             ["stability", "--preset", "fig1", "--set", "stability.mode=pump-scan"],
             ["spectrum", "--preset", "fig1"],
-            # fig4 is detuned: its eigenvalues take the dense 4x4 signal block
+            # fig4 is detuned
             ["stability", "--preset", "fig4"],
-            # the Delta-tracking and Delta = -3 grids take the dense min Re
-            # eig path
+            # the Delta-tracking and Delta = -3 grids: detuning and coupling
+            # of the same and of opposite signs
             ["stability", "--preset", "fig1",
              "--set", "stability.track_detuning=true"],
             ["stability", "--preset", "fig1", "--set", "params.Delta_a=-3",
@@ -340,6 +351,15 @@ def scan_grids() -> list:
                              lambda ja, jb: dict(Delta_a=-3.0, Delta_b=-3.0))]
 
 
+def mixed_rows() -> list:
+    """STACK_ROWS, an unequal and a complex pump, and a row above
+    threshold."""
+    return [sym(**kw) for kw in STACK_ROWS] + [
+        SystemParams(J_a=1.0, J_b=1.0, eps1=30.0, eps2=10.0),
+        sym(J_a=2.0, pump_fraction=None, eps=30.0 + 10.0j),
+        sym(J_a=2.0, J_b=0.5, pump_fraction=1.5)]
+
+
 class TestThresholdStack:
     def test_rows_do_not_depend_on_the_stack(self):
         ps = [sym(**kw) for kw in STACK_ROWS]
@@ -354,7 +374,7 @@ class TestThresholdStack:
     def test_signal_block_root_is_the_full_drift_threshold(self):
         # the 8x8 drift matrix, pump block included, turns unstable at the
         # root that the 4x4 signal block gives: by stability_eigenvalues
-        # (closed form on the resonant rows) and by the dense solver
+        # and by the dense 8x8 solver
         from opodimer.linearized import build_linear_model
         for kw in STACK_ROWS:
             root = threshold_bisection_stack([sym(**kw)])[0]
@@ -450,15 +470,18 @@ class TestThresholdStack:
             assert calls == solves
 
     def test_min_re_eig_stack_is_stability_eigenvalues_bit_for_bit(self):
-        # closed-form and dense rows in one call, an unequal and a complex
-        # pump, and a row above threshold
-        ps = [sym(**kw) for kw in STACK_ROWS] + [
-            SystemParams(J_a=1.0, J_b=1.0, eps1=30.0, eps2=10.0),
-            sym(J_a=2.0, pump_fraction=None, eps=30.0 + 10.0j),
-            sym(J_a=2.0, J_b=0.5, pump_fraction=1.5)]
+        ps = mixed_rows()
         want = np.array([stability_eigenvalues(p).real.min() for p in ps])
         got = min_re_eig_stack(ps)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_min_re_eig_stack_takes_one_eigensolve(self, monkeypatch):
+        # every kind of row shares one stack: no row takes another route
+        calls = count_eigensolves(monkeypatch)
+        for ps in (mixed_rows(), mixed_rows()[:1]):
+            calls.clear()
+            min_re_eig_stack(ps)
+            assert calls == [len(ps)]
 
     def test_eigensolve_budget(self, monkeypatch):
         # one stacked solve and two stacked eigensolves, whatever the number

@@ -45,7 +45,10 @@ class TestConfigValidation:
                    # more steps than sys.maxsize, or a ratio past the float
                    # range; a record of 8 x 8e17 complex doubles
                    dict(dt=1e-300), dict(t_transient=1e300),
-                   dict(t_measure=1e300, dt=1e-10), dict(dt=5e-17)):
+                   dict(t_measure=1e300, dt=1e-10), dict(dt=5e-17),
+                   # a bool is not an integer here, as in config._as_int
+                   dict(n_traj=True), dict(seed=True), dict(seed=False),
+                   dict(record_stride=True)):
             with pytest.raises(ConfigError):
                 SdeConfig(**kw)
 
@@ -188,8 +191,10 @@ def reference_integrate(p, cfg, z):
 
 
 def assert_same_run(run, ref):
+    """The same diverged mask, and samples of the same bits: a float
+    comparison would take -0.0 for +0.0."""
     (diverged, states), (ref_states, ref_diverged) = run, ref
-    assert np.array_equal(states.view(float), ref_states.view(float))
+    assert_same_bits(states, ref_states)
     assert np.array_equal(diverged, ref_diverged)
 
 
@@ -200,6 +205,14 @@ POINTS = {
     "detuned": SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7, J_a=0.3,
                             J_b=-0.4, Delta_a=0.3, Delta_b=-1.1,
                             eps1=30 + 20j, eps2=-15 + 2.5j),
+    # undriven by pumps of signed zeros, at Delta = -0 as in
+    # SIGNED_ZERO_POINTS: pump rows with -0.0 parts meet -0.0 increments, so
+    # a zero noise added to the pump rows (+0.0 for -0.0) shows in the run
+    # (test_first_step_keeps_signed_zero_pumps)
+    "signed-zero-pumps": SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7,
+                                      J_a=0.7, J_b=-1.3, Delta_a=-0.0,
+                                      Delta_b=-0.0, eps1=complex(-0.0, -0.0),
+                                      eps2=0j),
 }
 
 
@@ -399,6 +412,18 @@ class TestReferenceStepper:
         z = np.random.default_rng(8).standard_normal((4, 125, 5))
         assert_same_run(collect(p, cfg, noise=z),
                         reference_integrate(p, cfg, z))
+
+    @pytest.mark.parametrize("stepper", [s.value for s in Stepper])
+    def test_first_step_keeps_signed_zero_pumps(self, stepper):
+        # every step recorded from t = 0: x + d keeps a -0.0 part only where
+        # d's part is -0.0 too, and +0.0 stays for good, so the pump rows'
+        # -0.0 parts of x0 last one Euler step and the first sample shows
+        # whether the update added a zero to them
+        p = POINTS["signed-zero-pumps"]
+        cfg = SdeConfig(dt=0.02, t_transient=0.0, t_measure=0.2, n_traj=5,
+                        seed=13, stepper=stepper, record="all", record_stride=1)
+        z = philox_increments(cfg, 10)
+        assert_same_run(collect(p, cfg), reference_integrate(p, cfg, z))
 
     @pytest.mark.parametrize("injected", [False, True])
     def test_run_over_several_blocks(self, monkeypatch, injected):
@@ -780,6 +805,17 @@ class TestStreaming:
         cfg = SdeConfig(dt=0.02, t_transient=0.5, t_measure=20.0, n_traj=4)
         with pytest.raises(InsufficientDataError):
             stream_output_spectra(sym(), cfg, [Y0_TERMS], (0.0,))
+
+    @pytest.mark.parametrize("omegas", [[], [0.5, math.nan]],
+                             ids=["empty", "nan"])
+    def test_bad_omegas_rejected_before_stepping(self, monkeypatch, omegas):
+        # not an IndexError, and not the most negative bin for a nan
+        def no_steps(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(sde, "integrate", no_steps)
+        with pytest.raises(ValueError, match="omegas must be finite and not empty"):
+            stream_output_spectra(sym(), self.CFG, [Y0_TERMS], omegas)
 
 
 class TestDump:
