@@ -58,6 +58,20 @@ def _header(command: str, cfg: RunConfig) -> list:
     return [f"# {CSV_SCHEMA}", f"# command: {command}", f"# config: {blob}"]
 
 
+# Text of the flags column for each 3-bit code, bit i set where the i-th
+# flag of criteria.FLAGS holds: its names joined by ";", or "-" for none.
+_FLAG_TEXT = np.array([";".join(f for i, f in enumerate(criteria.FLAGS)
+                                if code >> i & 1) or "-"
+                       for code in range(1 << len(criteria.FLAGS))], dtype=object)
+
+
+def _flags_column(table) -> list:
+    """The flags column of a witness_table: one string per row."""
+    code = sum(hit.astype(np.intp) << i
+               for i, hit in enumerate(criteria.witness_flags(table).values()))
+    return _FLAG_TEXT[code].tolist()
+
+
 def _resolve_theta(p, theta_spec, cfg: RunConfig) -> float:
     if theta_spec.policy == "fixed":
         return math.radians(theta_spec.degrees)
@@ -86,9 +100,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         table = {"omega": S.omega, "theta_deg": [math.degrees(theta)] * n,
                  **criteria.witness_table(S, p.gamma_a, theta, cfg.duan_pairing,
                                           cfg.epr_infer_from)}
-        flags = criteria.witness_flags(table)
-        table["flags"] = [";".join(f for f in flags if flags[f][k]) or "-"
-                          for k in range(n)]
+        table["flags"] = _flags_column(table)
         if cfg.combined:
             table.update(criteria.combined_variances(S, p.gamma_a))
         if multi:

@@ -25,6 +25,8 @@ DUAN_PAIRINGS = ("xminus_yplus", "xplus_yminus")
 # theta -> theta + pi/2 swaps the X and Y factors of the EPR product.
 PERIODS = {"squeezing": math.pi, "duan": math.pi, "epr": math.pi / 2}
 OBJECTIVES = tuple(PERIODS)
+# Names of the witness_flags, in order.
+FLAGS = ("squeezed", "entangled", "epr")
 
 # (mode, weight) pairs of mode 1, mode 2, their sum p and difference m
 _COMBINATIONS = {"1": ((1, 1.0),), "2": ((2, 1.0),),
@@ -137,11 +139,11 @@ def witness_table(S: SpectralMatrix, gamma_a: float, theta: float = 0.0,
 
 def witness_flags(table: dict) -> dict:
     """Which frequencies of a witness_table beat each classical bound, one
-    (n_omega,) boolean array per flag: a mode-1 variance below 1, the Duan
-    sum below 4, the EPR product below 1."""
-    return {"squeezed": np.minimum(table["S_X"], table["S_Y"]) < 1.0,
-            "entangled": table["duan_sum"] < 4.0,
-            "epr": table["epr_product"] < 1.0}
+    (n_omega,) boolean array per flag of FLAGS, in that order: a mode-1
+    variance below 1, the Duan sum below 4, the EPR product below 1."""
+    return dict(zip(FLAGS, (np.minimum(table["S_X"], table["S_Y"]) < 1.0,
+                            table["duan_sum"] < 4.0,
+                            table["epr_product"] < 1.0)))
 
 
 def _laurent(samples) -> np.ndarray:
@@ -184,8 +186,8 @@ def optimize_angle(p: SystemParams, omega: float, objective: str = "squeezing",
                "epr": lambda t: epr_product(S, ga, t, infer_from)}[objective]
     if objective == "epr":
         i, j = _inference_modes(infer_from)
-        vi, vj, vij = (_laurent(output_moment(S, quadrature(f"X{a}", _THIRDS),
-                                              quadrature(f"X{b}", _THIRDS), ga)[0])
+        x = {a: quadrature(f"X{a}", _THIRDS) for a in (i, j)}
+        vi, vj, vij = (_laurent(output_moment(S, x[a], x[b], ga)[0])
                        for a, b in ((i, i), (j, j), (i, j)))
         n = np.convolve(vi, vj) - np.convolve(vij, vij)
         num = np.convolve(n, n * (-1.0) ** _powers(n))

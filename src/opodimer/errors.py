@@ -36,8 +36,8 @@ class SingularAtFrequencyError(OpodimerError):
 
 class DomainError(OpodimerError):
     """Input outside the domain a result is defined on: a closed form off
-    its manifold, or a closed form or the threshold pencil whose value
-    leaves the float range."""
+    its manifold, or a closed form, the threshold pencil or a drift block
+    whose value leaves the float range."""
 
 
 class DegenerateVarianceError(OpodimerError):

@@ -242,8 +242,16 @@ def _signal_rates(ps: list) -> tuple:
 
 
 def dense_eigvals(A) -> np.ndarray:
-    """np.linalg.eigvals of a matrix or a stack of them, unsorted; raises
+    """np.linalg.eigvals of a matrix or a stack of them, unsorted. Raises
+    DomainError naming the first row (along A's first axis: a matrix of a
+    stack) with an entry that is not finite, such as a pair term kappa
+    beta_ss past the float range, before the solver sees it, and
     ConvergenceFailureError where the solver fails."""
+    A = np.asarray(A)
+    finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
+    if (bad := np.flatnonzero(~finite)).size:
+        raise DomainError(f"row {bad[0]}: drift matrix is not finite "
+                          f"(an entry overflows a float)")
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -343,7 +351,11 @@ def min_re_eig_stack(ps: list) -> np.ndarray:
 # sqrt(1 + d_a^2 / gamma_a^2) times u ||A|| (u = 2^-53, ||A|| about
 # |Delta_a| + |J_a|), so the check resolves rows with (|Delta_a| + |J_a|) /
 # sqrt(gamma_a^2 + d_a^2) < _SIGN_STEP / u = 9e9: |J_a| / gamma_a < 4.5e9 on
-# Delta_a = +-J_a (d_a = 0; 1e10 passed, 3e10 failed), any J_a on resonance.
+# Delta_a = +-J_a (d_a = 0; 1e10 passed, 3e10 failed). On resonance (d_a =
+# |J_a|) the step is large, but below the root the slowest eigenvalue is
+# gamma_a itself, and the check fails once the solver's error, a few
+# u |J_a|, reaches it: every quarter decade of |J_a| / gamma_a from 1e9 to
+# 10^14.75 passed, 1e15, 1e16 and 3e16 failed (10^15.25 to 10^15.75 passed).
 _SIGN_STEP = 1e-6
 
 

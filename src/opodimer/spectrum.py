@@ -149,7 +149,10 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float) -> np.ndarr
             + 2 gamma_a * Re[(c1.S.c2 + c2.S.c1)/2],
 
     a vacuum variance of 1 per unit weight of each mode, as for the bare
-    modes of the 8-variable model. Taking the real part implements the
+    modes of the 8-variable model. A variance (terms2 is terms1, the same
+    object) is projected once: both products are then the same array P,
+    and (P + P)/2 is P bit for bit, as doubling and halving a float are
+    exact short of overflow past 8.9e307. Taking the real part implements the
     +-omega average exactly: conjugation symmetry of the doubled phase space
     gives S(-w) = C S(w)* C with C the pairwise slot swap, under which the
     symmetrized projection conjugates. Raises ConvergenceFailureError naming
@@ -159,9 +162,11 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float) -> np.ndarr
     """
     mat = S.S
     c1 = coefficient_vector(mat.shape[-1], terms1)
-    c2 = coefficient_vector(mat.shape[-1], terms2)
-    v = 0.5 * ((c1 @ mat)[..., None, :] @ c2[..., :, None]
-               + (c2 @ mat)[..., None, :] @ c1[..., :, None])[..., 0, 0]
+    c2 = c1 if terms2 is terms1 else coefficient_vector(mat.shape[-1], terms2)
+    v = (c1 @ mat)[..., None, :] @ c2[..., :, None]
+    if c2 is not c1:
+        v = 0.5 * (v + (c2 @ mat)[..., None, :] @ c1[..., :, None])
+    v = v[..., 0, 0]
     bad = np.abs(v.imag) > _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(v))
     if bad.any():
         # a moment that vanishes while S is large keeps the roundoff of S

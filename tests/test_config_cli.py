@@ -5,11 +5,13 @@ import json
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from opodimer import cli, sde
+from opodimer import cli, criteria, sde
 from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
 from opodimer.errors import ConfigError
@@ -262,6 +264,22 @@ def test_row_format_matches_cell_by_cell_text():
         f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
 
 
+def test_flags_column_is_the_per_row_join():
+    # a synthetic table that hits each of the 8 combinations of the flags
+    # twice, in a mixed order
+    hits = np.array(list(product([False, True], repeat=3)) * 2)
+    hits = hits[np.random.default_rng(5).permutation(len(hits))]
+    sq, ent, epr = hits.T
+    table = {"S_X": np.where(sq, 0.5, 1.5), "S_Y": np.full(len(hits), 1.2),
+             "duan_sum": np.where(ent, 3.0, 5.0),
+             "epr_product": np.where(epr, 0.5, 2.0)}
+    flags = criteria.witness_flags(table)
+    want = [";".join(f for f in flags if flags[f][k]) or "-"
+            for k in range(len(hits))]
+    assert len(set(want)) == 8
+    assert cli._flags_column(table) == want
+
+
 class TestSpectrumCommand:
     def test_csv_contract(self, tmp_path):
         cfg = dict(DRIVEN)
@@ -327,6 +345,15 @@ class TestSpectrumCommand:
                     "--set", "sweep.omega_stop=0", "--set", "sweep.omega_points=1")
         assert r.returncode == 0, r.stderr
         assert len(parse_csv(r.stdout)) == 1
+
+    def test_overflowing_drift_block_exits_1(self, capsys):
+        # kappa beta_ss past the float range is a DomainError, not a failure
+        # of the eigensolver
+        assert cli.main(["spectrum", "--set", "params.kappa=1e300",
+                         "--set", "params.eps=1e300"]) == 1
+        assert capsys.readouterr().err == (
+            "opodimer: error: row 0: drift matrix is not finite "
+            "(an entry overflows a float)\n")
 
     def test_malformed_set_exits_1(self, tmp_path, capsys):
         # in process, but for one run of the real entry point and the runs

@@ -227,6 +227,17 @@ class TestEigenvalues:
             with pytest.raises(ConfigError, match="too coarse"):
                 integrate(p, cfg, lambda rec, alive: None)
 
+    def test_non_finite_drift_block_is_a_domain_error(self):
+        # kappa beta_ss = 1e300 * 1e300 overflows before the eigensolve,
+        # which would report the block as a convergence failure
+        p = SystemParams(kappa=1e300, eps1=1e300, eps2=1e300)
+        for f in (stability_eigenvalues, steady_state):
+            with pytest.raises(DomainError,
+                               match=r"^row 0: drift matrix is not finite"):
+                f(p)
+        with pytest.raises(DomainError, match=r"^row 1: "):
+            min_re_eig_stack([sym(), p, p])
+
     def test_min_real_part_crosses_zero_at_threshold(self):
         below = stability_eigenvalues(sym(pump_fraction=0.999))
         assert float(below.real.min()) > 0.0
@@ -501,6 +512,13 @@ class TestThresholdStack:
             threshold_bisection_stack(ps)
             assert calls == [len(ps), 2 * len(ps)]
             assert solves == [len(ps)]
+
+    def test_strong_coupling_on_resonance(self):
+        # on resonance the sign check resolves J_a / gamma_a up to about
+        # 10^14.75 (the comment on model._SIGN_STEP)
+        p = SystemParams(J_a=1e14)
+        assert threshold_bisection_stack([p])[0] == pytest.approx(
+            critical_pump(p), rel=AGREEMENT_RTOL)
 
     def test_pump_scan_rows_give_the_single_row_root(self):
         # the root ignores the pump: 200 pump fractions give the single

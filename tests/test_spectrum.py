@@ -10,9 +10,10 @@ from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
 from opodimer.linearized import (LinearModel, build_linear_model,
                                  require_combined_manifold)
 from opodimer.model import SystemParams, steady_state
+from opodimer.criteria import quadrature
 from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
-                               analytic_variances, output_moment,
-                               spectral_matrix, vacuum_baseline)
+                               analytic_variances, coefficient_vector,
+                               output_moment, spectral_matrix, vacuum_baseline)
 
 from helpers import build_combined_model, model_for, numeric_moments, sym
 
@@ -116,6 +117,39 @@ class TestSpectralMatrix:
         output_moment(good, terms, terms, 1.0)
         with pytest.raises(ConvergenceFailureError, match=r"at omega = 1$"):
             output_moment(S, terms, terms, 1.0)
+
+
+def two_sided_moment(S, terms1, terms2, gamma_a):
+    """output_moment as it was written before a variance was projected once:
+    both products of the symmetrized form, always."""
+    mat = S.S
+    c1 = coefficient_vector(mat.shape[-1], terms1)
+    c2 = coefficient_vector(mat.shape[-1], terms2)
+    v = 0.5 * ((c1 @ mat)[..., None, :] @ c2[..., :, None]
+               + (c2 @ mat)[..., None, :] @ c1[..., :, None])[..., 0, 0]
+    return vacuum_baseline(terms1, terms2) + 2.0 * gamma_a * v.real
+
+
+class TestProjectOnce:
+    @pytest.mark.parametrize("preset", ["fig1", "fig4", "fig5"])
+    def test_moments_keep_the_two_sided_bits(self, preset):
+        # a variance, for the same terms object twice, is projected once;
+        # its bits are those of the two-sided form, as are a covariance's
+        cfg = load_preset(preset)
+        angles = np.array([0.0, 0.4, 2.0])
+        for _, spec, _ in cfg.variants():
+            p = spec.system
+            S = spectral_matrix(model_for(p), cfg.sweep.omegas())
+            for theta in (0.3, angles):
+                terms = [quadrature(q, theta) for q in
+                         ("X1", "Y1", "X2", "Xp", "Yp", "Xm", "Ym")]
+                # each variance, then its covariance with the next term
+                for t1, t2 in zip(terms, terms[1:] + terms[:1]):
+                    for pair in ((t1, t1), (t1, t2)):
+                        got = output_moment(S, *pair, p.gamma_a)
+                        want = two_sided_moment(S, *pair, p.gamma_a)
+                        np.testing.assert_array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
 
 
 def diagonal_model(delta):
