@@ -282,11 +282,10 @@ def _load(args) -> RunConfig:
         cfg = load_preset(args.preset)
     else:
         cfg = RunConfig()
-    if args.overrides:
-        cfg = apply_overrides(cfg, args.overrides)
+    overrides = list(args.overrides)
     if getattr(args, "seed", None) is not None:  # verify and sde-dump
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+        overrides.append(f"seed={args.seed}")
+    return apply_overrides(cfg, overrides) if overrides else cfg
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from .criteria import DUAN_PAIRINGS, OBJECTIVES
 from .errors import ConfigError
 from .model import SystemParams
-from .sde import SdeConfig
+from .sde import SdeConfig, _as_count
 
 SCHEMA = "opodimer-run/1"
 
@@ -298,7 +298,7 @@ _SECTIONS = {
 # the top-level keys that hold plain values
 _SCALARS = {"duan_pairing": lambda v, where: _one_of(v, DUAN_PAIRINGS, where),
             "epr_infer_from": lambda v, where: _one_of(_as_int(v, where), (1, 2), where),
-            "combined": _as_bool, "seed": _as_int}
+            "combined": _as_bool, "seed": lambda v, where: _as_count(v, 0, where)}
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,6 @@ class NoCrossingError(OpodimerError):
     """Min Re eig does not change sign across a numeric threshold."""
 
 
-class DetuningMismatchError(OpodimerError):
-    """Combined-mode analysis requires Delta_a = J_a, Delta_b = J_b and
-    equal real pumps."""
-
-
 class ConvergenceFailureError(OpodimerError):
     """A numeric result failed its accuracy check: the dense eigensolver did
     not converge, the steady state missed its residual tolerance, or a
@@ -36,8 +31,13 @@ class SingularAtFrequencyError(OpodimerError):
 
 class DomainError(OpodimerError):
     """Input outside the domain a result is defined on: a closed form off
-    its manifold, or a closed form, the threshold pencil or a drift block
-    whose value leaves the float range."""
+    its manifold (DetuningMismatchError), or a closed form, the threshold
+    pencil or a drift block whose value leaves the float range."""
+
+
+class DetuningMismatchError(DomainError):
+    """A closed form off its manifold, Delta = 0 or Delta = J, or off equal
+    real pumps: raised by spectrum.require_manifold."""
 
 
 class DegenerateVarianceError(OpodimerError):

@@ -7,9 +7,8 @@ Ornstein-Uhlenbeck equation
 
 with dx in the package-wide ordering [alpha1, alpha1+, alpha2, alpha2+,
 beta1, beta1+, beta2, beta2+] and dW a vector of independent real Wiener
-increments. require_combined_manifold gates the closed forms of the
-Delta_a = J_a, Delta_b = J_b manifold, where the sum and difference of the
-low-frequency modes decouple.
+increments. This module holds the linear model alone; the closed forms
+and their domain gate live in spectrum.
 """
 
 from __future__ import annotations
@@ -18,32 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetuningMismatchError
 from .model import SystemParams, _unchecked_state, drift_block
 
 STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
                 "beta1", "beta1+", "beta2", "beta2+")
 
-_DETUNING_TOL = 1e-12
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def require_combined_manifold(p: SystemParams, what: str) -> float:
-    """The real pump amplitude; raises DetuningMismatchError unless
-    Delta_a = J_a, Delta_b = J_b and the pumps are equal and real."""
-    if abs(p.Delta_a - p.J_a) > _DETUNING_TOL or abs(p.Delta_b - p.J_b) > _DETUNING_TOL:
-        raise DetuningMismatchError(
-            f"{what} need Delta_a = J_a and Delta_b = J_b, got "
-            f"Delta_a - J_a = {p.Delta_a - p.J_a:.3e}, "
-            f"Delta_b - J_b = {p.Delta_b - p.J_b:.3e}")
-    if not p.equal_pumps or abs(p.eps1.imag) > _DETUNING_TOL * max(1.0, abs(p.eps1)):
-        raise DetuningMismatchError(f"{what} need equal real pumps, got "
-                                    f"eps1 = {p.eps1}, eps2 = {p.eps2}")
-    return p.eps1.real
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,6 +45,12 @@ _AMPLITUDE_RANGE = (2.0 ** -1021, 2.0 ** 1022)
 DUMP_FORMAT = "opodimer-ensemble/1"
 
 
+def _as_count(v, least: int, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ConfigError(f"{where} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 class Stepper(Enum):
     EULER_MARUYAMA = "euler-maruyama"
     SEMI_IMPLICIT_MIDPOINT = "semi-implicit-midpoint"
@@ -81,10 +87,7 @@ class SdeConfig:
         if self.t_measure <= 0.0 or not math.isfinite(self.t_measure):
             raise ConfigError(f"t_measure must be > 0, got {self.t_measure!r}")
         for name, least in (("n_traj", 2), ("record_stride", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < least:
-                raise ConfigError(
-                    f"{name} must be an integer >= {least}, got {v!r}")
+            _as_count(getattr(self, name), least, name)
         if self.record not in ("alpha", "all"):
             raise ConfigError(
                 f'record must be "alpha" or "all", got {self.record!r}')
@@ -92,7 +95,10 @@ class SdeConfig:
         if not (self.t_transient + self.t_measure) / self.dt < sys.maxsize:
             raise ConfigError(f"t_transient + t_measure at dt = {self.dt!r} "
                               f"is more than {sys.maxsize} steps")
-        if 8 * 16 * (n_rec := self.sample_counts()[2]) > sys.maxsize:
+        _, n_me, n_rec = self.sample_counts()
+        if n_me < self.record_stride:
+            raise ConfigError("t_measure shorter than one recording stride")
+        if 8 * 16 * n_rec > sys.maxsize:
             raise ConfigError(f"{n_rec} samples of 8 complex doubles per "
                               f"trajectory pass {sys.maxsize} bytes")
 
@@ -280,8 +286,6 @@ def integrate(p: _model.SystemParams, cfg: SdeConfig, consume,
         _warn("integrating at or above threshold; positive-P trajectories "
               "are expected to spike")
     n_tr, n_me, n_rec = cfg.sample_counts()
-    if n_me < cfg.record_stride:
-        raise ConfigError("t_measure shorter than one recording stride")
     n_steps = n_tr + n_me
     if noise is not None:
         noise = np.asarray(noise, dtype=float)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DomainError, SingularAtFrequencyError
-from .linearized import _frozen, require_combined_manifold
+from .errors import (ConvergenceFailureError, DetuningMismatchError,
+                     SingularAtFrequencyError)
+from .linearized import _frozen
 from .model import SystemParams, steady_state
 
 COND_LIMIT = 1e12
@@ -181,6 +182,25 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float) -> np.ndarr
     return vacuum_baseline(terms1, terms2) + 2.0 * gamma_a * v.real
 
 
+def require_manifold(p: SystemParams, manifold: str) -> float:
+    """The real pump of p, the one gate of the closed forms. Raises
+    DetuningMismatchError unless p lies on manifold ("Delta = 0" for the
+    resonant forms, "Delta = J" for the combined ones) with equal real pumps,
+    each an exact float equality on both manifolds, and AboveThresholdError,
+    from steady_state, at or above threshold."""
+    off_a, off_b = {"Delta = 0": (p.Delta_a, p.Delta_b),
+                    "Delta = J": (p.Delta_a - p.J_a, p.Delta_b - p.J_b)}[manifold]
+    if off_a or off_b:
+        raise DetuningMismatchError(
+            f"closed forms of the {manifold} manifold are off it by "
+            f"{off_a:.3e} in Delta_a and {off_b:.3e} in Delta_b")
+    if not p.equal_pumps or p.eps1.imag != 0.0:
+        raise DetuningMismatchError("closed forms need equal real pumps, got "
+                                    f"eps1 = {p.eps1}, eps2 = {p.eps2}")
+    steady_state(p)
+    return p.eps1.real
+
+
 def analytic_variances(p: SystemParams, omega: float) -> dict:
     """Closed-form resonant output spectra at local-oscillator angle zero.
 
@@ -191,15 +211,7 @@ def analytic_variances(p: SystemParams, omega: float) -> dict:
     S_X(-eps) = S_Y(eps); with the opposite sign the form disagrees with the
     numeric pipeline by up to hundreds of percent (see tests).
     """
-    if not p.resonant:
-        raise DomainError(
-            f"resonant closed forms need Delta_a = Delta_b = 0, got "
-            f"Delta_a = {p.Delta_a:g}, Delta_b = {p.Delta_b:g}")
-    if not p.equal_pumps or p.eps1.imag != 0.0:
-        raise DomainError("resonant closed forms need equal real pumps, got "
-                          f"eps1 = {p.eps1}, eps2 = {p.eps2}")
-    eps = p.eps1.real
-    steady_state(p)  # raises AboveThresholdError at or above threshold
+    eps = require_manifold(p, "Delta = 0")
     ga, gb, ja, jb = p.gamma_a, p.gamma_b, p.J_a, p.J_b
     gta2 = ga * ga + ja * ja
     gtb2 = gb * gb + jb * jb
@@ -226,8 +238,7 @@ def analytic_combined(p: SystemParams, omega: float) -> dict:
     single-downconverter spectra stacked; the difference mode carries the
     shifted resonance at 2 J_a.
     """
-    eps = require_combined_manifold(p, "combined closed forms")
-    steady_state(p)  # raises AboveThresholdError at or above threshold
+    eps = require_manifold(p, "Delta = J")
     ga, gb, ja = p.gamma_a, p.gamma_b, p.J_a
     ke = p.kappa * eps
     w2 = omega * omega

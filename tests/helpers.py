@@ -8,11 +8,10 @@ import math
 
 import numpy as np
 
-from opodimer.linearized import (LinearModel, _frozen, build_linear_model,
-                                 require_combined_manifold)
+from opodimer.linearized import LinearModel, _frozen, build_linear_model
 from opodimer.model import (SystemParams, _unchecked_state, drift_rhs,
                             steady_state)
-from opodimer.spectrum import output_moment, spectral_matrix
+from opodimer.spectrum import output_moment, require_manifold, spectral_matrix
 
 _EIG_REAL_TOL = 1e-9
 _FD_STEP = 1e-6
@@ -90,13 +89,13 @@ def build_combined_model(p: SystemParams) -> LinearModel:
     """Assemble the 4x4 sum/difference model at p's alpha = 0 fixed point.
 
     Valid only on the Delta_a = J_a, Delta_b = J_b manifold with equal real
-    pumps, where the steady pump field is real and the combined modes
-    decouple exactly. Like build_linear_model it does not gate stability.
+    pumps below threshold, where the steady pump field is real and the
+    combined modes decouple exactly; the closed forms' gate checks all three.
     The ordering is [A_plus, A_plus+, A_minus, A_minus+] with
     A_pm = alpha1 +- alpha2 (unnormalized, so each combined mode carries a
     vacuum variance of 2); its plus and minus 2x2 blocks do not couple.
     """
-    require_combined_manifold(p, "combined modes")
+    require_manifold(p, "Delta = J")
     m = p.kappa * _unchecked_state(p).beta1_ss.real
     ga, ja = p.gamma_a, 1j * p.J_a
     A = np.array([

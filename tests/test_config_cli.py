@@ -15,7 +15,8 @@ from opodimer import cli, criteria, sde
 from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
 from opodimer.errors import ConfigError
-from opodimer.sde import load_ensemble_dump
+from opodimer.model import SystemParams, min_re_eig_stack
+from opodimer.sde import SdeConfig, load_ensemble_dump
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
@@ -355,7 +356,7 @@ class TestSpectrumCommand:
             "opodimer: error: row 0: drift matrix is not finite "
             "(an entry overflows a float)\n")
 
-    def test_malformed_set_exits_1(self, tmp_path, capsys):
+    def test_malformed_set_exits_1(self, tmp_path, capsys, monkeypatch):
         # in process, but for one run of the real entry point and the runs
         # under an address-space limit
         cfg = tmp_path / "cfg.json"
@@ -400,6 +401,22 @@ class TestSpectrumCommand:
             code, err = main(*args)
             assert code == 1, args
             assert "Traceback" not in err, args
+        # SdeConfig's seed and window rules stop every command at load, before
+        # the command runs, with SdeConfig's message
+        def command_ran(*args):
+            raise AssertionError("the command ran")
+
+        with monkeypatch.context() as m:
+            for name in ("cmd_spectrum", "cmd_stability", "cmd_verify"):
+                m.setattr(cli, name, command_ran)
+            for args, bad in ((("spectrum", "--set", "seed=-1"), dict(seed=-1)),
+                              (("stability", "--set", "seed=-1"), dict(seed=-1)),
+                              (("verify", "--seed", "-1"), dict(seed=-1)),
+                              (("spectrum", "--set", "sde.t_measure=0.01"),
+                               dict(t_measure=0.01))):
+                with pytest.raises(ConfigError) as exc:
+                    SdeConfig(**bad)
+                assert main(*args) == (1, f"opodimer: error: {exc.value}\n"), args
         # a label rejected at load leaves no output file behind
         out = tmp_path / "x.csv"
         code, err = main("spectrum", "--set", 'vary=[{"label":"é"}]',
@@ -522,6 +539,27 @@ class TestStabilityCommand:
         margins = [float(x["min_re_eig"]) for x in rows]
         assert margins[0] > 0 and margins[1] > 0 and margins[2] < 0
         assert [float(x["eps"]) for x in rows] == [100.0, 199.8, 200.2]
+
+    def test_unequal_pumps_report_the_equal_pump_threshold(self, capsys):
+        # both threshold columns depend on the rates alone, as for equal real
+        # pumps; min_re_eig is taken at each row's own pumps
+        grid = ["--set", "stability.J_a=[0, 1, 5]", "--set", "stability.J_b=[0, 2]"]
+
+        def table(*pumps):
+            assert cli.main(["stability", *grid, *pumps]) == 0
+            return parse_csv(capsys.readouterr().out)
+
+        unequal = table("--set", "params.eps1=50", "--set", "params.eps2=40")
+        equal = table("--set", "params.eps=50")
+        cols = ("J_a", "J_b", "eps_crit_analytic", "eps_crit_bisect")
+        assert ([[r[c] for c in cols] for r in unequal]
+                == [[r[c] for c in cols] for r in equal])
+        ps = [SystemParams(J_a=ja, J_b=jb, eps1=50.0, eps2=40.0)
+              for ja, jb in product((0.0, 1.0, 5.0), (0.0, 2.0))]
+        assert ([r["min_re_eig"] for r in unequal]
+                == ["%.12g" % m for m in min_re_eig_stack(ps)])
+        assert ([r["min_re_eig"] for r in unequal]
+                != [r["min_re_eig"] for r in equal])
 
     def test_threshold_out_of_float_range_exits_1(self):
         # eps_crit overflows at kappa = 1e-307 from the J_a = 2, J_b = 10 row

@@ -48,9 +48,14 @@ class TestConfigValidation:
                    dict(t_measure=1e300, dt=1e-10), dict(dt=5e-17),
                    # a bool is not an integer here, as in config._as_int
                    dict(n_traj=True), dict(seed=True), dict(seed=False),
-                   dict(record_stride=True)):
+                   dict(record_stride=True),
+                   # a window shorter than one stride: 4 steps against 5
+                   dict(t_measure=0.04), dict(t_measure=0.2, record_stride=21)):
             with pytest.raises(ConfigError):
                 SdeConfig(**kw)
+        with pytest.raises(ConfigError, match="shorter than one recording stride"):
+            SdeConfig(t_measure=0.04)
+        assert SdeConfig(t_measure=0.05).sample_counts() == (2000, 5, 1)
 
     def test_stepper_coerced_from_string(self):
         cfg = SdeConfig(stepper="euler-maruyama")

@@ -7,8 +7,7 @@ from opodimer.config import load_preset
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
-from opodimer.linearized import (LinearModel, build_linear_model,
-                                 require_combined_manifold)
+from opodimer.linearized import LinearModel, build_linear_model
 from opodimer.model import SystemParams, steady_state
 from opodimer.criteria import quadrature
 from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
@@ -16,6 +15,11 @@ from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                output_moment, spectral_matrix, vacuum_baseline)
 
 from helpers import build_combined_model, model_for, numeric_moments, sym
+
+# pumps off the closed forms' domain: unequal, unequal and complex, equal
+# and imaginary, and equal with an imaginary part far below any tolerance
+OFF_PUMPS = ((50.0, 40.0), (50.0, 60.0), (50.0, 50.0 + 1.0j), (50.0j, 50.0j),
+             (50.0 + 1e-13j, 50.0 + 1e-13j))
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -258,12 +262,20 @@ class TestClosedForms:
             assert am["S_X"] == pytest.approx(nm["S_X"], rel=1e-10)
 
     def test_domain_gates(self):
-        with pytest.raises(DomainError):
-            analytic_variances(sym(Delta_a=0.5), 0.0)
-        with pytest.raises(DomainError):
-            analytic_variances(
-                SystemParams(kappa=0.01, gamma_a=1, gamma_b=1, J_a=1, J_b=1,
-                             Delta_a=0, Delta_b=0, eps1=50, eps2=60), 0.0)
+        assert issubclass(DetuningMismatchError, DomainError)
+        # off Delta = 0 by any amount, 1e-13 included, or on the other
+        # manifold; a caller that catches DomainError still catches it
+        for kw in (dict(Delta_a=0.5), dict(Delta_a=1e-13), dict(Delta_b=-1e-13),
+                   dict(J_a=10.0, Delta_a=10.0, Delta_b=1.0)):
+            with pytest.raises(DomainError, match="Delta = 0 manifold") as exc:
+                analytic_variances(sym(**kw), 0.0)
+            assert exc.type is DetuningMismatchError, kw
+        for eps1, eps2 in OFF_PUMPS:
+            p = SystemParams(kappa=0.01, gamma_a=1, gamma_b=1, J_a=1, J_b=1,
+                             Delta_a=0, Delta_b=0, eps1=eps1, eps2=eps2)
+            with pytest.raises(DomainError, match="equal real pumps") as exc:
+                analytic_variances(p, 0.0)
+            assert exc.type is DetuningMismatchError, (eps1, eps2)
         with pytest.raises(AboveThresholdError):
             analytic_variances(sym(pump_fraction=1.05), 0.0)
         # one gate for all three, at either edge of the guard band
@@ -321,13 +333,19 @@ class TestCombined:
                 assert v == pytest.approx(a[key], rel=1e-10), (key, w)
 
     def test_manifold_gate(self):
-        with pytest.raises(DetuningMismatchError):
-            analytic_combined(sym(), 0.0)
-        with pytest.raises(DetuningMismatchError):
-            build_combined_model(sym(J_a=10.0, Delta_a=9.9, Delta_b=1.0))
+        # off Delta = J by any amount, one ulp of J_a = 10 included, or on
+        # the resonant manifold
+        for kw in (dict(), dict(J_a=10.0, Delta_a=9.9, Delta_b=1.0),
+                   dict(J_a=10.0, Delta_a=math.nextafter(10.0, 11.0), Delta_b=1.0),
+                   dict(J_a=10.0, Delta_a=10.0, Delta_b=1.0 + 1e-13)):
+            for call in (analytic_combined, lambda p, w: build_combined_model(p)):
+                with pytest.raises(DomainError, match="Delta = J manifold") as exc:
+                    call(sym(**kw), 0.0)
+                assert exc.type is DetuningMismatchError, kw
         # on the Delta = J manifold, unequal or complex pumps fail the gate
         rates = dict(J_a=10.0, J_b=1.0, Delta_a=10.0, Delta_b=1.0)
-        for eps1, eps2 in ((50.0, 40.0), (50.0, 50.0 + 1.0j), (50.0j, 50.0j)):
+        for eps1, eps2 in OFF_PUMPS:
             p = SystemParams(eps1=eps1, eps2=eps2, **rates)
-            with pytest.raises(DetuningMismatchError, match="equal real pumps"):
-                require_combined_manifold(p, "combined modes")
+            with pytest.raises(DomainError, match="equal real pumps") as exc:
+                analytic_combined(p, 0.0)
+            assert exc.type is DetuningMismatchError, (eps1, eps2)
