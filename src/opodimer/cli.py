@@ -218,60 +218,46 @@ def cmd_sde_dump(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, out_required: bool = False):
-    src = sub.add_mutually_exclusive_group()
-    src.add_argument("--config", metavar="PATH", help="JSON run config")
-    src.add_argument("--preset", choices=PRESETS,
-                     help="bundled demonstration config")
-    sub.add_argument("--set", metavar="KEY=VALUE", action="append",
-                     default=[], dest="overrides",
-                     help="dotted-key config override, repeatable "
-                          "(e.g. params.J_a=2)")
-    sub.add_argument("--out", metavar="PATH", required=out_required,
-                     help="output file (default: stdout)" if not out_required
-                     else "output file")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # built on each call, so each func is what cli.cmd_* holds at that moment
     parser = _Parser(prog="opodimer",
                      description="Coupled-downconverter squeezing and "
                                  "entanglement calculator")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("spectrum", help="frequency sweep of output spectra "
-                        "and witnesses")
-    _add_common(s)
-    s.set_defaults(func=cmd_spectrum)
-
-    s = subs.add_parser("stability", help="threshold map over couplings or "
-                        "pump strengths")
-    _add_common(s)
-    s.set_defaults(func=cmd_stability)
-
-    s = subs.add_parser("optimize-angle", help="best local-oscillator angle "
-                        "for one objective")
-    _add_common(s)
-    s.add_argument("--objective", choices=criteria.OBJECTIVES,
-                   default=None, help="figure of merit (default from config)")
-    s.add_argument("--omega", type=float, default=None,
-                   help="frequency at which to optimize (default from config)")
-    s.set_defaults(func=cmd_optimize_angle)
-
-    s = subs.add_parser("verify", help="stochastic oracle vs linearized "
-                        "spectra with z-scores")
-    _add_common(s)
-    s.add_argument("--negative-control", action="store_true",
-                   help="negate the pair terms -kappa beta of the predicted "
-                        "drift, to prove the comparison can fail")
-    s.set_defaults(func=cmd_verify)
-
-    s = subs.add_parser("sde-dump", help="integrate and dump raw trajectories")
-    _add_common(s, out_required=True)
-    s.set_defaults(func=cmd_sde_dump)
-
-    for name in ("verify", "sde-dump"):  # the commands that draw noise
-        subs.choices[name].add_argument("--seed", type=int, default=None,
-                                        help="override the config seed")
+    for name, func, help_ in (
+            ("spectrum", cmd_spectrum,
+             "frequency sweep of output spectra and witnesses"),
+            ("stability", cmd_stability,
+             "threshold map over couplings or pump strengths"),
+            ("optimize-angle", cmd_optimize_angle,
+             "best local-oscillator angle for one objective"),
+            ("verify", cmd_verify,
+             "stochastic oracle vs linearized spectra with z-scores"),
+            ("sde-dump", cmd_sde_dump, "integrate and dump raw trajectories")):
+        s = subs.add_parser(name, help=help_)
+        s.set_defaults(func=func)
+        src = s.add_mutually_exclusive_group()
+        src.add_argument("--config", metavar="PATH", help="JSON run config")
+        src.add_argument("--preset", choices=PRESETS,
+                         help="bundled demonstration config")
+        s.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
+                       dest="overrides", help="dotted-key config override, "
+                                              "repeatable (e.g. params.J_a=2)")
+        dump = name == "sde-dump"
+        s.add_argument("--out", metavar="PATH", required=dump,
+                       help="output file" + ("" if dump else " (default: stdout)"))
+        if name == "optimize-angle":
+            s.add_argument("--objective", choices=criteria.OBJECTIVES, default=None,
+                           help="figure of merit (default from config)")
+            s.add_argument("--omega", type=float, default=None, help="frequency at "
+                           "which to optimize (default from config)")
+        if name == "verify":
+            s.add_argument("--negative-control", action="store_true",
+                           help="negate the pair terms -kappa beta of the predicted "
+                                "drift, to prove the comparison can fail")
+        if name in ("verify", "sde-dump"):  # the commands that draw noise
+            s.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
     return parser
 
 

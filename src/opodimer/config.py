@@ -141,12 +141,10 @@ class ParamsSpec:
             raise ConfigError(f"{where}: eps1 and eps2 must be given together")
         kw = _parse(d, {**dict.fromkeys(_RATE_KEYS + ("pump_fraction",), _as_float),
                         **dict.fromkeys(("eps", "eps1", "eps2"), _as_complex)}, where)
-        fraction = kw.pop("pump_fraction", None)
-        if "eps" in kw:
-            kw["eps1"] = kw["eps2"] = kw.pop("eps")
-        try:
-            system = (SystemParams(**kw) if fraction is None
-                      else SystemParams.symmetric(pump_fraction=fraction, **kw))
+        fraction, eps = kw.pop("pump_fraction", None), kw.pop("eps", None)
+        try:  # SystemParams.symmetric maps eps to equal pumps
+            system = (SystemParams.symmetric(eps=eps, pump_fraction=fraction, **kw)
+                      if "eps1" not in kw else SystemParams(**kw))
         except ValueError as exc:  # a rate out of SystemParams' range
             raise ConfigError(f"{where}: {exc}") from None
         return cls(system, fraction)

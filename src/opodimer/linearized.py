@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, _unchecked_state, drift_block
+from .model import SystemParams, _signal_blocks, drift_block
 
 STATE_LABELS = ("alpha1", "alpha1+", "alpha2", "alpha2+",
                 "beta1", "beta1+", "beta2", "beta2+")
@@ -50,17 +50,17 @@ class LinearModel:
 def build_linear_model(p: SystemParams) -> LinearModel:
     """Assemble A and B at p's alpha = 0 fixed point.
 
-    A is block diagonal: model.drift_block writes its signal and pump
-    blocks, and the alpha-beta coupling blocks, proportional to the steady
-    alpha fields, are zero at this fixed point. Detunings enter only on the
-    diagonal as gamma +- i*Delta. The matrix itself is well defined at the
-    alpha = 0 fixed point on either side of threshold; stability is the
-    caller's concern (steady_state gates it).
+    A is block diagonal: model._signal_blocks gives its signal block and
+    the pair terms kappa beta_ss that B is built from, model.drift_block its
+    pump block, and the alpha-beta coupling blocks, proportional to the
+    steady alpha fields, are zero at this fixed point. Detunings enter only
+    on the diagonal as gamma +- i*Delta. The matrix itself is well defined
+    at the alpha = 0 fixed point on either side of threshold; stability is
+    the caller's concern (steady_state gates it).
     """
-    ss = _unchecked_state(p)
-    m1, m2 = p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss
+    signal, ((m1, m2),) = _signal_blocks([p])
     A = np.zeros((8, 8), dtype=complex)
-    A[:4, :4] = drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, m1, m2)
+    A[:4, :4] = signal[0]
     A[4:, 4:] = drift_block(p.gamma_b + 1j * p.Delta_b, 1j * p.J_b, 0, 0)
     B = np.zeros((8, 8), dtype=complex)
     for k, m in enumerate((m1, np.conj(m1), m2, np.conj(m2))):

@@ -224,7 +224,9 @@ def drift_block(c, j, m1, m2) -> np.ndarray:
     about the alpha = 0 fixed point, where A is block diagonal: c = gamma +
     i Delta, j = i J, and m1, m2 the pair terms kappa beta_ss (0 in the pump
     block). Array arguments broadcast to a stack of blocks, shape
-    (..., 4, 4). The one place the entries of A are written.
+    (..., 4, 4). The one place the entries of A are written, except that
+    cli.cmd_verify --negative-control negates the four pair-term entries
+    of its prediction's A.
     """
     c, j, m1, m2 = np.broadcast_arrays(c, j, m1, m2)  # an int 0 stays an int
     D = np.zeros((*c.shape, 4, 4), dtype=complex)
@@ -309,14 +311,14 @@ def steady_state(p: SystemParams) -> SteadyState:
     return state
 
 
-def _signal_eigenvalues(ps: list) -> np.ndarray:
-    """Eigenvalues of the 4x4 signal block of each parameter set in ps at
-    the alpha = 0 fixed point, unsorted, shape (len(ps), 4), from one
-    stacked dense eigensolve."""
+def _signal_blocks(ps: list) -> tuple:
+    """The 4x4 signal block of A at the alpha = 0 fixed point of each
+    parameter set in ps, shape (len(ps), 4, 4), and the pair terms
+    [kappa beta1_ss, kappa beta2_ss] it is built from, shape (len(ps), 2)."""
     ss = [_unchecked_state(p) for p in ps]
-    m1 = np.array([p.kappa * s.beta1_ss for p, s in zip(ps, ss)])
-    m2 = np.array([p.kappa * s.beta2_ss for p, s in zip(ps, ss)])
-    return dense_eigvals(drift_block(*_signal_rates(ps), m1, m2))
+    m = np.array([[p.kappa * s.beta1_ss, p.kappa * s.beta2_ss]
+                  for p, s in zip(ps, ss)])
+    return drift_block(*_signal_rates(ps), m[:, 0], m[:, 1]), m
 
 
 def stability_eigenvalues(p: SystemParams) -> np.ndarray:
@@ -326,20 +328,21 @@ def stability_eigenvalues(p: SystemParams) -> np.ndarray:
     Below threshold all real parts are positive; the slowest one touching
     zero marks the oscillation threshold. At the alpha = 0 fixed point,
     which exists on both sides of threshold, A is block diagonal. Its signal
-    block's eigenvalues are _signal_eigenvalues'; its pump block does not
-    see the pump and has the eigenvalues gamma_b + i(Delta_b +- J_b) and
-    their conjugates, in that order. No 8x8 matrix is factored.
+    block (_signal_blocks) goes through one dense eigensolve; its pump block
+    does not see the pump and has the eigenvalues gamma_b + i(Delta_b +- J_b)
+    and their conjugates, in that order. No 8x8 matrix is factored.
     """
     pump = np.array([p.gamma_b + 1j * (p.Delta_b + p.J_b),
                      p.gamma_b + 1j * (p.Delta_b - p.J_b)])
-    return np.concatenate([_signal_eigenvalues([p])[0], pump, pump.conj()])
+    signal = dense_eigvals(_signal_blocks([p])[0])[0]
+    return np.concatenate([signal, pump, pump.conj()])
 
 
 def min_re_eig_stack(ps: list) -> np.ndarray:
     """min Re stability_eigenvalues(p) for each parameter set in ps, from
-    one _signal_eigenvalues call: the signal block's slowest decay, or the
-    pump block's gamma_b where that is smaller."""
-    return np.minimum(_signal_eigenvalues(ps).real.min(axis=1),
+    one stacked eigensolve of their signal blocks: the signal block's slowest
+    decay, or the pump block's gamma_b where that is smaller."""
+    return np.minimum(dense_eigvals(_signal_blocks(ps)[0]).real.min(axis=1),
                       [p.gamma_b for p in ps])
 
 

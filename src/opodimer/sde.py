@@ -548,10 +548,13 @@ def load_ensemble_dump(path) -> tuple:
     if sidecar.get("format") != DUMP_FORMAT:
         raise ConfigError(
             f"unsupported dump format {sidecar.get('format')!r}")
-    shape = tuple(sidecar.get(k) for k in ("n_traj", "n_samples", "n_variables"))
-    if not all(isinstance(n, int) and n >= 0 for n in shape):
-        raise ConfigError(f"sidecar of {path} promises the shape {shape}, not "
-                          "three non-negative integers")
+    shape = tuple(_as_count(sidecar.get(k), 0, f"{k} in the sidecar of {path}")
+                  for k in ("n_traj", "n_samples", "n_variables"))
+    labels = list(STATE_LABELS[:shape[2]])
+    if len(labels) != shape[2] or sidecar.get("variables") != labels:
+        raise ConfigError(f"sidecar of {path} labels its {shape[2]} variables "
+                          f"{sidecar.get('variables')!r}, not the first "
+                          f"{shape[2]} of {list(STATE_LABELS)}")
     data = path.read_bytes()
     if len(data) != 16 * math.prod(shape):
         raise ConfigError(f"dump holds {len(data)} bytes, sidecar promises "

@@ -1,8 +1,8 @@
 """Parameter sets, models and moments shared by the test modules, and the
 oracles the tests check the package against: the resonant closed-form
 drift eigenvalues, the finite-difference Jacobian, the 4x4 sum/difference
-model of the Delta = J manifold, the (Re, Im) eigenvalue order and the
-stationary signal covariance."""
+model of the Delta = J manifold, the (Re, Im) eigenvalue order, the
+stationary signal covariance and a bit-for-bit array comparison."""
 
 import math
 
@@ -15,6 +15,24 @@ from opodimer.spectrum import output_moment, require_manifold, spectral_matrix
 
 _EIG_REAL_TOL = 1e-9
 _FD_STEP = 1e-6
+
+
+# J_a, J_b each +0, -0, positive and negative, at Delta = -0 with pumps that
+# have a -0 part: a kernel that folds the '+' rows' sign into the coupling
+# coefficient gets the sign of zeros wrong here
+SIGNED_ZERO_POINTS = [
+    SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7, J_a=j_a, J_b=j_b,
+                 Delta_a=-0.0, Delta_b=-0.0, eps1=complex(-0.0, 2.5),
+                 eps2=complex(3.0, -0.0))
+    for j_a in (0.0, -0.0, 0.7, -1.3) for j_b in (0.0, -0.0, 0.7, -1.3)]
+
+
+def assert_same_bits(got, want):
+    """NaN in the same places, and the same bits everywhere else."""
+    got, want = got.view(float), want.view(float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def sym(**kw):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -279,6 +280,32 @@ def test_flags_column_is_the_per_row_join():
             for k in range(len(hits))]
     assert len(set(want)) == 8
     assert cli._flags_column(table) == want
+
+
+# the options of each subcommand besides --config, --preset, --set and
+# --out, which every subcommand takes
+SUBCOMMAND_OPTIONS = {"spectrum": set(), "stability": set(),
+                      "optimize-angle": {"--objective", "--omega"},
+                      "verify": {"--negative-control", "--seed"},
+                      "sde-dump": {"--seed"}}
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_OPTIONS)
+def test_subcommand_interface(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: opodimer {name} ")
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(SUBCOMMAND_OPTIONS)
+    sub = subs.choices[name]
+    assert sub.get_default("func") is getattr(cli, "cmd_" + name.replace("-", "_"))
+    options = {s for a in sub._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--preset", "--set", "--out",
+                       *SUBCOMMAND_OPTIONS[name]}
+    required = {s for a in sub._actions if a.required for s in a.option_strings}
+    assert required == ({"--out"} if name == "sde-dump" else set())
 
 
 class TestSpectrumCommand:

@@ -11,12 +11,14 @@ import pytest
 from opodimer import model
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DomainError, NoCrossingError)
-from opodimer.model import (SteadyState, SystemParams, _signal_eigenvalues,
-                            critical_pump, dense_eigvals, drift_rhs,
-                            min_re_eig_stack, stability_eigenvalues,
-                            steady_state, threshold_bisection_stack)
+from opodimer.model import (SteadyState, SystemParams, _signal_blocks,
+                            _unchecked_state, critical_pump, dense_eigvals,
+                            drift_block, drift_rhs, min_re_eig_stack,
+                            stability_eigenvalues, steady_state,
+                            threshold_bisection_stack)
 
-from helpers import resonant_eigenvalues, sort_eigenvalues, sym
+from helpers import (SIGNED_ZERO_POINTS, assert_same_bits, resonant_eigenvalues,
+                     sort_eigenvalues, sym)
 
 
 def test_every_export_resolves():
@@ -189,9 +191,9 @@ class TestEigenvalues:
     ], ids=["resonant", "tracking", "negative-detuning", "unequal-pumps"])
     def test_signal_block_then_pump_block(self, p):
         # unsorted, bit for bit: the signal block's eigenvalues in
-        # _signal_eigenvalues' order, then the pump block's closed form
+        # the eigensolver's order, then the pump block's closed form
         gb, plus, minus = p.gamma_b, p.Delta_b + p.J_b, p.Delta_b - p.J_b
-        want = np.concatenate([_signal_eigenvalues([p])[0], [
+        want = np.concatenate([dense_eigvals(_signal_blocks([p])[0])[0], [
             complex(gb, plus), complex(gb, minus),
             complex(gb, -plus), complex(gb, -minus)]])
         got = stability_eigenvalues(p)
@@ -369,6 +371,36 @@ def mixed_rows() -> list:
         SystemParams(J_a=1.0, J_b=1.0, eps1=30.0, eps2=10.0),
         sym(J_a=2.0, pump_fraction=None, eps=30.0 + 10.0j),
         sym(J_a=2.0, J_b=0.5, pump_fraction=1.5)]
+
+
+class TestSignalBlocks:
+    def test_build_linear_model_is_the_inline_assembly(self):
+        # the reference: A and B assembled inline from the steady state,
+        # which build_linear_model's route through _signal_blocks must match
+        # bit for bit, as must each row of one stacked _signal_blocks call;
+        # on driven, unequal, complex, above-threshold, signed-zero and
+        # undriven rows
+        from opodimer.linearized import build_linear_model
+        undriven = [SystemParams(J_a=2.0, J_b=-1.0, Delta_a=0.5),
+                    sym(pump_fraction=0.0),
+                    SystemParams(J_a=-0.0, Delta_a=-0.0, Delta_b=-0.0,
+                                 eps1=complex(-0.0, -0.0), eps2=-0.0)]
+        ps = mixed_rows() + SIGNED_ZERO_POINTS + undriven
+        blocks, pairs = _signal_blocks(ps)
+        for p, block, pair in zip(ps, blocks, pairs):
+            ss = _unchecked_state(p)
+            m1, m2 = p.kappa * ss.beta1_ss, p.kappa * ss.beta2_ss
+            A = np.zeros((8, 8), dtype=complex)
+            A[:4, :4] = drift_block(p.gamma_a + 1j * p.Delta_a, 1j * p.J_a, m1, m2)
+            A[4:, 4:] = drift_block(p.gamma_b + 1j * p.Delta_b, 1j * p.J_b, 0, 0)
+            B = np.zeros((8, 8), dtype=complex)
+            for k, m in enumerate((m1, np.conj(m1), m2, np.conj(m2))):
+                B[k, k] = np.sqrt(complex(m))
+            got = build_linear_model(p)
+            assert_same_bits(got.A, A)
+            assert_same_bits(got.B, B)
+            assert_same_bits(block, A[:4, :4])
+            assert_same_bits(pair, np.array([m1, m2]))
 
 
 class TestThresholdStack:

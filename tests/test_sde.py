@@ -17,7 +17,8 @@ from opodimer.sde import (SdeConfig, Stepper, integrate, integrate_to_dump,
                           load_ensemble_dump, stream_output_spectra)
 from opodimer.spectrum import vacuum_baseline
 
-from helpers import signal_covariance, sym
+from helpers import (SIGNED_ZERO_POINTS, assert_same_bits,
+                     signal_covariance, sym)
 
 
 Y0_TERMS = [(1, math.pi / 2, 1.0)]
@@ -219,24 +220,6 @@ POINTS = {
                                       Delta_b=-0.0, eps1=complex(-0.0, -0.0),
                                       eps2=0j),
 }
-
-
-# J_a, J_b each +0, -0, positive and negative, at Delta = -0 with pumps that
-# have a -0 part: a kernel that folds the '+' rows' sign into the coupling
-# coefficient gets the sign of zeros wrong here
-SIGNED_ZERO_POINTS = [
-    SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7, J_a=j_a, J_b=j_b,
-                 Delta_a=-0.0, Delta_b=-0.0, eps1=complex(-0.0, 2.5),
-                 eps2=complex(3.0, -0.0))
-    for j_a in (0.0, -0.0, 0.7, -1.3) for j_b in (0.0, -0.0, 0.7, -1.3)]
-
-
-def assert_same_bits(got, want):
-    """NaN in the same places, and the same bits everywhere else."""
-    got, want = got.view(float), want.view(float)
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def amplitude(z, kappa=1.0):
@@ -898,6 +881,11 @@ class TestDump:
                            (None, json.dumps(no_n_traj)),
                            (None, json.dumps(list(meta))),
                            (None, json.dumps(meta | {"format": "other/1"})),
+                           # one trajectory's bytes, counted by a JSON true
+                           (payload[:len(payload) // 4],
+                            json.dumps(meta | {"n_traj": True})),
+                           (None, json.dumps(
+                               meta | {"variables": meta["variables"][:3]})),
                            (None, json.dumps(meta)[:-1])):  # not valid JSON
             target.write_bytes(payload if data is None else data)
             side.write_text(json.dumps(meta) if text is None else text)
