@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, sde, spectrum
-from .config import (PRESETS, RunConfig, _as_float, apply_overrides,
-                     load_config_file, load_preset)
-from .errors import AboveThresholdError, OpodimerError
+from .config import (_RATE_KEYS, PRESETS, ParamsSpec, RunConfig, _as_float,
+                     apply_overrides, load_config_file, load_preset)
+from .errors import AboveThresholdError, ConfigError, OpodimerError
 from .linearized import _frozen, build_linear_model
-from .model import (critical_pump, min_re_eig_stack, steady_state,
-                    threshold_bisection_stack)
+from .model import (SystemParams, critical_pump, min_re_eig_stack,
+                    steady_state, threshold_bisection_stack)
 
 CSV_SCHEMA = "opodimer-csv/1"
 
@@ -115,6 +115,28 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _stability_rows(params: ParamsSpec, patches, where: str) -> list:
+    """The SystemParams of each stability row: params.system with the
+    floats of its patch, which the stability section has validated.
+    Amplitude pumps stay as they are; a pump_fraction, the patch's or else
+    the spec's, re-derives equal pumps from the row's rates. This is
+    params.patched(patch, where).system without its to_dict/from_dict round
+    trip, which also turns a -0.0 imaginary pump part into +0.0."""
+    base = params.system
+    rates = {k: getattr(base, k) for k in _RATE_KEYS}
+    rows = []
+    for patch in patches:
+        patch = dict(patch)
+        fraction = patch.pop("pump_fraction", params.pump_fraction)
+        try:
+            rows.append(dataclasses.replace(base, **patch) if fraction is None
+                        else SystemParams.symmetric(pump_fraction=fraction,
+                                                    **(rates | patch)))
+        except ValueError as exc:  # a pump past the float range
+            raise ConfigError(f"{where}: {exc}") from None
+    return rows
+
+
 def cmd_stability(args, cfg: RunConfig) -> int:
     lines = _header("stability", cfg)
     spec = cfg.stability
@@ -127,8 +149,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
         lead_cols = "pump_fraction,eps"
         patches = [{"pump_fraction": f} for f in spec.pump_fractions]
     lines.append(lead_cols + ",min_re_eig,eps_crit_analytic,eps_crit_bisect")
-    ps = [cfg.params.patched(patch, f"stability {spec.mode}").system
-          for patch in patches]
+    ps = _stability_rows(cfg.params, patches, f"stability {spec.mode}")
     # first, so that a critical pump past the float range is reported as
     # such (DomainError), before the eigensolves see its row
     analytic = [critical_pump(p) for p in ps]
@@ -219,23 +240,19 @@ def cmd_sde_dump(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # built on each call, so each func is what cli.cmd_* holds at that moment
+    """The parser of every subcommand; each name runs cmd_<name>, with "-"
+    read as "_"."""
     parser = _Parser(prog="opodimer",
                      description="Coupled-downconverter squeezing and "
                                  "entanglement calculator")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_ in (
-            ("spectrum", cmd_spectrum,
-             "frequency sweep of output spectra and witnesses"),
-            ("stability", cmd_stability,
-             "threshold map over couplings or pump strengths"),
-            ("optimize-angle", cmd_optimize_angle,
-             "best local-oscillator angle for one objective"),
-            ("verify", cmd_verify,
-             "stochastic oracle vs linearized spectra with z-scores"),
-            ("sde-dump", cmd_sde_dump, "integrate and dump raw trajectories")):
+    for name, help_ in (
+            ("spectrum", "frequency sweep of output spectra and witnesses"),
+            ("stability", "threshold map over couplings or pump strengths"),
+            ("optimize-angle", "best local-oscillator angle for one objective"),
+            ("verify", "stochastic oracle vs linearized spectra with z-scores"),
+            ("sde-dump", "integrate and dump raw trajectories")):
         s = subs.add_parser(name, help=help_)
-        s.set_defaults(func=func)
         src = s.add_mutually_exclusive_group()
         src.add_argument("--config", metavar="PATH", help="JSON run config")
         src.add_argument("--preset", choices=PRESETS,
@@ -274,12 +291,17 @@ def _load(args) -> RunConfig:
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
+# parse_args leaves the parser as it found it, so one serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load(args)
-        return args.func(args, cfg)
+        # looked up at call time, so a replaced cli.cmd_* is the one that runs
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, cfg)
     except AboveThresholdError as exc:
         print(f"opodimer: above threshold: {exc}", file=sys.stderr)
         return 2

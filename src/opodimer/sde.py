@@ -43,6 +43,10 @@ _NOISE_BUDGET = 128 * 2 ** 20
 _AMPLITUDE_RANGE = (2.0 ** -1021, 2.0 ** 1022)
 
 DUMP_FORMAT = "opodimer-ensemble/1"
+# the payload layout integrate_to_dump writes, the only one
+# load_ensemble_dump reads
+_DUMP_LAYOUT = {"dtype": "complex128-le",
+                "order": ["trajectory", "sample", "variable"]}
 
 
 def _as_count(v, least: int, where: str) -> int:
@@ -516,8 +520,7 @@ def integrate_to_dump(p: _model.SystemParams, cfg: SdeConfig, path,
     n_tr, _, n_rec = cfg.sample_counts()
     sidecar = {
         "format": DUMP_FORMAT,
-        "dtype": "complex128-le",
-        "order": ["trajectory", "sample", "variable"],
+        **_DUMP_LAYOUT,
         "n_traj": cfg.n_traj,
         "n_samples": n_rec,
         "n_variables": cfg.n_vars,
@@ -548,6 +551,10 @@ def load_ensemble_dump(path) -> tuple:
     if sidecar.get("format") != DUMP_FORMAT:
         raise ConfigError(
             f"unsupported dump format {sidecar.get('format')!r}")
+    for key, want in _DUMP_LAYOUT.items():
+        if sidecar.get(key) != want:
+            raise ConfigError(f"sidecar of {path} gives {key} "
+                              f"{sidecar.get(key)!r}, not {want!r}")
     shape = tuple(_as_count(sidecar.get(k), 0, f"{k} in the sidecar of {path}")
                   for k in ("n_traj", "n_samples", "n_variables"))
     labels = list(STATE_LABELS[:shape[2]])

@@ -1,8 +1,10 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -12,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import assert_same_bits
 from opodimer import cli, criteria, sde
 from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
-from opodimer.errors import ConfigError
-from opodimer.model import SystemParams, min_re_eig_stack
+from opodimer.errors import ConfigError, DomainError
+from opodimer.model import SystemParams, critical_pump, min_re_eig_stack
 from opodimer.sde import SdeConfig, load_ensemble_dump
 
 REFERENCE = json.loads(
@@ -291,21 +294,52 @@ SUBCOMMAND_OPTIONS = {"spectrum": set(), "stability": set(),
 
 
 @pytest.mark.parametrize("name", SUBCOMMAND_OPTIONS)
-def test_subcommand_interface(name, capsys):
+def test_subcommand_interface(name, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main([name, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: opodimer {name} ")
-    subs = next(a for a in cli.build_parser()._actions
+    # main runs whatever cli.cmd_<name> holds when it is called
+    ran = []
+    monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
+                        lambda args, cfg: ran.append(args.command) or 0)
+    assert cli.main([name, *(("--out", "x") if name == "sde-dump" else ())]) == 0
+    assert ran == [name]
+    subs = next(a for a in cli._PARSER._actions
                 if isinstance(a, argparse._SubParsersAction))
     assert list(subs.choices) == list(SUBCOMMAND_OPTIONS)
     sub = subs.choices[name]
-    assert sub.get_default("func") is getattr(cli, "cmd_" + name.replace("-", "_"))
     options = {s for a in sub._actions for s in a.option_strings}
     assert options == {"-h", "--help", "--config", "--preset", "--set", "--out",
                        *SUBCOMMAND_OPTIONS[name]}
     required = {s for a in sub._actions if a.required for s in a.option_strings}
     assert required == ({"--out"} if name == "sde-dump" else set())
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main parses with one parser built at import; no option of one call
+    # may reach the next
+    seen = []
+    for name in ("cmd_stability", "cmd_verify"):
+        monkeypatch.setattr(cli, name,
+                            lambda args, cfg: seen.append((args, cfg)) or 0)
+    assert cli.main(["stability", "--set", "params.J_a=2"]) == 0
+    assert cli.main(["verify", "--seed", "5"]) == 0
+    assert cli.main(["stability"]) == 0
+    assert cli.main(["verify"]) == 0
+    assert [args.command for args, _ in seen] == ["stability", "verify"] * 2
+    assert seen[0][1].params.system.J_a == 2.0 and seen[1][1].seed == 5
+    for args, cfg in seen[2:]:
+        assert args.overrides == [] and cfg == RunConfig()
+    assert seen[3][0].seed is None
+    for argv, code in ((["--help"], 0), (["stability", "--bogus"], 1),
+                       (["stability", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code, argv
+    assert cli.main(["stability"]) == 0
+    assert seen[-1][0].overrides == [] and seen[-1][1] == RunConfig()
+    capsys.readouterr()
 
 
 class TestSpectrumCommand:
@@ -587,6 +621,81 @@ class TestStabilityCommand:
                 == ["%.12g" % m for m in min_re_eig_stack(ps)])
         assert ([r["min_re_eig"] for r in unequal]
                 != [r["min_re_eig"] for r in equal])
+
+    @pytest.mark.parametrize("sets", [
+        (),
+        ("stability.track_detuning=true",),
+        ("params.Delta_a=-3", "params.Delta_b=-3"),
+        ("stability.mode=pump-scan",
+         "stability.pump_fractions=[0, 0.25, 0.999, 1.5]"),
+        ("params.eps=[30,5]",),
+        ("params.eps=[30,5]", "stability.track_detuning=true"),
+        ("params.eps=[30,5]", "stability.mode=pump-scan"),  # default fractions
+        ("params.eps1=[50,3]", "params.eps2=[40,-2]"),
+        ("params.eps=[50,-0.0]",),
+        ("params.eps1=[50,-0.0]", "params.eps2=[40,-0.0]")])
+    def test_rows_match_the_patched_route(self, sets):
+        # each row is built straight from params.system; the oracle is
+        # the validated route through ParamsSpec.patched
+        cfg = apply_overrides(load_preset("fig1"), [
+            "stability.J_a=[0, -0.0, 0.5, -2, 10]", "stability.J_b=[0, 1, -4]",
+            *sets])
+        spec, where = cfg.stability, f"stability {cfg.stability.mode}"
+        if spec.mode == "coupling-grid":
+            patches = [{"J_a": ja, "J_b": jb}
+                       | ({"Delta_a": ja, "Delta_b": jb} if spec.track_detuning else {})
+                       for ja, jb in product(spec.J_a, spec.J_b)]
+        else:
+            patches = [{"pump_fraction": f} for f in spec.pump_fractions]
+        rows = cli._stability_rows(cfg.params, patches, where)
+        assert len(rows) == len(patches)
+        signed_zero = any("-0.0" in s for s in sets)
+        for patch, got in zip(patches, rows):
+            want = cfg.params.patched(patch, where).system
+            for f in dataclasses.fields(SystemParams):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                if signed_zero and f.name.startswith("eps"):
+                    # patched writes a pump with a zero imaginary part as a
+                    # plain number and reads it back with +0.0; the row
+                    # keeps the config's -0.0
+                    assert g == w and math.copysign(1.0, g.imag) == -1.0
+                    assert math.copysign(1.0, w.imag) == 1.0
+                    g, w = g.real, w.real
+                assert_same_bits(np.array([g]), np.array([w]))
+
+    def test_signed_zero_pump_part_leaves_the_csv_alone(self, capsys):
+        # a -0.0 imaginary pump part reaches the rows (see above), but no
+        # byte of the table: the config echo writes the pump as a plain number
+        grid = ["--set", "stability.J_a=[0, 1, -2]", "--set", "stability.J_b=[0, 3]"]
+        for zero, plain in ((["--set", "params.eps=[50,-0.0]"],
+                             ["--set", "params.eps=50"]),
+                            (["--set", "params.eps1=[50,-0.0]", "--set", "params.eps2=40"],
+                             ["--set", "params.eps1=50", "--set", "params.eps2=40"])):
+            tables = []
+            for pump in (zero, plain):
+                assert cli.main(["stability", *grid, *pump]) == 0
+                tables.append(capsys.readouterr().out)
+            assert tables[0] == tables[1], zero
+
+    def test_row_errors_keep_their_type_and_message(self, capsys):
+        def overflow(**kw):
+            with pytest.raises(DomainError) as exc:
+                critical_pump(SystemParams(**kw))
+            return str(exc.value)
+
+        big = ("--set", "stability.J_a=[1e200]", "--set", "stability.J_b=[0]")
+        for args, msg in (
+                (("--preset", "fig1", "--set", "stability.mode=pump-scan",
+                  "--set", "stability.pump_fractions=[1e308]"),
+                 "stability pump-scan: eps1 must be finite, got (inf+0j)"),
+                # a pump_fraction: the row's pump needs the critical pump
+                (("--set", "params.pump_fraction=0.5", *big),
+                 overflow(J_a=1e200)),
+                # amplitude pumps: the analytic column needs it
+                (("--set", "params.eps=[30,5]", *big),
+                 overflow(J_a=1e200, eps1=30 + 5j, eps2=30 + 5j))):
+            assert cli.main(["stability", *args]) == 1, args
+            assert capsys.readouterr().err == f"opodimer: error: {msg}\n", args
 
     def test_threshold_out_of_float_range_exits_1(self):
         # eps_crit overflows at kappa = 1e-307 from the J_a = 2, J_b = 10 row

@@ -886,6 +886,10 @@ class TestDump:
                             json.dumps(meta | {"n_traj": True})),
                            (None, json.dumps(
                                meta | {"variables": meta["variables"][:3]})),
+                           # a payload layout the reader does not take
+                           (None, json.dumps(meta | {"dtype": "complex64-le"})),
+                           (None, json.dumps(meta | {"order": [
+                               "variable", "sample", "trajectory"]})),
                            (None, json.dumps(meta)[:-1])):  # not valid JSON
             target.write_bytes(payload if data is None else data)
             side.write_text(json.dumps(meta) if text is None else text)
