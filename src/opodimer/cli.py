@@ -108,7 +108,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         cols = [c if isinstance(c, list) else c.tolist() for c in table.values()]
         fmt = _row_format([c[0] for c in cols])
         rows.extend(fmt % row for row in zip(*cols))
-        del cols  # free the column lists before the next variant's solve
+        del cols, S  # free them before the next variant's solve
     lines.append(",".join(table))  # every variant has the same columns
     lines.extend(rows)
     _emit(lines, args.out)

@@ -243,17 +243,24 @@ def _signal_rates(ps: list) -> tuple:
             np.array([1j * p.J_a for p in ps]))
 
 
+def _require_finite(A) -> np.ndarray:
+    """A as an array, after raising dense_eigvals' DomainError if an entry
+    of it is not finite."""
+    A = np.asarray(A)
+    finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
+    if (bad := np.flatnonzero(~finite)).size:
+        raise DomainError(f"row {bad[0]}: drift matrix is not finite "
+                          f"(an entry overflows a float)")
+    return A
+
+
 def dense_eigvals(A) -> np.ndarray:
     """np.linalg.eigvals of a matrix or a stack of them, unsorted. Raises
     DomainError naming the first row (along A's first axis: a matrix of a
     stack) with an entry that is not finite, such as a pair term kappa
     beta_ss past the float range, before the solver sees it, and
     ConvergenceFailureError where the solver fails."""
-    A = np.asarray(A)
-    finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
-    if (bad := np.flatnonzero(~finite)).size:
-        raise DomainError(f"row {bad[0]}: drift matrix is not finite "
-                          f"(an entry overflows a float)")
+    A = _require_finite(A)
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -279,14 +286,16 @@ def _unchecked_state(p: SystemParams) -> SteadyState:
 
 
 def _is_below_threshold(p: SystemParams) -> bool:
-    """True when every drift eigenvalue has positive real part and, for
-    equal pumps, the pump sits strictly inside the guard band below
-    eps_crit."""
-    eigs = stability_eigenvalues(p)
-    if float(np.min(eigs.real)) <= 0.0:
-        return False
-    return not p.equal_pumps or (
-        max(abs(p.eps1), abs(p.eps2)) / critical_pump(p) < 1.0 - THRESHOLD_GUARD)
+    """For equal pumps, True when |eps| sits strictly inside the guard band
+    below eps_crit: that closed form is exact for any sign of coupling and
+    detuning, where the dense eigensolve loses the real part at large
+    |J_a| / gamma_a (its slowest decay reads 0.0 at J_a = 3e16 and half
+    threshold). Otherwise True when every drift eigenvalue has positive
+    real part. Both raise DomainError for a drift block that is not finite."""
+    if p.equal_pumps:
+        _require_finite(_signal_blocks([p])[0])
+        return abs(p.eps1) / critical_pump(p) < 1.0 - THRESHOLD_GUARD
+    return float(np.min(stability_eigenvalues(p).real)) > 0.0
 
 
 def steady_state(p: SystemParams) -> SteadyState:
@@ -294,9 +303,10 @@ def steady_state(p: SystemParams) -> SteadyState:
 
     Equal pumps use the closed form beta_ss = eps / [gamma_b - i(J_b - Delta_b)];
     unequal pumps fall back on the numeric fixed-point solve. Raises
-    AboveThresholdError when any stability eigenvalue has a non-positive real
-    part (or the pump enters the guard band around eps_crit), since the
-    fluctuation analysis built on this state would be meaningless there.
+    AboveThresholdError when equal pumps enter the guard band below
+    eps_crit, or when any stability eigenvalue of unequal pumps has a
+    non-positive real part (_is_below_threshold), since the fluctuation
+    analysis built on this state would be meaningless there.
     """
     if not _is_below_threshold(p):
         eps_crit = critical_pump(p)

@@ -27,6 +27,10 @@ COND_LIMIT = 1e12
 
 _IMAG_RESIDUE_TOL = 1e-10
 
+# Frequencies per block of spectral_matrix: its temporaries, about 4 KB per
+# frequency of the 8-variable model, stay near 1 MB whatever n_omega.
+_OMEGA_BLOCK = 256
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralMatrix:
@@ -65,13 +69,20 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     (A + i omega) exceeds COND_LIMIT = 1e12 (or is nan), quoting that number;
     at omega = 0 this signals an at-threshold drift matrix.
 
+    The frequencies are taken in consecutive blocks of _OMEGA_BLOCK, each
+    gated and solved into its slice of S before the next begins, so the
+    memory used beyond S and cond does not grow with n_omega. Every slice
+    is solved on its own, so S and cond do not depend on the block size,
+    and as each block is gated before its solves, the error names the same
+    first frequency as a gate over the whole stack.
+
     The gate takes the SVD (np.linalg.cond) only where it can matter. The
     Frobenius condition number of each slice, from one stacked inverse, is
     never below the 2-norm one, so a slice where it is at most COND_LIMIT / 2
     passes. The factor 2 is a margin for rounding: the computed inverse and
     the SVD carry relative errors of order n * cond * 2.2e-16, under 2e-3
     for n = 8 up to cond = 1e12, so such a slice passes the SVD too. The
-    other slices, or the whole stack when the inverse meets an exactly
+    other slices, or the whole block when the inverse meets an exactly
     singular slice, go to np.linalg.cond, which decides as before. Near
     threshold only the frequencies next to the critical one take the SVD:
     on the symmetric model with unit damping and coupling and no detuning,
@@ -85,25 +96,34 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     if not np.isfinite(omegas).all():
         raise ValueError(f"omegas must be finite, got {omegas}")
     A = model.A
-    shift = 1j * omegas[:, None, None] * np.eye(A.shape[0])
-    shifted = A + shift
-    cond = _frobenius_cond(shifted)
-    suspect = np.flatnonzero(~(cond <= 0.5 * COND_LIMIT))  # also catches nan
-    if len(suspect):
-        cond2 = np.linalg.cond(shifted[suspect])
-        bad = ~(cond2 <= COND_LIMIT)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SingularAtFrequencyError(
-                f"condition number {cond2[k]:.3e} of (A + i omega) exceeds "
-                f"{COND_LIMIT:.0e} at omega = {omegas[suspect[k]]:g}")
-    left = np.linalg.solve(shifted, model.diffusion())
-    # right factor (A^T - i omega)^-1: solve (A - i omega) Y^T = left^T,
-    # then Y = left (A^T - i omega)^-1. S keeps the transposed layout of the
-    # solve: each slice then projects with the same summation order as a
-    # single-frequency solve, so the printed digits do not depend on n_omega.
-    S = np.linalg.solve(A - shift, left.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return SpectralMatrix(omega=_frozen(omegas), S=_frozen(S), cond=_frozen(cond))
+    n = A.shape[0]
+    eye, diffusion = np.eye(n), model.diffusion()
+    # S keeps the transposed layout of the solve: each slice then projects
+    # with the same summation order as a single-frequency solve, so the
+    # printed digits do not depend on n_omega.
+    S_t = np.empty((len(omegas), n, n), dtype=complex)
+    cond = np.empty(len(omegas))
+    for start in range(0, len(omegas), _OMEGA_BLOCK):
+        block = slice(start, start + _OMEGA_BLOCK)
+        w = omegas[block]
+        shift = 1j * w[:, None, None] * eye
+        shifted = A + shift
+        cond[block] = _frobenius_cond(shifted)
+        suspect = np.flatnonzero(~(cond[block] <= 0.5 * COND_LIMIT))  # nan too
+        if len(suspect):
+            cond2 = np.linalg.cond(shifted[suspect])
+            bad = ~(cond2 <= COND_LIMIT)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise SingularAtFrequencyError(
+                    f"condition number {cond2[k]:.3e} of (A + i omega) exceeds "
+                    f"{COND_LIMIT:.0e} at omega = {w[suspect[k]]:g}")
+        left = np.linalg.solve(shifted, diffusion)
+        # right factor (A^T - i omega)^-1: solve (A - i omega) Y^T = left^T,
+        # then Y = left (A^T - i omega)^-1
+        S_t[block] = np.linalg.solve(A - shift, left.transpose(0, 2, 1))
+    return SpectralMatrix(omega=_frozen(omegas), S=_frozen(S_t.transpose(0, 2, 1)),
+                          cond=_frozen(cond))
 
 
 def coefficient_vector(n: int, terms) -> np.ndarray:

@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_bits
-from opodimer import cli, criteria, sde
+from opodimer import cli, criteria, sde, spectrum
 from opodimer.config import (PRESETS, RunConfig, apply_overrides,
                              load_config_file, load_preset)
 from opodimer.errors import ConfigError, DomainError
@@ -542,6 +544,38 @@ class TestSpectrumCommand:
         data = r.stdout.encode("ascii")
         assert len(data) == REFERENCE[name]["bytes"]
         assert hashlib.sha256(data).hexdigest() == REFERENCE[name]["sha256"]
+
+    @pytest.mark.parametrize("args", [
+        ("--preset", "fig4", "--set", "sweep.omega_points=201"),
+        ("--preset", "fig5")])  # three variants of 2001 frequencies
+    def test_frequency_block_size_changes_no_byte(self, args, tmp_path,
+                                                  monkeypatch):
+        texts = []
+        for block in (1, 7, spectrum._OMEGA_BLOCK):
+            monkeypatch.setattr(spectrum, "_OMEGA_BLOCK", block)
+            out = tmp_path / f"{block}.csv"
+            assert cli.main(["spectrum", *args, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_one_variant_spectral_matrix_alive_at_a_time(self, monkeypatch):
+        buffers = []  # a weak reference to the memory of each variant's S
+        stack = criteria.spectral_stack
+
+        def tracked(p, omegas):
+            assert all(ref() is None for ref in buffers), \
+                "an earlier variant's S is alive during this solve"
+            S = stack(p, omegas)
+            owner = S.S
+            while owner.base is not None:
+                owner = owner.base
+            buffers.append(weakref.ref(owner))
+            return S
+
+        monkeypatch.setattr(criteria, "spectral_stack", tracked)
+        assert cli.main(["spectrum", "--preset", "fig5", "--set",
+                         "sweep.omega_points=21", "--out", os.devnull]) == 0
+        assert len(buffers) == 3
 
     def test_fig1_strong_coupling_dip(self):
         r = run_cli("spectrum", "--preset", "fig1")

@@ -155,6 +155,15 @@ class TestSteadyState:
         with pytest.raises(AboveThresholdError):
             steady_state(sym(pump_fraction=1.0))
 
+    def test_equal_pumps_decided_by_the_closed_form(self):
+        # at J_a = 3e16 the dense eigensolve reads the slowest decay as 0.0;
+        # eps_crit = sqrt(1 + 9e32) / 0.01 = 3e18 decides instead
+        p = SystemParams.symmetric(J_a=3e16, pump_fraction=0.5)
+        assert steady_state(p).beta1_ss == 1.5e18
+        with pytest.raises(AboveThresholdError):
+            steady_state(SystemParams.symmetric(J_a=3e16,
+                                                pump_fraction=1.0 - 1e-10))
+
     def test_residual_check_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(model, "_unchecked_state",
                             lambda p: SteadyState(beta1_ss=1.0, beta2_ss=1.0))

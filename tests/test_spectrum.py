@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from opodimer import spectrum
 from opodimer.config import load_preset
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
@@ -104,6 +106,30 @@ class TestSpectralMatrix:
         with pytest.raises(ValueError, match="must be finite"):
             spectral_matrix(model_for(sym()), [2.0, math.nan])
 
+    def test_singular_frequency_past_the_first_block_is_named(self):
+        m = build_linear_model(sym(pump_fraction=1.0))
+        n = spectrum._OMEGA_BLOCK
+        with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
+            spectral_matrix(m, np.r_[np.linspace(2.0, 9.0, n + 3), 0.0, -1.5])
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        m = model_for(sym())
+
+        def beyond_output(n_blocks):
+            omegas = np.linspace(-50.0, 50.0, n_blocks * spectrum._OMEGA_BLOCK)
+            tracemalloc.start()
+            try:
+                S = spectral_matrix(m, omegas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - S.S.nbytes - S.cond.nbytes
+
+        beyond_output(4)  # first-call allocations
+        small = beyond_output(4)
+        # temporaries of 4 KB per frequency would add 29 MB over 28 blocks
+        assert beyond_output(32) <= small + 64 * 1024
+
     def test_imaginary_residue_raises_typed_error(self):
         # i * identity breaks the conjugation symmetry of a true S(omega)
         S = SpectralMatrix(omega=np.zeros(1), S=1j * np.eye(8)[None],
@@ -196,6 +222,15 @@ class TestSingularityGate:
         with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
             spectral_matrix(diagonal_model(0.0), [2.0, 0.0])
         assert svd_calls == [2]
+
+    def test_exactly_singular_slice_sends_only_its_block_to_the_svd(self,
+                                                                   svd_calls):
+        # omega = 0 in a second block of 5 frequencies
+        n = spectrum._OMEGA_BLOCK
+        with pytest.raises(SingularAtFrequencyError, match=r"at omega = 0$"):
+            spectral_matrix(diagonal_model(0.0),
+                            np.r_[np.linspace(1.0, 5.0, n + 3), 0.0, 2.0])
+        assert svd_calls == [5]
 
     def test_decision_near_threshold_is_the_svd_rule(self):
         omegas = np.array([0.0, 1e-12, 1e-11])
