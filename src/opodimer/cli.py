@@ -90,14 +90,15 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         p = pspec.system
         theta = _resolve_theta(p, tspec, cfg)
         name = label if label is not None else "-"
+        theta_deg = f"{math.degrees(theta):.12g}"  # the text of its every cell
         lines.append(f"# variant {name}: params="
                      + json.dumps(pspec.to_dict(), sort_keys=True,
                                   separators=(",", ":"))
-                     + f" theta_deg={math.degrees(theta):.12g}"
+                     + f" theta_deg={theta_deg}"
                      + f" eps_crit={critical_pump(p):.12g}")
         S = criteria.spectral_stack(p, cfg.sweep.omegas())
         n = len(S.omega)
-        table = {"omega": S.omega, "theta_deg": [math.degrees(theta)] * n,
+        table = {"omega": S.omega, "theta_deg": [theta_deg] * n,
                  **criteria.witness_table(S, p.gamma_a, theta, cfg.duan_pairing,
                                           cfg.epr_infer_from)}
         table["flags"] = _flags_column(table)

@@ -65,6 +65,12 @@ def single_mode_moments(S: SpectralMatrix, gamma_a: float, theta=0.0) -> tuple:
             output_moment(S, x, y, gamma_a))
 
 
+def _variance(S: SpectralMatrix, name: str, theta, gamma_a: float) -> np.ndarray:
+    """Output variance of the quadrature name at angle theta, projected once."""
+    terms = quadrature(name, theta)
+    return output_moment(S, terms, terms, gamma_a)
+
+
 def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
              pairing: str = "xminus_yplus") -> np.ndarray:
     """Unnormalized sum-criterion witness; separable states sit at >= 4.
@@ -77,9 +83,7 @@ def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
     if pairing not in DUAN_PAIRINGS:
         raise ValueError(f"pairing must be one of {DUAN_PAIRINGS}, got {pairing!r}")
     x, y = ("Xm", "Yp") if pairing == "xminus_yplus" else ("Xp", "Ym")
-    first, second = quadrature(x, theta), quadrature(y, theta)
-    return (output_moment(S, first, first, gamma_a)
-            + output_moment(S, second, second, gamma_a))
+    return _variance(S, x, theta, gamma_a) + _variance(S, y, theta, gamma_a)
 
 
 def _inference_modes(infer_from: int) -> tuple:
@@ -97,20 +101,44 @@ def epr_product(S: SpectralMatrix, gamma_a: float, theta=0.0,
     linear gain: S_inf(Q_j) = S(Q_j) - V(Q_i, Q_j)^2 / S(Q_i), evaluated for
     Q = X and Q = Y in the angle-theta frame. Shaped like duan_sum.
     """
+    return _inference_product(S, theta, infer_from,
+                              _mode_moments(S, gamma_a, theta, infer_from))
+
+
+def _mode_moments(S: SpectralMatrix, gamma_a: float, theta, infer_from: int,
+                  mode1=None) -> dict:
+    """The six mode moments of the EPR product at angle theta: the variances
+    keyed "X1", "Y1", "X2", "Y2" and the cross-mode covariances
+    V(Q_i, Q_j), i = infer_from, keyed "X" and "Y". mode1, when given, is
+    the (V(X1), V(Y1)) pair already projected, which is not projected again."""
+    i, j = _inference_modes(infer_from)
+    moments = dict(zip(("X1", "Y1"), mode1 or ()))
+    for name in ("X1", "Y1", "X2", "Y2"):
+        if name not in moments:
+            moments[name] = _variance(S, name, theta, gamma_a)
+    for kind in "XY":
+        moments[kind] = output_moment(S, quadrature(f"{kind}{i}", theta),
+                                      quadrature(f"{kind}{j}", theta), gamma_a)
+    return moments
+
+
+def _inference_product(S: SpectralMatrix, theta, infer_from: int,
+                       moments: dict) -> np.ndarray:
+    """epr_product from the six moments of _mode_moments. Raises
+    DegenerateVarianceError, naming the frequency and the quadrature's angle,
+    where a conditioning variance falls below 1e-14."""
     i, j = _inference_modes(infer_from)
     prod = 1.0
     for kind in "XY":
-        qi, qj = quadrature(f"{kind}{i}", theta), quadrature(f"{kind}{j}", theta)
-        vi = output_moment(S, qi, qi, gamma_a)
-        vj = output_moment(S, qj, qj, gamma_a)
-        vij = output_moment(S, qi, qj, gamma_a)
+        vi, vj, vij = moments[f"{kind}{i}"], moments[f"{kind}{j}"], moments[kind]
         low = vi < 1e-14
         if low.any():
             k = np.unravel_index(np.argmax(low), low.shape)
+            angle = quadrature(f"{kind}{i}", theta)[0][1]
             raise DegenerateVarianceError(
                 f"conditioning variance {vi[k]:.3e} too small to divide by "
                 f"at omega = {S.omega[k[0]]:g}, "
-                f"theta = {np.broadcast_to(qi[0][1], low.shape)[k]:g}")
+                f"theta = {np.broadcast_to(angle, low.shape)[k]:g}")
         prod = prod * (vj - vij * vij / vi)
     return prod
 
@@ -119,22 +147,21 @@ def combined_variances(S: SpectralMatrix, gamma_a: float) -> dict:
     """Numeric sum/difference output spectra (theta = 0 frame) from the full
     model, one (n_omega,) array per name; agrees with the 4x4 route on the
     Delta = J manifold but is defined for any stable parameter set."""
-    out = {}
-    for name in ("Xp", "Yp", "Xm", "Ym"):
-        terms = quadrature(name)
-        out[f"S_{name}"] = output_moment(S, terms, terms, gamma_a)
-    return out
+    return {f"S_{name}": _variance(S, name, 0.0, gamma_a)
+            for name in ("Xp", "Yp", "Xm", "Ym")}
 
 
 def witness_table(S: SpectralMatrix, gamma_a: float, theta: float = 0.0,
                   duan_pairing: str = "xminus_yplus",
                   epr_infer_from: int = 1) -> dict:
     """Mode-1 moments and both witnesses at angle theta, one (n_omega,)
-    array per column of the spectrum CSV."""
+    array per column of the spectrum CSV. The EPR product reuses the mode-1
+    variances, so each distinct moment is projected once."""
     s_x, s_y, cov_xy = single_mode_moments(S, gamma_a, theta)
-    return {"S_X": s_x, "S_Y": s_y, "cov_XY": cov_xy,
-            "duan_sum": duan_sum(S, gamma_a, theta, duan_pairing),
-            "epr_product": epr_product(S, gamma_a, theta, epr_infer_from)}
+    duan = duan_sum(S, gamma_a, theta, duan_pairing)
+    moments = _mode_moments(S, gamma_a, theta, epr_infer_from, (s_x, s_y))
+    return {"S_X": s_x, "S_Y": s_y, "cov_XY": cov_xy, "duan_sum": duan,
+            "epr_product": _inference_product(S, theta, epr_infer_from, moments)}
 
 
 def witness_flags(table: dict) -> dict:
@@ -181,7 +208,7 @@ def optimize_angle(p: SystemParams, omega: float, objective: str = "squeezing",
         raise ValueError(f"unknown objective {objective!r}")
     S = spectral_stack(p, [omega])
     ga = p.gamma_a
-    witness = {"squeezing": lambda t: single_mode_moments(S, ga, t)[0],
+    witness = {"squeezing": lambda t: _variance(S, "X1", t, ga),
                "duan": lambda t: duan_sum(S, ga, t, pairing),
                "epr": lambda t: epr_product(S, ga, t, infer_from)}[objective]
     if objective == "epr":

@@ -45,83 +45,124 @@ class SpectralMatrix:
     cond: np.ndarray
 
 
-def _frobenius_cond(shifted: np.ndarray) -> np.ndarray:
-    """|M|_F |M^-1|_F of every slice of a (n_omega, n, n) stack, inf for the
-    whole stack when one slice is exactly singular."""
-    try:
-        inv = np.linalg.inv(shifted)
-    except np.linalg.LinAlgError:
+def _frobenius_cond(shifted: np.ndarray, inv) -> np.ndarray:
+    """|M|_F |M^-1|_F of every slice of a (n_omega, n, n) stack M, given its
+    inverse inv, or inf for the whole stack when inv is None (the
+    factorization met an exactly singular slice)."""
+    if inv is None:
         return np.full(len(shifted), np.inf)
     sq = []
     for m in (shifted, inv):
+        # reshape copies a strided inv, so both sums run over contiguous rows
         v = m.reshape(len(m), m.shape[1] * m.shape[2]).view(float)
         sq.append(np.einsum("ij,ij->i", v, v))
     return np.sqrt(sq[0] * sq[1])
 
 
+def _solve_block(A, w, rhs, support, live, S_t, cond) -> None:
+    """Gate and solve one block of frequencies w into its slices S_t (the
+    transposed layout) and cond: see spectral_matrix. rhs is the stack of
+    one [I | D's columns in support], support the indices the noise reaches
+    and live the rows of left = (A + i omega)^-1 D that the second solve
+    takes; the other columns of S_t must already hold zeros."""
+    n = A.shape[0]
+    shift = 1j * w[:, None, None] * np.eye(n)
+    shifted, mirrored = A + shift, A - shift
+    del shift
+    try:
+        x = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular slice: the SVD decides
+        x = None
+    cond[:] = _frobenius_cond(shifted, None if x is None else x[..., :n])
+    suspect = np.flatnonzero(~(cond <= 0.5 * COND_LIMIT))  # nan too
+    if len(suspect):
+        cond2 = np.linalg.cond(shifted[suspect])
+        bad = ~(cond2 <= COND_LIMIT)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SingularAtFrequencyError(
+                f"condition number {cond2[k]:.3e} of (A + i omega) exceeds "
+                f"{COND_LIMIT:.0e} at omega = {w[suspect[k]]:g}")
+    if x is None:
+        raise SingularAtFrequencyError(
+            "the LU factorization of (A + i omega) met an exactly zero pivot "
+            f"between omega = {w[0]:g} and {w[-1]:g}")
+    del shifted
+    # right factor (A^T - i omega)^-1: solve (A - i omega) S^T = left^T,
+    # whose column k is row k of left, nonzero only in the support's rows
+    rhs_t = np.zeros((len(w), n, len(live)), dtype=complex)
+    rhs_t[:, support] = x[:, live, n:].transpose(0, 2, 1)
+    S_t[..., live] = np.linalg.solve(mirrored, rhs_t)
+
+
 def spectral_matrix(model, omegas) -> SpectralMatrix:
     """Evaluate S(omega) at every frequency of omegas (a scalar is one
-    frequency) by two stacked linear solves with partial pivoting.
+    frequency) by two stacked linear solves with partial pivoting, one
+    factorization of (A + i omega) and one of (A - i omega) per frequency.
 
     Works for a model of any size (A and B n x n). Raises
     ValueError for a non-finite frequency, and SingularAtFrequencyError
     naming the first frequency where the 2-norm condition number of
     (A + i omega) exceeds COND_LIMIT = 1e12 (or is nan), quoting that number;
-    at omega = 0 this signals an at-threshold drift matrix.
+    at omega = 0 this signals an at-threshold drift matrix. omegas is
+    copied: S.omega is read-only, the caller's array is left as it was.
 
     The frequencies are taken in consecutive blocks of _OMEGA_BLOCK, each
     gated and solved into its slice of S before the next begins, so the
     memory used beyond S and cond does not grow with n_omega. Every slice
     is solved on its own, so S and cond do not depend on the block size,
-    and as each block is gated before its solves, the error names the same
-    first frequency as a gate over the whole stack.
+    and as each block is gated before its second solve, the error names the
+    same first frequency as a gate over the whole stack.
+
+    One solve of (A + i omega) against [I | D's nonzero columns], with
+    D = B B^T, serves both the gate and the left factor left = M^-1 D: its
+    first n columns are M^-1, the same LAPACK gesv that np.linalg.inv runs
+    on the identity, and the others are the nonzero columns of left. When A
+    couples no index that the noise reaches (D's nonzero rows and columns,
+    the same set since D is symmetric) to any other, as in every
+    build_linear_model model, left is zero outside those rows and the
+    second solve takes only them; otherwise it takes every row. S is then
+    zero outside those rows and columns. The values of S do not depend on
+    this, but an exact zero of S may carry either sign.
 
     The gate takes the SVD (np.linalg.cond) only where it can matter. The
-    Frobenius condition number of each slice, from one stacked inverse, is
-    never below the 2-norm one, so a slice where it is at most COND_LIMIT / 2
-    passes. The factor 2 is a margin for rounding: the computed inverse and
-    the SVD carry relative errors of order n * cond * 2.2e-16, under 2e-3
-    for n = 8 up to cond = 1e12, so such a slice passes the SVD too. The
-    other slices, or the whole block when the inverse meets an exactly
-    singular slice, go to np.linalg.cond, which decides as before. Near
+    Frobenius condition number of each slice, from M^-1, is never below the
+    2-norm one, so a slice where it is at most COND_LIMIT / 2 passes. The
+    factor 2 is a margin for rounding: the computed inverse and the SVD
+    carry relative errors of order n * cond * 2.2e-16, under 2e-3 for n = 8
+    up to cond = 1e12, so such a slice passes the SVD too. The other slices,
+    or the whole block when the factorization meets an exactly singular
+    slice, go to np.linalg.cond, which decides as before. Near
     threshold only the frequencies next to the critical one take the SVD:
     on the symmetric model with unit damping and coupling and no detuning,
     the Frobenius value at omega = 0 is sqrt(6) times the 2-norm one, so the
     SVD runs once 1 - pump_fraction falls below about 1e-11 (a 2-norm value
     above 2e11).
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = np.atleast_1d(np.array(omegas, dtype=float))
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be a scalar or 1-D, got shape {omegas.shape}")
     if not np.isfinite(omegas).all():
         raise ValueError(f"omegas must be finite, got {omegas}")
     A = model.A
     n = A.shape[0]
-    eye, diffusion = np.eye(n), model.diffusion()
+    diffusion = model.diffusion()
+    noisy = diffusion.any(axis=0)
+    support = np.flatnonzero(noisy)
+    # an entry of A between an index the noise reaches and one it does not
+    coupled = A[noisy[:, None] != noisy].any()
+    live = np.arange(n) if coupled else support
+    # a stack of one: numpy < 2.0 reads a b with one axis less than a as a
+    # stack of vectors
+    rhs = np.concatenate((np.eye(n), diffusion[:, support]), axis=1)[None]
     # S keeps the transposed layout of the solve: each slice then projects
     # with the same summation order as a single-frequency solve, so the
     # printed digits do not depend on n_omega.
-    S_t = np.empty((len(omegas), n, n), dtype=complex)
+    S_t = np.zeros((len(omegas), n, n), dtype=complex)
     cond = np.empty(len(omegas))
     for start in range(0, len(omegas), _OMEGA_BLOCK):
         block = slice(start, start + _OMEGA_BLOCK)
-        w = omegas[block]
-        shift = 1j * w[:, None, None] * eye
-        shifted = A + shift
-        cond[block] = _frobenius_cond(shifted)
-        suspect = np.flatnonzero(~(cond[block] <= 0.5 * COND_LIMIT))  # nan too
-        if len(suspect):
-            cond2 = np.linalg.cond(shifted[suspect])
-            bad = ~(cond2 <= COND_LIMIT)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise SingularAtFrequencyError(
-                    f"condition number {cond2[k]:.3e} of (A + i omega) exceeds "
-                    f"{COND_LIMIT:.0e} at omega = {w[suspect[k]]:g}")
-        left = np.linalg.solve(shifted, diffusion)
-        # right factor (A^T - i omega)^-1: solve (A - i omega) Y^T = left^T,
-        # then Y = left (A^T - i omega)^-1
-        S_t[block] = np.linalg.solve(A - shift, left.transpose(0, 2, 1))
+        _solve_block(A, omegas[block], rhs, support, live, S_t[block], cond[block])
     return SpectralMatrix(omega=_frozen(omegas), S=_frozen(S_t.transpose(0, 2, 1)),
                           cond=_frozen(cond))
 

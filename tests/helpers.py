@@ -2,7 +2,8 @@
 oracles the tests check the package against: the resonant closed-form
 drift eigenvalues, the finite-difference Jacobian, the 4x4 sum/difference
 model of the Delta = J manifold, the (Re, Im) eigenvalue order, the
-stationary signal covariance and a bit-for-bit array comparison."""
+stationary signal covariance, the spectral matrix by an inverse and two
+full solves, and a bit-for-bit array comparison."""
 
 import math
 
@@ -11,10 +12,17 @@ import numpy as np
 from opodimer.linearized import LinearModel, _frozen, build_linear_model
 from opodimer.model import (SystemParams, _unchecked_state, drift_rhs,
                             steady_state)
-from opodimer.spectrum import output_moment, require_manifold, spectral_matrix
+from opodimer.spectrum import (_OMEGA_BLOCK, SpectralMatrix, output_moment,
+                               require_manifold, spectral_matrix)
 
 _EIG_REAL_TOL = 1e-9
 _FD_STEP = 1e-6
+
+
+# detuned, with unequal complex pumps: off both closed forms' manifolds
+DETUNED_COMPLEX = SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7, J_a=0.3,
+                               J_b=-0.4, Delta_a=0.3, Delta_b=-1.1,
+                               eps1=30 + 20j, eps2=-15 + 2.5j)
 
 
 # J_a, J_b each +0, -0, positive and negative, at Delta = -0 with pumps that
@@ -165,3 +173,32 @@ def signal_covariance(m: LinearModel) -> np.ndarray:
     eye = np.eye(4)
     vec = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), d.reshape(16))
     return vec.reshape(4, 4)
+
+
+def _frobenius_sq(m) -> np.ndarray:
+    v = m.reshape(len(m), m.shape[1] * m.shape[2]).view(float)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def reference_spectral_matrix(model, omegas) -> SpectralMatrix:
+    """S(omega) and cond by the route spectral_matrix took before one
+    factorization served the gate and the left factor: in the same blocks
+    of _OMEGA_BLOCK frequencies, an inverse of each (A + i omega) for cond,
+    then two full solves, every column of every right-hand side. It has no
+    singularity gate."""
+    omegas = np.atleast_1d(np.array(omegas, dtype=float))
+    A = model.A
+    n = A.shape[0]
+    eye, diffusion = np.eye(n), model.diffusion()
+    S_t = np.empty((len(omegas), n, n), dtype=complex)
+    cond = np.empty(len(omegas))
+    for start in range(0, len(omegas), _OMEGA_BLOCK):
+        block = slice(start, start + _OMEGA_BLOCK)
+        shift = 1j * omegas[block][:, None, None] * eye
+        shifted = A + shift
+        inv = np.linalg.inv(shifted)
+        cond[block] = np.sqrt(_frobenius_sq(shifted) * _frobenius_sq(inv))
+        del inv
+        left = np.linalg.solve(shifted, np.broadcast_to(diffusion, shifted.shape))
+        S_t[block] = np.linalg.solve(A - shift, left.transpose(0, 2, 1))
+    return SpectralMatrix(omega=omegas, S=S_t.transpose(0, 2, 1), cond=cond)

@@ -17,6 +17,21 @@ from helpers import sym
 DETUNED = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
 
 
+def count_projections(monkeypatch) -> list:
+    """Record (S, terms1, result) of every output_moment call that criteria
+    makes, until monkeypatch.undo()."""
+    calls = []
+    project = criteria.output_moment
+
+    def counted(S, terms1, terms2, gamma_a):
+        out = project(S, terms1, terms2, gamma_a)
+        calls.append((S, terms1, out))
+        return out
+
+    monkeypatch.setattr(criteria, "output_moment", counted)
+    return calls
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("theta", [0.3, np.array([0.0, 0.4, 2.0])])
     def test_term_lists(self, theta):
@@ -125,6 +140,24 @@ class TestWitnesses:
             assert col.shape == (3,)
             assert np.array_equal(col, w)
 
+    @pytest.mark.parametrize("pairing", criteria.DUAN_PAIRINGS)
+    @pytest.mark.parametrize("infer_from", [1, 2])
+    def test_table_projects_each_moment_once(self, monkeypatch, pairing,
+                                             infer_from):
+        cfg = load_preset("fig5")
+        for p in (cfg.variants()[1][1].system, DETUNED):
+            S = spectral_stack(p, cfg.sweep.omegas()[::50])
+            want = (*single_mode_moments(S, p.gamma_a, 0.4),
+                    duan_sum(S, p.gamma_a, 0.4, pairing),
+                    epr_product(S, p.gamma_a, 0.4, infer_from))
+            calls = count_projections(monkeypatch)
+            t = witness_table(S, p.gamma_a, 0.4, pairing, infer_from)
+            monkeypatch.undo()
+            assert len(calls) == 9
+            for col, w in zip(t.values(), want):
+                np.testing.assert_array_equal(col.view(np.int64),
+                                              w.view(np.int64))
+
     def test_combined_variances_match_closed_forms(self):
         omegas = [0.0, 5.0, 20.0]
         got = combined_variances(spectral_stack(DETUNED, omegas), DETUNED.gamma_a)
@@ -189,6 +222,23 @@ class TestOptimizeAngle:
         monkeypatch.setattr(criteria, "spectral_matrix", counted)
         optimize_angle(sym(J_a=2.0), 1.5, objective)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig4", "fig5"])
+    def test_squeezing_projects_the_variance_alone(self, monkeypatch, preset):
+        # two projections per call, one at the Laurent angles and one at the
+        # candidates, each with the bits of single_mode_moments' S_X
+        for _, spec, _ in load_preset(preset).variants():
+            p = spec.system
+            for omega in (0.0, 1.7):
+                calls = count_projections(monkeypatch)
+                _, value = optimize_angle(p, omega, "squeezing")
+                monkeypatch.undo()
+                assert len(calls) == 2
+                for S, terms, got in calls:
+                    want = single_mode_moments(S, p.gamma_a, terms[0][1])[0]
+                    np.testing.assert_array_equal(got.view(np.int64),
+                                                  want.view(np.int64))
+                assert value == got.min()  # the value is a candidate's
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):

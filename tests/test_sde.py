@@ -17,7 +17,7 @@ from opodimer.sde import (SdeConfig, Stepper, integrate, integrate_to_dump,
                           load_ensemble_dump, stream_output_spectra)
 from opodimer.spectrum import vacuum_baseline
 
-from helpers import (SIGNED_ZERO_POINTS, assert_same_bits,
+from helpers import (DETUNED_COMPLEX, SIGNED_ZERO_POINTS, assert_same_bits,
                      signal_covariance, sym)
 
 
@@ -208,9 +208,7 @@ POINTS = {
     "driven": sym(),
     # pump rows start at exact zeros, so the sign of each zero matters
     "undriven": sym(pump_fraction=0.0),
-    "detuned": SystemParams(kappa=0.013, gamma_a=1.2, gamma_b=0.7, J_a=0.3,
-                            J_b=-0.4, Delta_a=0.3, Delta_b=-1.1,
-                            eps1=30 + 20j, eps2=-15 + 2.5j),
+    "detuned": DETUNED_COMPLEX,
     # undriven by pumps of signed zeros, at Delta = -0 as in
     # SIGNED_ZERO_POINTS: pump rows with -0.0 parts meet -0.0 increments, so
     # a zero noise added to the pump rows (+0.0 for -0.0) shows in the run

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opodimer import spectrum
-from opodimer.config import load_preset
+from opodimer.config import PRESETS, load_preset
 from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
@@ -16,7 +16,8 @@ from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                analytic_variances, coefficient_vector,
                                output_moment, spectral_matrix, vacuum_baseline)
 
-from helpers import build_combined_model, model_for, numeric_moments, sym
+from helpers import (DETUNED_COMPLEX, build_combined_model, model_for,
+                     numeric_moments, reference_spectral_matrix, sym)
 
 # pumps off the closed forms' domain: unequal, unequal and complex, equal
 # and imaginary, and equal with an imaginary part far below any tolerance
@@ -85,6 +86,14 @@ class TestSpectralMatrix:
         empty = spectral_matrix(m, [])
         assert empty.S.shape == (0, 8, 8) and empty.cond.shape == (0,)
 
+    def test_caller_frequencies_stay_writeable(self):
+        w = np.linspace(-1.0, 1.0, 5)
+        before = w.copy()
+        S = spectral_matrix(model_for(sym()), w)
+        assert w.flags.writeable
+        assert np.array_equal(w, before)
+        assert not S.omega.flags.writeable
+
     @pytest.mark.parametrize("preset", ["fig1", "fig5"])
     def test_stack_equals_each_omega_alone(self, preset):
         cfg = load_preset(preset)
@@ -147,6 +156,98 @@ class TestSpectralMatrix:
         output_moment(good, terms, terms, 1.0)
         with pytest.raises(ConvergenceFailureError, match=r"at omega = 1$"):
             output_moment(S, terms, terms, 1.0)
+
+
+def dense_model():
+    """A toy model whose A couples every index to every other, with noise
+    on four of its eight indices: its second solve takes every row."""
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) + 6.0 * np.eye(8)
+    return LinearModel(A=A, B=np.diag([1.0, 0.5, 0.0, 2.0, 0.0, 0.0, 0.0, 1.5j]))
+
+
+def reference_cases():
+    """(name, model, omegas) of every preset variant on its own grid, and of
+    the detuned complex-pump point, an undriven model, the 4x4 combined
+    model and the dense toy model on one grid."""
+    cases = []
+    for preset in PRESETS:
+        cfg = load_preset(preset)
+        for label, spec, _ in cfg.variants():
+            cases.append((f"{preset}:{label}", model_for(spec.system),
+                          cfg.sweep.omegas()))
+    w = np.linspace(-20.0, 20.0, 601)
+    cases += [("detuned", model_for(DETUNED_COMPLEX), w),
+              ("undriven", model_for(sym(pump_fraction=0.0)), w),
+              ("combined", build_combined_model(sym(J_a=2.0, Delta_a=2.0,
+                                                    Delta_b=1.0)), w),
+              ("dense", dense_model(), w)]
+    return cases
+
+
+REFERENCE_CASES = reference_cases()
+
+
+class TestReferenceRoute:
+    @pytest.mark.parametrize("name,model,omegas", REFERENCE_CASES,
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_matches_inverse_and_two_full_solves(self, name, model, omegas):
+        got = spectral_matrix(model, omegas)
+        want = reference_spectral_matrix(model, omegas)
+        np.testing.assert_array_equal(got.cond.view(np.int64),
+                                      want.cond.view(np.int64))
+        g = np.ascontiguousarray(got.S).view(float)
+        r = np.ascontiguousarray(want.S).view(float)
+        assert np.array_equal(g, r)  # -0.0 == 0.0
+        assert (r[g.view(np.int64) != r.view(np.int64)] == 0.0).all()
+
+    @pytest.mark.parametrize("model,live", [(model_for(sym()), 4),
+                                            (dense_model(), 8)])
+    def test_solves_keep_to_the_noise_support(self, monkeypatch, model, live):
+        # every right-hand side is a stack (numpy < 2.0 reads a b with one
+        # axis less than a as a stack of vectors); the first solve takes the
+        # identity and D's nonzero columns, the second the live rows of left
+        calls = []
+        solve = np.linalg.solve
+
+        def recorded(a, b):
+            assert b.ndim == a.ndim
+            calls.append(b.shape[-1])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        spectral_matrix(model, np.linspace(-5.0, 5.0, spectrum._OMEGA_BLOCK + 3))
+        spectral_matrix(model, 0.7)
+        assert calls == [8 + 4, live] * 3  # two blocks, then one
+
+    def test_factorization_failure_is_a_typed_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularAtFrequencyError,
+                           match=r"between omega = 1 and 3$"):
+            spectral_matrix(model_for(sym()), [1.0, 2.0, 3.0])
+
+    def test_memory_no_higher_than_the_reference(self):
+        cfg = load_preset("fig5")
+        model = model_for(cfg.variants()[0][1].system)
+        omegas = cfg.sweep.omegas()
+        assert len(omegas) == 2001
+
+        def beyond_output(route):
+            tracemalloc.start()
+            try:
+                S = route(model, omegas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - S.S.nbytes - S.cond.nbytes
+
+        for route in (spectral_matrix, reference_spectral_matrix):
+            beyond_output(route)  # first-call allocations
+        assert beyond_output(spectral_matrix) <= \
+            beyond_output(reference_spectral_matrix)
 
 
 def two_sided_moment(S, terms1, terms2, gamma_a):
