@@ -2,7 +2,7 @@
 downconverters, below threshold.
 
 The package computes output quadrature spectra three independent ways:
-closed forms where they exist, a linearized spectral-matrix pipeline for any
+closed forms for equal pumps, a linearized spectral-matrix pipeline for any
 stable parameter set, and a positive-P stochastic oracle for the full
 nonlinear model. The criteria module turns spectra into squeezing, sum-type
 entanglement, and EPR-inference witnesses; the CLI runs bundled parameter

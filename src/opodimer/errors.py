@@ -30,14 +30,15 @@ class SingularAtFrequencyError(OpodimerError):
 
 
 class DomainError(OpodimerError):
-    """Input outside the domain a result is defined on: a closed form off
-    its manifold (DetuningMismatchError), or a closed form, the threshold
+    """Input outside the domain a result is defined on: a closed form given
+    unequal pumps (DetuningMismatchError), or a closed form, the threshold
     pencil or a drift block whose value leaves the float range."""
 
 
 class DetuningMismatchError(DomainError):
-    """A closed form off its manifold, Delta = 0 or Delta = J, or off equal
-    real pumps: raised by spectrum.require_manifold."""
+    """A closed form given unequal pumps, where the signal supermodes
+    (a1 +- a2)/sqrt(2) do not decouple: raised by spectrum.analytic_variances
+    and spectrum.analytic_combined."""
 
 
 class DegenerateVarianceError(OpodimerError):

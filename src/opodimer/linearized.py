@@ -7,8 +7,8 @@ Ornstein-Uhlenbeck equation
 
 with dx in the package-wide ordering [alpha1, alpha1+, alpha2, alpha2+,
 beta1, beta1+, beta2, beta2+] and dW a vector of independent real Wiener
-increments. This module holds the linear model alone; the closed forms
-and their domain gate live in spectrum.
+increments. This module holds the linear model alone; the supermode
+closed forms live in spectrum.
 """
 
 from __future__ import annotations

@@ -82,10 +82,6 @@ class SystemParams:
     def equal_pumps(self) -> bool:
         return self.eps1 == self.eps2
 
-    @property
-    def resonant(self) -> bool:
-        return self.Delta_a == 0.0 and self.Delta_b == 0.0
-
 
 @dataclass(frozen=True)
 class SteadyState:

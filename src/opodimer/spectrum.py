@@ -14,6 +14,8 @@ from the same commutator algebra (see vacuum_baseline).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,72 +245,58 @@ def output_moment(S: SpectralMatrix, terms1, terms2, gamma_a: float) -> np.ndarr
     return vacuum_baseline(terms1, terms2) + 2.0 * gamma_a * v.real
 
 
-def require_manifold(p: SystemParams, manifold: str) -> float:
-    """The real pump of p, the one gate of the closed forms. Raises
-    DetuningMismatchError unless p lies on manifold ("Delta = 0" for the
-    resonant forms, "Delta = J" for the combined ones) with equal real pumps,
-    each an exact float equality on both manifolds, and AboveThresholdError,
-    from steady_state, at or above threshold."""
-    off_a, off_b = {"Delta = 0": (p.Delta_a, p.Delta_b),
-                    "Delta = J": (p.Delta_a - p.J_a, p.Delta_b - p.J_b)}[manifold]
-    if off_a or off_b:
-        raise DetuningMismatchError(
-            f"closed forms of the {manifold} manifold are off it by "
-            f"{off_a:.3e} in Delta_a and {off_b:.3e} in Delta_b")
-    if not p.equal_pumps or p.eps1.imag != 0.0:
-        raise DetuningMismatchError("closed forms need equal real pumps, got "
+def _supermode_terms(p: SystemParams, omega: float) -> list:
+    """Normally ordered output terms (xx, yy, xy) at lab angle 0 of the
+    signal supermodes a+- = (a1 +- a2)/sqrt(2): P, of detuning delta =
+    Delta_a - J_a, then M, of delta = Delta_a + J_a.
+
+    Equal pumps give both the pair term m = kappa beta_ss and independent
+    noise, so each is one detuned degenerate OPO below threshold (Collett &
+    Gardiner 1984, Phys. Rev. A 30, 1386). In the frame that makes
+    m = |m| e^{i phi} real, its terms are 2 gamma_a times
+
+        S_xx = 2|m| [(gamma_a + |m|)^2 + omega^2 - delta^2] / |det|^2,
+        S_yy = 2|m| [delta^2 - (gamma_a - |m|)^2 - omega^2] / |det|^2,
+        S_xy = -4 |m| gamma_a delta / |det|^2,
+
+    |det|^2 = (gamma_a^2 - |m|^2 + delta^2 - omega^2)^2 + 4 gamma_a^2 omega^2,
+    and lab angle 0 is that frame's angle -phi/2. Raises
+    DetuningMismatchError for unequal pumps and AboveThresholdError, from
+    steady_state, at or above threshold.
+    """
+    if not p.equal_pumps:
+        raise DetuningMismatchError("closed forms need equal pumps, got "
                                     f"eps1 = {p.eps1}, eps2 = {p.eps2}")
-    steady_state(p)
-    return p.eps1.real
+    r, phi = cmath.polar(p.kappa * steady_state(p).beta1_ss)
+    c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    g, w2 = p.gamma_a, omega * omega
+    terms = []
+    for delta in (p.Delta_a - p.J_a, p.Delta_a + p.J_a):
+        d2 = delta * delta
+        k = 4.0 * g * r / ((g * g - r * r + d2 - w2) ** 2 + 4.0 * g * g * w2)
+        xx, yy = k * ((g + r) ** 2 + w2 - d2), k * (d2 - (g - r) ** 2 - w2)
+        xy = -2.0 * k * g * delta
+        terms.append((c * c * xx + s * s * yy - 2.0 * c * s * xy,
+                      s * s * xx + c * c * yy + 2.0 * c * s * xy,
+                      c * s * (xx - yy) + (c * c - s * s) * xy))
+    return terms
 
 
 def analytic_variances(p: SystemParams, omega: float) -> dict:
-    """Closed-form resonant output spectra at local-oscillator angle zero.
-
-    Valid at zero detuning with equal real pumps below threshold. Returns
-    S_X, S_Y (variances at theta = 0, pi/2), the single-mode covariance
-    V_XY, and the cross-mode covariances V_X1X2, V_Y1Y2 = -V_X1X2. The sign
-    of the J_b^2 cross term in S_Y is fixed by the pump-reversal symmetry
-    S_X(-eps) = S_Y(eps); with the opposite sign the form disagrees with the
-    numeric pipeline by up to hundreds of percent (see tests).
-    """
-    eps = require_manifold(p, "Delta = 0")
-    ga, gb, ja, jb = p.gamma_a, p.gamma_b, p.J_a, p.J_b
-    gta2 = ga * ga + ja * ja
-    gtb2 = gb * gb + jb * jb
-    ke = p.kappa * eps
-    w2 = omega * omega
-    den = 4.0 * ga * ga * gtb2 * gtb2 * w2 + (gtb2 * (gta2 - w2) - ke * ke) ** 2
-    core = gb * (gtb2 * (w2 - ja * ja) + jb * jb * ga * ga)
-    s_x = 1.0 + 4.0 * ga * ke * (core + gb * (ga * gb + ke) ** 2
-                                 + 2.0 * ga * jb * jb * ke) / den
-    s_y = 1.0 - 4.0 * ga * ke * (core + gb * (ga * gb - ke) ** 2
-                                 - 2.0 * ga * jb * jb * ke) / den
-    v_xy = 4.0 * ga * jb * ke * (gtb2 * (ga * ga - ja * ja + w2) + ke * ke) / den
-    v_x1x2 = -8.0 * ja * jb * ga * ga * gtb2 * ke / den
-    return {"S_X": s_x, "S_Y": s_y, "V_XY": v_xy,
-            "V_X1X2": v_x1x2, "V_Y1Y2": -v_x1x2}
+    """Closed-form single-mode output spectra at local-oscillator angle zero,
+    for equal pumps below threshold (_supermode_terms): S_X, S_Y (variances
+    at theta = 0, pi/2), the single-mode covariance V_XY, and the cross-mode
+    covariances V_X1X2, V_Y1Y2."""
+    (px, py, pxy), (mx, my, mxy) = _supermode_terms(p, omega)
+    return {"S_X": 1.0 + 0.5 * (px + mx), "S_Y": 1.0 + 0.5 * (py + my),
+            "V_XY": 0.5 * (pxy + mxy),
+            "V_X1X2": 0.5 * (px - mx), "V_Y1Y2": 0.5 * (py - my)}
 
 
 def analytic_combined(p: SystemParams, omega: float) -> dict:
-    """Closed-form output spectra of the sum/difference quadratures.
-
-    Valid on the Delta_a = J_a, Delta_b = J_b manifold with equal real pumps
-    below threshold, where the intracavity pump field kappa*beta_ss =
-    kappa*eps/gamma_b is real. The sum-mode pair is exactly two uncoupled
-    single-downconverter spectra stacked; the difference mode carries the
-    shifted resonance at 2 J_a.
-    """
-    eps = require_manifold(p, "Delta = J")
-    ga, gb, ja = p.gamma_a, p.gamma_b, p.J_a
-    ke = p.kappa * eps
-    w2 = omega * omega
-    s_xp = 2.0 + 8.0 * ga * gb * ke / ((ga * gb - ke) ** 2 + gb * gb * w2)
-    s_yp = 2.0 - 8.0 * ga * gb * ke / ((ga * gb + ke) ** 2 + gb * gb * w2)
-    den_m = (gb * gb * (ga * ga + 4.0 * ja * ja - w2) - ke * ke) ** 2 \
-        + 4.0 * ga * ga * gb ** 4 * w2
-    s_xm = 2.0 + 8.0 * ga * gb * ke * ((ga * gb + ke) ** 2
-                                       - gb * gb * (4.0 * ja * ja - w2)) / den_m
-    s_ym = 2.0 - 8.0 * ga * gb * ke * ((ga * gb - ke) ** 2
-                                       - gb * gb * (4.0 * ja * ja - w2)) / den_m
-    return {"S_Xp": s_xp, "S_Yp": s_yp, "S_Xm": s_xm, "S_Ym": s_ym}
+    """Closed-form output spectra of the unnormalized sum X1 + X2 (P) and
+    difference X1 - X2 (M) quadratures at angle zero, for equal pumps below
+    threshold (_supermode_terms)."""
+    (px, py, _), (mx, my, _) = _supermode_terms(p, omega)
+    return {"S_Xp": 2.0 + 2.0 * px, "S_Yp": 2.0 + 2.0 * py,
+            "S_Xm": 2.0 + 2.0 * mx, "S_Ym": 2.0 + 2.0 * my}

@@ -1,19 +1,20 @@
 """Parameter sets, models and moments shared by the test modules, and the
-oracles the tests check the package against: the resonant closed-form
-drift eigenvalues, the finite-difference Jacobian, the 4x4 sum/difference
-model of the Delta = J manifold, the (Re, Im) eigenvalue order, the
-stationary signal covariance, the spectral matrix by an inverse and two
-full solves, and a bit-for-bit array comparison."""
+oracles the tests check the package against: the supermode closed-form
+drift eigenvalues of every equal-pump set, the finite-difference Jacobian,
+the 4x4 sum/difference model of the Delta = J manifold, the (Re, Im)
+eigenvalue order, the stationary signal covariance, the spectral matrix by
+an inverse and two full solves, and a bit-for-bit array comparison."""
 
 import math
 
 import numpy as np
 
+from opodimer.errors import DetuningMismatchError
 from opodimer.linearized import LinearModel, _frozen, build_linear_model
 from opodimer.model import (SystemParams, _unchecked_state, drift_rhs,
                             steady_state)
 from opodimer.spectrum import (_OMEGA_BLOCK, SpectralMatrix, output_moment,
-                               require_manifold, spectral_matrix)
+                               spectral_matrix)
 
 _EIG_REAL_TOL = 1e-9
 _FD_STEP = 1e-6
@@ -95,20 +96,25 @@ def sort_eigenvalues(values) -> np.ndarray:
     return np.concatenate(groups)
 
 
-def resonant_eigenvalues(p: SystemParams) -> np.ndarray:
+def supermode_eigenvalues(p: SystemParams) -> np.ndarray:
     """The 8 drift eigenvalues at the alpha = 0 fixed point in closed form,
-    for Delta_a = Delta_b = 0 and equal real pumps: the signal block's
+    for equal pumps on either side of threshold: the signal supermodes
+    (a1 +- a2)/sqrt(2), of detunings delta = Delta_a -+ J_a, each give
 
-        gamma_a +- sqrt(kappa^2 eps^2 / (gamma_b^2 + J_b^2) - J_a^2)
+        gamma_a +- sqrt(|m|^2 - delta^2),    m = kappa beta_ss
 
     (the principal square root turns a negative argument into an imaginary
-    pair) and the pump block's gamma_b +- i J_b, each twice.
+    pair), and the pump block gives gamma_b + i(Delta_b +- J_b) and their
+    conjugates.
     """
-    assert p.resonant and p.equal_pumps and p.eps1.imag == 0.0, p
-    gtb = math.hypot(p.gamma_b, p.J_b)
-    s = np.sqrt(complex((p.kappa * p.eps1.real / gtb) ** 2 - p.J_a ** 2))
-    pump = complex(p.gamma_b, p.J_b)
-    return np.array([p.gamma_a + s, p.gamma_a - s, pump, pump.conjugate()] * 2)
+    assert p.equal_pumps, p
+    m2 = abs(p.kappa * _unchecked_state(p).beta1_ss) ** 2
+    signal = [p.gamma_a + sign * np.sqrt(complex(m2 - delta ** 2))
+              for delta in (p.Delta_a - p.J_a, p.Delta_a + p.J_a)
+              for sign in (1, -1)]
+    pump = np.array([complex(p.gamma_b, p.Delta_b + p.J_b),
+                     complex(p.gamma_b, p.Delta_b - p.J_b)])
+    return np.concatenate([signal, pump, pump.conj()])
 
 
 def build_combined_model(p: SystemParams) -> LinearModel:
@@ -116,13 +122,18 @@ def build_combined_model(p: SystemParams) -> LinearModel:
 
     Valid only on the Delta_a = J_a, Delta_b = J_b manifold with equal real
     pumps below threshold, where the steady pump field is real and the
-    combined modes decouple exactly; the closed forms' gate checks all three.
-    The ordering is [A_plus, A_plus+, A_minus, A_minus+] with
+    combined modes decouple exactly. Raises DetuningMismatchError off that
+    manifold or off equal real pumps, and AboveThresholdError at or above
+    threshold. The ordering is [A_plus, A_plus+, A_minus, A_minus+] with
     A_pm = alpha1 +- alpha2 (unnormalized, so each combined mode carries a
     vacuum variance of 2); its plus and minus 2x2 blocks do not couple.
     """
-    require_manifold(p, "Delta = J")
-    m = p.kappa * _unchecked_state(p).beta1_ss.real
+    off = (p.Delta_a - p.J_a, p.Delta_b - p.J_b)
+    if any(off) or not p.equal_pumps or p.eps1.imag != 0.0:
+        raise DetuningMismatchError(
+            f"the combined model needs the Delta = J manifold with equal real "
+            f"pumps, got Delta - J = {off}, eps1 = {p.eps1}, eps2 = {p.eps2}")
+    m = p.kappa * steady_state(p).beta1_ss.real  # raises above threshold
     ga, ja = p.gamma_a, 1j * p.J_a
     A = np.array([
         [ga, -m, 0, 0],

@@ -22,7 +22,7 @@ from opodimer.model import (SystemParams, critical_pump, dense_eigvals,
 from opodimer.spectrum import analytic_combined, analytic_variances
 
 from helpers import (finite_difference_jacobian, numeric_moments,
-                     resonant_eigenvalues, sort_eigenvalues, sym)
+                     supermode_eigenvalues, sort_eigenvalues, sym)
 
 
 FIG4 = sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0)
@@ -187,7 +187,7 @@ def test_criterion_07_eigenvalue_oracle():
     rng = np.random.default_rng(77)
     for _ in range(100):
         p = _random_resonant(rng)
-        analytic = sort_eigenvalues(resonant_eigenvalues(p))
+        analytic = sort_eigenvalues(supermode_eigenvalues(p))
         for eigs in (stability_eigenvalues(p),
                      dense_eigvals(build_linear_model(p).A)):
             assert np.allclose(analytic, sort_eigenvalues(eigs), atol=1e-10,

@@ -7,7 +7,7 @@ from opodimer.model import (SystemParams, _unchecked_state, dense_eigvals,
                             stability_eigenvalues, steady_state)
 
 from helpers import (build_combined_model, finite_difference_jacobian,
-                     model_for, resonant_eigenvalues, sort_eigenvalues, sym)
+                     model_for, supermode_eigenvalues, sort_eigenvalues, sym)
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -40,7 +40,7 @@ def entrywise_model(p):
 
 
 # Parameter rows off resonance or with unequal pumps, outside the resonant
-# closed form (helpers.resonant_eigenvalues): Delta tracking J, Delta = -3
+# sets of the eigenvalue oracle tests: Delta tracking J, Delta = -3
 # against positive J (opposite signs), negative J_a and Delta_b, and
 # unequal complex pumps with and without detuning.
 OFF_RESONANCE = (
@@ -172,20 +172,26 @@ class TestEigenvalueOracle:
                 J_a=rng.uniform(-5, 5), J_b=rng.uniform(-5, 5),
                 Delta_a=0.0, Delta_b=0.0,
                 pump_fraction=rng.uniform(0.05, 0.95))
-            analytic = sort_eigenvalues(resonant_eigenvalues(p))
+            analytic = sort_eigenvalues(supermode_eigenvalues(p))
             for eigs in (stability_eigenvalues(p),
                          dense_eigvals(model_for(p).A)):
                 assert np.allclose(analytic, sort_eigenvalues(eigs), atol=1e-10)
 
     @pytest.mark.parametrize("kw", OFF_RESONANCE)
     def test_dense_signal_block_and_pump_closed_form(self, kw):
-        # where no closed form checks the signal block, its 4x4 eigensolve
-        # and the pump block's closed form must give the 8x8 spectrum
+        # off resonance, the signal block's 4x4 eigensolve and the pump
+        # block's closed form must give the 8x8 spectrum, and the supermode
+        # closed form too where the pumps are equal, on both sides of
+        # threshold
         for f in (0.5, 1.0, 2.0):
             p = SystemParams(kappa=0.01, **dict(
                 kw, eps1=f * kw["eps1"], eps2=f * kw["eps2"]))
-            assert not (p.resonant and p.equal_pumps)
-            np.testing.assert_allclose(
-                sort_eigenvalues(stability_eigenvalues(p)),
-                sort_eigenvalues(dense_eigvals(build_linear_model(p).A)),
-                rtol=0.0, atol=1e-10, err_msg=f"{kw} x {f}")
+            assert not (p.Delta_a == p.Delta_b == 0.0 and p.equal_pumps)
+            got = sort_eigenvalues(stability_eigenvalues(p))
+            wants = [dense_eigvals(build_linear_model(p).A)]
+            if p.equal_pumps:
+                wants.append(supermode_eigenvalues(p))
+            for want in wants:
+                np.testing.assert_allclose(
+                    got, sort_eigenvalues(want), rtol=0.0, atol=1e-10,
+                    err_msg=f"{kw} x {f}")

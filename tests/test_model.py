@@ -17,7 +17,7 @@ from opodimer.model import (SteadyState, SystemParams, _signal_blocks,
                             stability_eigenvalues, steady_state,
                             threshold_bisection_stack)
 
-from helpers import (SIGNED_ZERO_POINTS, assert_same_bits, resonant_eigenvalues,
+from helpers import (SIGNED_ZERO_POINTS, assert_same_bits, supermode_eigenvalues,
                      sort_eigenvalues, sym)
 
 
@@ -42,7 +42,7 @@ class TestParams:
         assert p.eps1 == p.eps2
         assert p.eps1.real == pytest.approx(100.0, rel=1e-14)
         assert p.eps1.imag == 0.0
-        assert p.equal_pumps and p.resonant
+        assert p.equal_pumps and p.Delta_a == p.Delta_b == 0.0
 
     def test_symmetric_rejects_double_pump_spec(self):
         with pytest.raises(ValueError):
@@ -209,12 +209,13 @@ class TestEigenvalues:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_analytic_matches_numeric_route(self):
-        # the resonant closed form against the block solver and the 8x8 one
+        # the supermode closed form on resonant sets against the block
+        # solver and the 8x8 one
         from opodimer.linearized import build_linear_model
         for ja, jb, frac in ((0.0, 0.0, 0.3), (2.0, 1.0, 0.7),
                              (5.0, 0.5, 0.9)):
             p = sym(J_a=ja, J_b=jb, pump_fraction=frac)
-            analytic = sort_eigenvalues(resonant_eigenvalues(p))
+            analytic = sort_eigenvalues(supermode_eigenvalues(p))
             for eigs in (stability_eigenvalues(p),
                          dense_eigvals(build_linear_model(p).A)):
                 assert np.allclose(analytic, sort_eigenvalues(eigs), atol=1e-10)

@@ -10,8 +10,8 @@ from opodimer.errors import (AboveThresholdError, ConvergenceFailureError,
                              DetuningMismatchError, DomainError,
                              SingularAtFrequencyError)
 from opodimer.linearized import LinearModel, build_linear_model
-from opodimer.model import SystemParams, steady_state
-from opodimer.criteria import quadrature
+from opodimer.model import SystemParams, critical_pump, steady_state
+from opodimer.criteria import combined_variances, quadrature, spectral_stack
 from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                analytic_variances, coefficient_vector,
                                output_moment, spectral_matrix, vacuum_baseline)
@@ -19,10 +19,28 @@ from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
 from helpers import (DETUNED_COMPLEX, build_combined_model, model_for,
                      numeric_moments, reference_spectral_matrix, sym)
 
-# pumps off the closed forms' domain: unequal, unequal and complex, equal
-# and imaginary, and equal with an imaginary part far below any tolerance
+# pumps off real equal pumps: unequal, unequal and complex, equal and
+# imaginary, and equal with an imaginary part far below any tolerance
 OFF_PUMPS = ((50.0, 40.0), (50.0, 60.0), (50.0, 50.0 + 1.0j), (50.0j, 50.0j),
              (50.0 + 1e-13j, 50.0 + 1e-13j))
+# the closed forms raise on the unequal ones and take the equal ones
+UNEQUAL_PUMPS = [(e1, e2) for e1, e2 in OFF_PUMPS if e1 != e2]
+EQUAL_COMPLEX = [e1 for e1, e2 in OFF_PUMPS if e1 == e2]
+
+
+def assert_pipeline_values(p, omegas):
+    """Every key of both closed forms matches the 8x8 pipeline within
+    max(1e-10 |want|, 1e-12), pytest.approx's rule at rel=1e-10, at each
+    frequency of omegas."""
+    want = {**numeric_moments(p, omegas),
+            **combined_variances(spectral_stack(p, omegas), p.gamma_a)}
+    rows = [{**analytic_variances(p, w), **analytic_combined(p, w)}
+            for w in omegas]
+    for k in want:
+        got = np.array([r[k] for r in rows])
+        gap = np.abs(got - want[k]) - np.maximum(1e-10 * np.abs(want[k]), 1e-12)
+        assert not (gap > 0).any(), (k, omegas[np.argmax(gap)], p)
+
 
 SWAP = np.zeros((8, 8))
 for k in range(4):
@@ -399,19 +417,21 @@ class TestClosedForms:
 
     def test_domain_gates(self):
         assert issubclass(DetuningMismatchError, DomainError)
-        # off Delta = 0 by any amount, 1e-13 included, or on the other
-        # manifold; a caller that catches DomainError still catches it
-        for kw in (dict(Delta_a=0.5), dict(Delta_a=1e-13), dict(Delta_b=-1e-13),
-                   dict(J_a=10.0, Delta_a=10.0, Delta_b=1.0)):
-            with pytest.raises(DomainError, match="Delta = 0 manifold") as exc:
-                analytic_variances(sym(**kw), 0.0)
-            assert exc.type is DetuningMismatchError, kw
-        for eps1, eps2 in OFF_PUMPS:
-            p = SystemParams(kappa=0.01, gamma_a=1, gamma_b=1, J_a=1, J_b=1,
-                             Delta_a=0, Delta_b=0, eps1=eps1, eps2=eps2)
-            with pytest.raises(DomainError, match="equal real pumps") as exc:
-                analytic_variances(p, 0.0)
-            assert exc.type is DetuningMismatchError, (eps1, eps2)
+        # equal pumps off Delta = 0 by any amount, 1e-13 included, on
+        # Delta = J, or complex: the pipeline's values
+        rates = dict(kappa=0.01, gamma_a=1, gamma_b=1, J_a=1, J_b=1,
+                     Delta_a=0, Delta_b=0)
+        for p in ([sym(**kw) for kw in (
+                dict(Delta_a=0.5), dict(Delta_a=1e-13), dict(Delta_b=-1e-13),
+                dict(J_a=10.0, Delta_a=10.0, Delta_b=1.0))]
+                + [SystemParams(eps1=e, eps2=e, **rates) for e in EQUAL_COMPLEX]):
+            assert_pipeline_values(p, [0.0, 1.7])
+        for eps1, eps2 in UNEQUAL_PUMPS:
+            p = SystemParams(eps1=eps1, eps2=eps2, **rates)
+            for form in (analytic_variances, analytic_combined):
+                with pytest.raises(DomainError, match="equal pumps") as exc:
+                    form(p, 0.0)
+                assert exc.type is DetuningMismatchError, (eps1, eps2)
         with pytest.raises(AboveThresholdError):
             analytic_variances(sym(pump_fraction=1.05), 0.0)
         # one gate for all three, at either edge of the guard band
@@ -426,6 +446,22 @@ class TestClosedForms:
                         call()
                 else:
                     call()
+
+    def test_random_equal_complex_pumps(self):
+        # the whole equal-pump space: any coupling and detuning on signals
+        # and pumps, at any pump phase
+        rng = np.random.default_rng(32)
+        omegas = np.linspace(-20.0, 20.0, 41)
+        for _ in range(300):
+            j_a, j_b, d_a, d_b = rng.uniform(-10.0, 10.0, 4)
+            rates = dict(kappa=rng.uniform(1e-3, 0.1),
+                         gamma_a=rng.uniform(0.2, 3.0),
+                         gamma_b=rng.uniform(0.2, 3.0),
+                         J_a=j_a, J_b=j_b, Delta_a=d_a, Delta_b=d_b)
+            eps = (rng.uniform(0.05, 0.95) * critical_pump(SystemParams(**rates))
+                   * np.exp(1j * rng.uniform(-math.pi, math.pi)))
+            assert_pipeline_values(SystemParams.symmetric(eps=eps, **rates),
+                                   omegas)
 
 
 class TestCombined:
@@ -470,18 +506,22 @@ class TestCombined:
 
     def test_manifold_gate(self):
         # off Delta = J by any amount, one ulp of J_a = 10 included, or on
-        # the resonant manifold
+        # the resonant manifold: the pipeline's values, where the 4x4 model
+        # still raises
         for kw in (dict(), dict(J_a=10.0, Delta_a=9.9, Delta_b=1.0),
                    dict(J_a=10.0, Delta_a=math.nextafter(10.0, 11.0), Delta_b=1.0),
                    dict(J_a=10.0, Delta_a=10.0, Delta_b=1.0 + 1e-13)):
-            for call in (analytic_combined, lambda p, w: build_combined_model(p)):
-                with pytest.raises(DomainError, match="Delta = J manifold") as exc:
-                    call(sym(**kw), 0.0)
-                assert exc.type is DetuningMismatchError, kw
-        # on the Delta = J manifold, unequal or complex pumps fail the gate
+            assert_pipeline_values(sym(**kw), [0.0, 20.0])
+            with pytest.raises(DomainError, match="Delta = J manifold") as exc:
+                build_combined_model(sym(**kw))
+            assert exc.type is DetuningMismatchError, kw
+        # on the Delta = J manifold, equal complex pumps give the pipeline's
+        # values and unequal pumps raise
         rates = dict(J_a=10.0, J_b=1.0, Delta_a=10.0, Delta_b=1.0)
-        for eps1, eps2 in OFF_PUMPS:
+        for e in EQUAL_COMPLEX:
+            assert_pipeline_values(SystemParams(eps1=e, eps2=e, **rates), [0.0, 20.0])
+        for eps1, eps2 in UNEQUAL_PUMPS:
             p = SystemParams(eps1=eps1, eps2=eps2, **rates)
-            with pytest.raises(DomainError, match="equal real pumps") as exc:
+            with pytest.raises(DomainError, match="equal pumps") as exc:
                 analytic_combined(p, 0.0)
             assert exc.type is DetuningMismatchError, (eps1, eps2)
