@@ -57,18 +57,19 @@ def spectral_stack(p: SystemParams, omegas) -> SpectralMatrix:
     return spectral_matrix(build_linear_model(p), omegas)
 
 
+def _moment(S: SpectralMatrix, gamma_a: float, theta, a: str,
+            b: str | None = None) -> np.ndarray:
+    """Output moment of the quadratures named a and b at angle theta; with
+    b None, the variance of a, projected once."""
+    x = quadrature(a, theta)
+    return output_moment(S, x, x if b is None else quadrature(b, theta), gamma_a)
+
+
 def single_mode_moments(S: SpectralMatrix, gamma_a: float, theta=0.0) -> tuple:
     """(S_X, S_Y, V_XY) of mode 1 at angle theta (Y is theta + pi/2), one
     (n_omega,) array each."""
-    x, y = quadrature("X1", theta), quadrature("Y1", theta)
-    return (output_moment(S, x, x, gamma_a), output_moment(S, y, y, gamma_a),
-            output_moment(S, x, y, gamma_a))
-
-
-def _variance(S: SpectralMatrix, name: str, theta, gamma_a: float) -> np.ndarray:
-    """Output variance of the quadrature name at angle theta, projected once."""
-    terms = quadrature(name, theta)
-    return output_moment(S, terms, terms, gamma_a)
+    return (_moment(S, gamma_a, theta, "X1"), _moment(S, gamma_a, theta, "Y1"),
+            _moment(S, gamma_a, theta, "X1", "Y1"))
 
 
 def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
@@ -83,7 +84,7 @@ def duan_sum(S: SpectralMatrix, gamma_a: float, theta=0.0,
     if pairing not in DUAN_PAIRINGS:
         raise ValueError(f"pairing must be one of {DUAN_PAIRINGS}, got {pairing!r}")
     x, y = ("Xm", "Yp") if pairing == "xminus_yplus" else ("Xp", "Ym")
-    return _variance(S, x, theta, gamma_a) + _variance(S, y, theta, gamma_a)
+    return _moment(S, gamma_a, theta, x) + _moment(S, gamma_a, theta, y)
 
 
 def _inference_modes(infer_from: int) -> tuple:
@@ -101,44 +102,30 @@ def epr_product(S: SpectralMatrix, gamma_a: float, theta=0.0,
     linear gain: S_inf(Q_j) = S(Q_j) - V(Q_i, Q_j)^2 / S(Q_i), evaluated for
     Q = X and Q = Y in the angle-theta frame. Shaped like duan_sum.
     """
-    return _inference_product(S, theta, infer_from,
-                              _mode_moments(S, gamma_a, theta, infer_from))
+    return _epr(S, gamma_a, theta, infer_from, {})
 
 
-def _mode_moments(S: SpectralMatrix, gamma_a: float, theta, infer_from: int,
-                  mode1=None) -> dict:
-    """The six mode moments of the EPR product at angle theta: the variances
-    keyed "X1", "Y1", "X2", "Y2" and the cross-mode covariances
-    V(Q_i, Q_j), i = infer_from, keyed "X" and "Y". mode1, when given, is
-    the (V(X1), V(Y1)) pair already projected, which is not projected again."""
-    i, j = _inference_modes(infer_from)
-    moments = dict(zip(("X1", "Y1"), mode1 or ()))
-    for name in ("X1", "Y1", "X2", "Y2"):
-        if name not in moments:
-            moments[name] = _variance(S, name, theta, gamma_a)
-    for kind in "XY":
-        moments[kind] = output_moment(S, quadrature(f"{kind}{i}", theta),
-                                      quadrature(f"{kind}{j}", theta), gamma_a)
-    return moments
-
-
-def _inference_product(S: SpectralMatrix, theta, infer_from: int,
-                       moments: dict) -> np.ndarray:
-    """epr_product from the six moments of _mode_moments. Raises
+def _epr(S: SpectralMatrix, gamma_a: float, theta, infer_from: int,
+         known: dict) -> np.ndarray:
+    """epr_product, taking the variances that known holds (keyed by
+    quadrature name, e.g. "X1") as already projected. Raises
     DegenerateVarianceError, naming the frequency and the quadrature's angle,
     where a conditioning variance falls below 1e-14."""
     i, j = _inference_modes(infer_from)
     prod = 1.0
     for kind in "XY":
-        vi, vj, vij = moments[f"{kind}{i}"], moments[f"{kind}{j}"], moments[kind]
+        qi, qj = f"{kind}{i}", f"{kind}{j}"
+        vi, vj = (known[q] if q in known else _moment(S, gamma_a, theta, q)
+                  for q in (qi, qj))
         low = vi < 1e-14
         if low.any():
             k = np.unravel_index(np.argmax(low), low.shape)
-            angle = quadrature(f"{kind}{i}", theta)[0][1]
+            angle = quadrature(qi, theta)[0][1]
             raise DegenerateVarianceError(
                 f"conditioning variance {vi[k]:.3e} too small to divide by "
                 f"at omega = {S.omega[k[0]]:g}, "
                 f"theta = {np.broadcast_to(angle, low.shape)[k]:g}")
+        vij = _moment(S, gamma_a, theta, qi, qj)
         prod = prod * (vj - vij * vij / vi)
     return prod
 
@@ -147,7 +134,7 @@ def combined_variances(S: SpectralMatrix, gamma_a: float) -> dict:
     """Numeric sum/difference output spectra (theta = 0 frame) from the full
     model, one (n_omega,) array per name; agrees with the 4x4 route on the
     Delta = J manifold but is defined for any stable parameter set."""
-    return {f"S_{name}": _variance(S, name, 0.0, gamma_a)
+    return {f"S_{name}": _moment(S, gamma_a, 0.0, name)
             for name in ("Xp", "Yp", "Xm", "Ym")}
 
 
@@ -158,10 +145,10 @@ def witness_table(S: SpectralMatrix, gamma_a: float, theta: float = 0.0,
     array per column of the spectrum CSV. The EPR product reuses the mode-1
     variances, so each distinct moment is projected once."""
     s_x, s_y, cov_xy = single_mode_moments(S, gamma_a, theta)
-    duan = duan_sum(S, gamma_a, theta, duan_pairing)
-    moments = _mode_moments(S, gamma_a, theta, epr_infer_from, (s_x, s_y))
-    return {"S_X": s_x, "S_Y": s_y, "cov_XY": cov_xy, "duan_sum": duan,
-            "epr_product": _inference_product(S, theta, epr_infer_from, moments)}
+    return {"S_X": s_x, "S_Y": s_y, "cov_XY": cov_xy,
+            "duan_sum": duan_sum(S, gamma_a, theta, duan_pairing),
+            "epr_product": _epr(S, gamma_a, theta, epr_infer_from,
+                                {"X1": s_x, "Y1": s_y})}
 
 
 def witness_flags(table: dict) -> dict:
@@ -208,14 +195,13 @@ def optimize_angle(p: SystemParams, omega: float, objective: str = "squeezing",
         raise ValueError(f"unknown objective {objective!r}")
     S = spectral_stack(p, [omega])
     ga = p.gamma_a
-    witness = {"squeezing": lambda t: _variance(S, "X1", t, ga),
+    witness = {"squeezing": lambda t: _moment(S, ga, t, "X1"),
                "duan": lambda t: duan_sum(S, ga, t, pairing),
                "epr": lambda t: epr_product(S, ga, t, infer_from)}[objective]
     if objective == "epr":
-        i, j = _inference_modes(infer_from)
-        x = {a: quadrature(f"X{a}", _THIRDS) for a in (i, j)}
-        vi, vj, vij = (_laurent(output_moment(S, x[a], x[b], ga)[0])
-                       for a, b in ((i, i), (j, j), (i, j)))
+        xi, xj = (f"X{a}" for a in _inference_modes(infer_from))
+        vi, vj, vij = (_laurent(_moment(S, ga, _THIRDS, *q)[0])
+                       for q in ((xi,), (xj,), (xi, xj)))
         n = np.convolve(vi, vj) - np.convolve(vij, vij)
         num = np.convolve(n, n * (-1.0) ** _powers(n))
         den = np.convolve(vi, vi * (-1.0) ** _powers(vi))

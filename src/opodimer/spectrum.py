@@ -286,7 +286,7 @@ def analytic_variances(p: SystemParams, omega: float) -> dict:
     """Closed-form single-mode output spectra at local-oscillator angle zero,
     for equal pumps below threshold (_supermode_terms): S_X, S_Y (variances
     at theta = 0, pi/2), the single-mode covariance V_XY, and the cross-mode
-    covariances V_X1X2, V_Y1Y2."""
+    covariances V_X1X2, V_Y1Y2. omega: a float or a 1-D numpy array."""
     (px, py, pxy), (mx, my, mxy) = _supermode_terms(p, omega)
     return {"S_X": 1.0 + 0.5 * (px + mx), "S_Y": 1.0 + 0.5 * (py + my),
             "V_XY": 0.5 * (pxy + mxy),
@@ -296,7 +296,7 @@ def analytic_variances(p: SystemParams, omega: float) -> dict:
 def analytic_combined(p: SystemParams, omega: float) -> dict:
     """Closed-form output spectra of the unnormalized sum X1 + X2 (P) and
     difference X1 - X2 (M) quadratures at angle zero, for equal pumps below
-    threshold (_supermode_terms)."""
+    threshold (_supermode_terms). omega: a float or a 1-D numpy array."""
     (px, py, _), (mx, my, _) = _supermode_terms(p, omega)
     return {"S_Xp": 2.0 + 2.0 * px, "S_Yp": 2.0 + 2.0 * py,
             "S_Xm": 2.0 + 2.0 * mx, "S_Ym": 2.0 + 2.0 * my}

@@ -16,8 +16,8 @@ from opodimer.spectrum import (COND_LIMIT, SpectralMatrix, analytic_combined,
                                analytic_variances, coefficient_vector,
                                output_moment, spectral_matrix, vacuum_baseline)
 
-from helpers import (DETUNED_COMPLEX, build_combined_model, model_for,
-                     numeric_moments, reference_spectral_matrix, sym)
+from helpers import (DETUNED_COMPLEX, assert_same_bits, build_combined_model,
+                     model_for, numeric_moments, reference_spectral_matrix, sym)
 
 # pumps off real equal pumps: unequal, unequal and complex, equal and
 # imaginary, and equal with an imaginary part far below any tolerance
@@ -31,14 +31,13 @@ EQUAL_COMPLEX = [e1 for e1, e2 in OFF_PUMPS if e1 == e2]
 def assert_pipeline_values(p, omegas):
     """Every key of both closed forms matches the 8x8 pipeline within
     max(1e-10 |want|, 1e-12), pytest.approx's rule at rel=1e-10, at each
-    frequency of omegas."""
+    frequency of omegas. Each closed form is called once, on the array."""
+    omegas = np.asarray(omegas, dtype=float)
     want = {**numeric_moments(p, omegas),
             **combined_variances(spectral_stack(p, omegas), p.gamma_a)}
-    rows = [{**analytic_variances(p, w), **analytic_combined(p, w)}
-            for w in omegas]
+    got = {**analytic_variances(p, omegas), **analytic_combined(p, omegas)}
     for k in want:
-        got = np.array([r[k] for r in rows])
-        gap = np.abs(got - want[k]) - np.maximum(1e-10 * np.abs(want[k]), 1e-12)
+        gap = np.abs(got[k] - want[k]) - np.maximum(1e-10 * np.abs(want[k]), 1e-12)
         assert not (gap > 0).any(), (k, omegas[np.argmax(gap)], p)
 
 
@@ -398,6 +397,22 @@ class TestClosedForms:
                 for k in n:
                     assert a[k] == pytest.approx(n[k], rel=1e-10, abs=1e-12), \
                         (k, w)
+
+    @pytest.mark.parametrize("p", [
+        sym(J_a=2.0, J_b=-1.5),
+        sym(J_a=10.0, Delta_a=10.0, Delta_b=1.0),
+        SystemParams.symmetric(eps=40.0 + 30.0j, kappa=0.01, gamma_a=1.0,
+                               gamma_b=0.8, J_a=1.0, J_b=0.5, Delta_a=0.3,
+                               Delta_b=-0.2)],
+        ids=["resonant", "delta_eq_j", "equal_complex"])
+    def test_frequency_array_is_each_frequency_alone(self, p):
+        # the closed forms take a numpy array of omega elementwise, with the
+        # bits of one scalar call per frequency
+        omegas = np.linspace(-12.0, 12.0, 25)
+        for form in (analytic_variances, analytic_combined):
+            got = form(p, omegas)
+            for k, v in got.items():
+                assert_same_bits(v, np.array([form(p, w)[k] for w in omegas]))
 
     def test_pump_reversal_swaps_quadratures(self):
         # The closed forms must satisfy S_X(-eps) = S_Y(eps); this pins the
