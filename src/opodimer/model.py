@@ -239,24 +239,17 @@ def _signal_rates(ps: list) -> tuple:
             np.array([1j * p.J_a for p in ps]))
 
 
-def _require_finite(A) -> np.ndarray:
-    """A as an array, after raising dense_eigvals' DomainError if an entry
-    of it is not finite."""
-    A = np.asarray(A)
-    finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
-    if (bad := np.flatnonzero(~finite)).size:
-        raise DomainError(f"row {bad[0]}: drift matrix is not finite "
-                          f"(an entry overflows a float)")
-    return A
-
-
 def dense_eigvals(A) -> np.ndarray:
     """np.linalg.eigvals of a matrix or a stack of them, unsorted. Raises
     DomainError naming the first row (along A's first axis: a matrix of a
     stack) with an entry that is not finite, such as a pair term kappa
     beta_ss past the float range, before the solver sees it, and
     ConvergenceFailureError where the solver fails."""
-    A = _require_finite(A)
+    A = np.asarray(A)
+    finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
+    if (bad := np.flatnonzero(~finite)).size:
+        raise DomainError(f"row {bad[0]}: drift matrix is not finite "
+                          f"(an entry overflows a float)")
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -286,10 +279,10 @@ def _is_below_threshold(p: SystemParams) -> bool:
     below eps_crit: that closed form is exact for any sign of coupling and
     detuning, where the dense eigensolve loses the real part at large
     |J_a| / gamma_a (its slowest decay reads 0.0 at J_a = 3e16 and half
-    threshold). Otherwise True when every drift eigenvalue has positive
-    real part. Both raise DomainError for a drift block that is not finite."""
+    threshold), and needs no drift block: below it |kappa beta_ss| <
+    sqrt(gamma_a^2 + d_a^2). Otherwise True when every drift eigenvalue has
+    positive real part (DomainError for a drift block that is not finite)."""
     if p.equal_pumps:
-        _require_finite(_signal_blocks([p])[0])
         return abs(p.eps1) / critical_pump(p) < 1.0 - THRESHOLD_GUARD
     return float(np.min(stability_eigenvalues(p).real)) > 0.0
 
@@ -310,8 +303,11 @@ def steady_state(p: SystemParams) -> SteadyState:
             f"pump amplitude {max(abs(p.eps1), abs(p.eps2)):.8g} is not below "
             f"threshold: eps_crit = {eps_crit:.8g}", eps_crit=eps_crit)
     state = _unchecked_state(p)
-    resid = float(np.max(np.abs(drift_rhs(p, state.vector()))))
-    if resid > _RESIDUAL_TOL * max(1.0, abs(p.eps1), abs(p.eps2)):
+    x = state.vector()
+    resid = float(np.max(np.abs(drift_rhs(p, x))))
+    # the pump rows add eps, (gamma_b + i Delta_b) beta and i J_b beta
+    terms = (abs(complex(p.gamma_b, p.Delta_b)) + abs(p.J_b)) * np.max(np.abs(x))
+    if resid > _RESIDUAL_TOL * max(1.0, abs(p.eps1), abs(p.eps2), terms):
         raise ConvergenceFailureError(
             f"steady-state residual {resid:.3e} out of tolerance")
     return state

@@ -442,13 +442,12 @@ class _Periodograms:
         self.n_live += n
 
     def estimates(self) -> list:
-        """One SpectrumEstimate per combination over the live trajectories.
-        Standard errors are the spread of the per-trajectory values over
-        sqrt(n_live), with n_live - 1 degrees of freedom (zero only in the
-        noiseless undriven case, NaN for a single live trajectory)."""
+        """One SpectrumEstimate per combination over the live trajectories
+        (integrate raises DivergenceDetectedError if none is left). Standard
+        errors are the spread of the per-trajectory values over sqrt(n_live),
+        with n_live - 1 degrees of freedom (zero only in the noiseless
+        undriven case, NaN for a single live trajectory)."""
         n_live = self.n_live
-        if n_live == 0:
-            raise DivergenceDetectedError("no live trajectories to estimate from")
         scale = 2.0 * self.params.gamma_a
         out = []
         for terms, P in zip(self.combos, self.P):

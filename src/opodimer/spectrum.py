@@ -47,12 +47,9 @@ class SpectralMatrix:
     cond: np.ndarray
 
 
-def _frobenius_cond(shifted: np.ndarray, inv) -> np.ndarray:
+def _frobenius_cond(shifted: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """|M|_F |M^-1|_F of every slice of a (n_omega, n, n) stack M, given its
-    inverse inv, or inf for the whole stack when inv is None (the
-    factorization met an exactly singular slice)."""
-    if inv is None:
-        return np.full(len(shifted), np.inf)
+    inverse inv."""
     sq = []
     for m in (shifted, inv):
         # reshape copies a strided inv, so both sums run over contiguous rows
@@ -61,12 +58,12 @@ def _frobenius_cond(shifted: np.ndarray, inv) -> np.ndarray:
     return np.sqrt(sq[0] * sq[1])
 
 
-def _solve_block(A, w, rhs, support, live, S_t, cond) -> None:
+def _solve_block(A, w, rhs, support, S_t, cond) -> None:
     """Gate and solve one block of frequencies w into its slices S_t (the
-    transposed layout) and cond: see spectral_matrix. rhs is the stack of
-    one [I | D's columns in support], support the indices the noise reaches
-    and live the rows of left = (A + i omega)^-1 D that the second solve
-    takes; the other columns of S_t must already hold zeros."""
+    transposed layout) and cond (inf for the whole block when the
+    factorization meets an exactly singular slice): see spectral_matrix.
+    rhs is the stack of one [I | D's columns in support], support the
+    indices the noise reaches; the other columns of S_t must hold zeros."""
     n = A.shape[0]
     shift = 1j * w[:, None, None] * np.eye(n)
     shifted, mirrored = A + shift, A - shift
@@ -75,7 +72,9 @@ def _solve_block(A, w, rhs, support, live, S_t, cond) -> None:
         x = np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError:  # an exactly singular slice: the SVD decides
         x = None
-    cond[:] = _frobenius_cond(shifted, None if x is None else x[..., :n])
+        cond[:] = np.inf
+    else:
+        cond[:] = _frobenius_cond(shifted, x[..., :n])
     suspect = np.flatnonzero(~(cond <= 0.5 * COND_LIMIT))  # nan too
     if len(suspect):
         cond2 = np.linalg.cond(shifted[suspect])
@@ -92,6 +91,7 @@ def _solve_block(A, w, rhs, support, live, S_t, cond) -> None:
     del shifted
     # right factor (A^T - i omega)^-1: solve (A - i omega) S^T = left^T,
     # whose column k is row k of left, nonzero only in the support's rows
+    live = np.flatnonzero(x[:, :, n:].any(axis=(0, 2)))
     rhs_t = np.zeros((len(w), n, len(live)), dtype=complex)
     rhs_t[:, support] = x[:, live, n:].transpose(0, 2, 1)
     S_t[..., live] = np.linalg.solve(mirrored, rhs_t)
@@ -119,13 +119,12 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     One solve of (A + i omega) against [I | D's nonzero columns], with
     D = B B^T, serves both the gate and the left factor left = M^-1 D: its
     first n columns are M^-1, the same LAPACK gesv that np.linalg.inv runs
-    on the identity, and the others are the nonzero columns of left. When A
-    couples no index that the noise reaches (D's nonzero rows and columns,
-    the same set since D is symmetric) to any other, as in every
-    build_linear_model model, left is zero outside those rows and the
-    second solve takes only them; otherwise it takes every row. S is then
-    zero outside those rows and columns. The values of S do not depend on
-    this, but an exact zero of S may carry either sign.
+    on the identity, and the others are the nonzero columns of left. The
+    second solve takes the rows of left that are nonzero at some frequency
+    of the block (4 of 8 in a driven build_linear_model model, where A
+    couples no index the noise reaches to any other); S is zero outside
+    those rows and columns. The values of S do not depend on this, but an
+    exact zero of S may carry either sign.
 
     The gate takes the SVD (np.linalg.cond) only where it can matter. The
     Frobenius condition number of each slice, from M^-1, is never below the
@@ -149,11 +148,7 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     A = model.A
     n = A.shape[0]
     diffusion = model.diffusion()
-    noisy = diffusion.any(axis=0)
-    support = np.flatnonzero(noisy)
-    # an entry of A between an index the noise reaches and one it does not
-    coupled = A[noisy[:, None] != noisy].any()
-    live = np.arange(n) if coupled else support
+    support = np.flatnonzero(diffusion.any(axis=0))
     # a stack of one: numpy < 2.0 reads a b with one axis less than a as a
     # stack of vectors
     rhs = np.concatenate((np.eye(n), diffusion[:, support]), axis=1)[None]
@@ -164,7 +159,7 @@ def spectral_matrix(model, omegas) -> SpectralMatrix:
     cond = np.empty(len(omegas))
     for start in range(0, len(omegas), _OMEGA_BLOCK):
         block = slice(start, start + _OMEGA_BLOCK)
-        _solve_block(A, omegas[block], rhs, support, live, S_t[block], cond[block])
+        _solve_block(A, omegas[block], rhs, support, S_t[block], cond[block])
     return SpectralMatrix(omega=_frozen(omegas), S=_frozen(S_t.transpose(0, 2, 1)),
                           cond=_frozen(cond))
 

@@ -410,14 +410,23 @@ class TestSpectrumCommand:
         assert r.returncode == 0, r.stderr
         assert len(parse_csv(r.stdout)) == 1
 
-    def test_overflowing_drift_block_exits_1(self, capsys):
-        # kappa beta_ss past the float range is a DomainError, not a failure
-        # of the eigensolver
+    def test_overflowing_drift_block_exits_2(self, capsys):
+        # equal pumps whose kappa beta_ss would overflow a float are above
+        # threshold by the closed form, which needs no drift block
         assert cli.main(["spectrum", "--set", "params.kappa=1e300",
-                         "--set", "params.eps=1e300"]) == 1
+                         "--set", "params.eps=1e300"]) == 2
         assert capsys.readouterr().err == (
-            "opodimer: error: row 0: drift matrix is not finite "
-            "(an entry overflows a float)\n")
+            "opodimer: above threshold: pump amplitude 1e+300 is not below "
+            "threshold: eps_crit = 1e-300\n")
+
+    def test_large_pump_coupling_passes_the_residual_check(self, capsys):
+        # unequal pumps at J_b = Delta_b = 1e4: the steady state's residual
+        # is judged against its largest term, i J_b beta, not |eps| alone
+        assert cli.main(["spectrum", "--set", "params.J_b=1e4",
+                         "--set", "params.Delta_b=1e4", "--set", "params.eps1=10",
+                         "--set", "params.eps2=20"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and parse_csv(out.out)
 
     def test_malformed_set_exits_1(self, tmp_path, capsys, monkeypatch):
         # in process, but for one run of the real entry point and the runs

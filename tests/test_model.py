@@ -170,6 +170,19 @@ class TestSteadyState:
         with pytest.raises(ConvergenceFailureError):
             steady_state(sym())
 
+    def test_residual_tolerance_scales_with_the_pump_terms(self):
+        # the pump rows add eps, (gamma_b + i Delta_b) beta and i J_b beta,
+        # whose roundoff grows with |J_b| |beta|: near Delta_b = +-J_b at
+        # |J_b| up to 1e4, 32 of these sets overran 1e-12 max(1, |eps|)
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            J_b = rng.uniform(-1e4, 1e4)
+            J_a, Delta_a = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+            Delta_b = (-1.0) ** rng.integers(2) * J_b + rng.uniform(-1.0, 1.0)
+            eps1, eps2 = (complex(*rng.uniform(-50.0, 50.0, 2)) for _ in "12")
+            steady_state(SystemParams(J_a=J_a, J_b=J_b, Delta_a=Delta_a,
+                                      Delta_b=Delta_b, eps1=eps1, eps2=eps2))
+
 
 class TestEigenvalues:
     def test_frozen_values_at_unit_pump_coupling(self):
@@ -241,12 +254,14 @@ class TestEigenvalues:
 
     def test_non_finite_drift_block_is_a_domain_error(self):
         # kappa beta_ss = 1e300 * 1e300 overflows before the eigensolve,
-        # which would report the block as a convergence failure
+        # which would report the block as a convergence failure; the steady
+        # state's closed-form gate builds no block and finds it above threshold
         p = SystemParams(kappa=1e300, eps1=1e300, eps2=1e300)
-        for f in (stability_eigenvalues, steady_state):
-            with pytest.raises(DomainError,
-                               match=r"^row 0: drift matrix is not finite"):
-                f(p)
+        with pytest.raises(DomainError,
+                           match=r"^row 0: drift matrix is not finite"):
+            stability_eigenvalues(p)
+        with pytest.raises(AboveThresholdError):
+            steady_state(p)
         with pytest.raises(DomainError, match=r"^row 1: "):
             min_re_eig_stack([sym(), p, p])
 

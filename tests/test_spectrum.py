@@ -414,6 +414,20 @@ class TestClosedForms:
             for k, v in got.items():
                 assert_same_bits(v, np.array([form(p, w)[k] for w in omegas]))
 
+    def test_route_1_shares_no_solver_with_route_2(self, monkeypatch):
+        # the closed forms, their threshold gate included, reach neither a
+        # drift block nor a dense solve or eigensolve
+        def reached(*args, **kwargs):
+            raise AssertionError("route 2 reached")
+
+        monkeypatch.setattr("opodimer.model.drift_block", reached)
+        monkeypatch.setattr(np.linalg, "solve", reached)
+        monkeypatch.setattr(np.linalg, "eigvals", reached)
+        p = SystemParams(J_a=1.0, J_b=0.5, Delta_a=0.3, Delta_b=-0.2,
+                         eps1=40.0 + 30.0j, eps2=40.0 + 30.0j)
+        analytic_variances(p, np.linspace(-5.0, 5.0, 11))
+        analytic_combined(p, 0.5)
+
     def test_pump_reversal_swaps_quadratures(self):
         # The closed forms must satisfy S_X(-eps) = S_Y(eps); this pins the
         # sign of the J_b^2 cross term, where a sign slip produces errors of
